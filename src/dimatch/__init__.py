@@ -70,7 +70,7 @@ from .solver import (
     dim_with_anchor,
     solve,
 )
-from .subsolver import oracle_sub_solver, solve_precolored
+from .subsolver import solve_precolored
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

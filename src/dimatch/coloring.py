@@ -15,7 +15,7 @@ committed matched pairs out of the working graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import patterns
 from .graph import Edge, Graph, GraphError, edge
@@ -246,23 +246,32 @@ def _committed_conflict(g: Graph, committed: Iterable[Edge], vw: Edge) -> str | 
     return None
 
 
-def _materialize(
+def restrict(
     g: Graph,
-    keep: list[int],
+    vertices: Collection[int],
     state: Sequence[int],
     excluded: Iterable[Edge],
-    committed: list[Edge],
-) -> ReductionOutcome:
-    sub, old_of_new = g.induced_subgraph(keep)
+    committed: Iterable[Edge] = (),
+) -> tuple[Graph, Coloring, tuple[int, ...]]:
+    """The piece of a colored graph induced by a vertex set, relabeled densely.
+
+    Returns the piece, its coloring and the new->old vertex map.  The
+    coloring carries the states of the kept vertices and the excluded edges
+    inside the piece, in the piece's ids; ``committed`` passes through as
+    given.  ``vertices`` must hold distinct vertices of ``g``; when it holds
+    all of them, ``g`` itself is returned rather than a copy.
+    """
+    if len(vertices) == g.n:
+        return g, Coloring(state, excluded, committed), tuple(range(g.n))
+    sub, old_of_new = g.induced_subgraph(vertices)
     new_of_old = {v: i for i, v in enumerate(old_of_new)}
-    new_state = [state[v] for v in old_of_new]
-    new_excluded = {
-        edge(new_of_old[a], new_of_old[b])
+    sub_excluded = [
+        (new_of_old[a], new_of_old[b])
         for a, b in excluded
         if a in new_of_old and b in new_of_old
-    }
-    col = Coloring(new_state, new_excluded, committed)
-    return ReductionOutcome(True, None, sub, col, old_of_new)
+    ]
+    col = Coloring([state[v] for v in old_of_new], sub_excluded, committed)
+    return sub, col, old_of_new
 
 
 def reduction_step(g: Graph, coloring: Coloring, vw: Edge) -> ReductionOutcome:
@@ -291,8 +300,8 @@ def reduction_step(g: Graph, coloring: Coloring, vw: Edge) -> ReductionOutcome:
             if t not in dropped:
                 new_excluded.add(edge(z, t))
     keep = [u for u in range(g.n) if u not in dropped]
-    return _materialize(
-        g, keep, coloring.state, new_excluded, coloring.committed + [vw]
+    return ReductionOutcome(
+        True, None, *restrict(g, keep, coloring.state, new_excluded, coloring.committed + [vw])
     )
 
 
@@ -307,7 +316,9 @@ def vertex_c_reduction(g: Graph, coloring: Coloring, u: int) -> ReductionOutcome
             return ReductionOutcome.contradiction(R_WHITE_WHITE)
         state[z] = BLACK
     keep = [x for x in range(g.n) if x != u]
-    outcome = _materialize(g, keep, state, coloring.excluded, list(coloring.committed))
+    outcome = ReductionOutcome(
+        True, None, *restrict(g, keep, state, coloring.excluded, coloring.committed)
+    )
     reason = _feasibility_reason(outcome.graph, outcome.coloring.state)
     if reason:
         return ReductionOutcome.contradiction(reason)
@@ -335,7 +346,9 @@ def edge_c_reduction(g: Graph, coloring: Coloring, uw: Edge) -> ReductionOutcome
             return ReductionOutcome.contradiction(R_TWO_BLACK)
         state[z] = WHITE
     keep = [x for x in range(g.n) if x not in (u, w)]
-    outcome = _materialize(g, keep, state, coloring.excluded, coloring.committed + [uw])
+    outcome = ReductionOutcome(
+        True, None, *restrict(g, keep, state, coloring.excluded, coloring.committed + [uw])
+    )
     reason = _feasibility_reason(outcome.graph, outcome.coloring.state)
     if reason:
         return ReductionOutcome.contradiction(reason)
@@ -392,18 +405,10 @@ def forced_edge_closure(
                     return ReductionOutcome.contradiction(R_WHITE_WHITE)
             committed.append(vw)
             committed_set.add(vw)
-        residual, old_of_new = g.induced_subgraph(sorted(alive))
+        residual, residual_col, old_of_new = restrict(g, alive, state, excluded, committed)
         fresh = patterns.forced_edges_initial(residual)
         pending = sorted(
             residual.relabel_edges(fresh, old_of_new) - committed_set
         )
         if not pending:
-            new_of_old = {v: i for i, v in enumerate(old_of_new)}
-            new_state = [state[v] for v in old_of_new]
-            new_excluded = {
-                edge(new_of_old[a], new_of_old[b])
-                for a, b in excluded
-                if a in new_of_old and b in new_of_old
-            }
-            outcome_col = Coloring(new_state, new_excluded, committed)
-            return ReductionOutcome(True, None, residual, outcome_col, old_of_new)
+            return ReductionOutcome(True, None, residual, residual_col, old_of_new)

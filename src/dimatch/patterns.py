@@ -2,7 +2,7 @@
 
 The fixed family covered here: the 4-clique, the 4-clique minus one edge
 ("diamond"), the two-triangles-sharing-a-vertex graph ("butterfly"), the
-dominated path on four vertices ("gem"), chordless 4-cycles through an edge,
+dominated path on four vertices ("gem"), the edges on chordless 4-cycles,
 and the parametric three-legged spider ``S(i, j, k)`` (a center vertex with
 three induced paths of the given lengths attached, nothing else).
 
@@ -145,19 +145,6 @@ def c4_edges(g: Graph) -> frozenset[Edge]:
                         continue
                     out.update((edge(a, b), edge(b, c), edge(c, d), edge(d, a)))
     return frozenset(out)
-
-
-def find_c4_through(g: Graph, e: Edge) -> PatternWitness | None:
-    """A chordless 4-cycle containing the given edge, if any."""
-    u, v = edge(*e)
-    for a in sorted(g.adj[u] - {v}):
-        if g.bits[a] >> v & 1:
-            continue
-        common = g.bits[a] & g.bits[v] & ~g.bits[u]
-        common &= ~(1 << u)
-        for b in iter_bits(common):
-            return PatternWitness("c4", (u, v, b, a))
-    return None
 
 
 def forced_edges_initial(g: Graph) -> frozenset[Edge]:

@@ -35,6 +35,7 @@ from .coloring import (
     Coloring,
     forced_edge_closure,
     propagate,
+    restrict,
 )
 from .graph import Edge, Graph, GraphError, edge, iter_bits
 from .subsolver import default_sub_solver
@@ -70,23 +71,40 @@ class ClassViolationError(Exception):
 class LevelDecomposition:
     """Distance levels of an anchor edge plus the derived level-2/3 structure.
 
-    ``pools`` maps each unmatched level-2 vertex to its private level-3
-    neighbors (the only vertices that can become its mate); ``shared3``
-    holds level-3 vertices seeing two or more level-2 vertices, which can
-    never be matched.  ``core`` is everything up to level 3, ``deep`` the
-    rest of the anchor's component.
+    The levels are kept as vertex bitmasks: ``level_masks[i]`` holds the
+    alive vertices at distance ``i`` from the anchor, and ``deep_mask``
+    those at distance 4 or more.  ``pools`` maps each unmatched level-2
+    vertex to its private level-3 neighbors (the only vertices that can
+    become its mate); ``shared3`` holds level-3 vertices seeing two or more
+    level-2 vertices, which can never be matched.  The vertex sets
+    ``levels``, ``core`` (everything up to level 3) and ``deep`` (the rest of
+    the anchor's component) are derived from the masks on access.
     """
 
     anchor: Edge
     probe: int
-    levels: tuple[frozenset[int], ...]
+    level_masks: tuple[int, ...]
+    deep_mask: int
     level2_pairs: tuple[Edge, ...]
     level2_singles: tuple[int, ...]
     pools: dict[int, tuple[int, ...]]
     pool_union: frozenset[int]
     shared3: frozenset[int]
-    core: frozenset[int]
-    deep: frozenset[int]
+
+    @property
+    def levels(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(iter_bits(m)) for m in self.level_masks)
+
+    @property
+    def core(self) -> frozenset[int]:
+        union = 0
+        for mask in self.level_masks[:4]:
+            union |= mask
+        return frozenset(iter_bits(union))
+
+    @property
+    def deep(self) -> frozenset[int]:
+        return frozenset(iter_bits(self.deep_mask))
 
 
 @dataclass(frozen=True)
@@ -145,12 +163,33 @@ def anchor_edges(g: Graph) -> list[tuple[Edge, int]]:
     return out
 
 
+class AliveAdjacency:
+    """The adjacency of the alive vertices, in base-graph ids.
+
+    Dead vertices have no neighbors.  It carries the ``adj`` attribute that
+    :func:`propagate` reads, without building a whole :class:`Graph`.
+    """
+
+    __slots__ = ("adj",)
+
+    def __init__(self, g: Graph, alive: int) -> None:
+        self.adj = tuple(
+            frozenset(iter_bits(bits & alive)) if alive >> v & 1 else frozenset()
+            for v, bits in enumerate(g.bits)
+        )
+
+
 class AnchorSolver:
     """Searches for a dominating induced matching containing one anchor edge.
 
     Holds the shrinking working state: an alive-vertex mask over the fixed
     base graph, per-vertex colors, excluded edges, and the committed pairs
-    (whose endpoints have left the alive set).
+    (whose endpoints have left the alive set).  The level data of the last
+    :meth:`decompose` is kept as bitmasks (``level_masks``, ``n3_mask``,
+    ``deep_mask``) plus the per-vertex level ``lev``; :meth:`decompose`
+    hands the masks out in a :class:`LevelDecomposition`.  Propagation reads
+    the base graph until a vertex leaves the alive set, and from then on an
+    :class:`AliveAdjacency`, built once per alive mask and cached.
     """
 
     def __init__(
@@ -189,7 +228,7 @@ class AnchorSolver:
         self.n3_mask = 0
         self.pool_owner: dict[int, int] = {}
         self._s114_free: bool | None = None
-        self._view: Graph = g
+        self._view: Graph | AliveAdjacency = g
         self._view_alive: int = self.alive
 
     # -- small helpers -----------------------------------------------------
@@ -324,20 +363,16 @@ class AnchorSolver:
                     shared3.add(t)
             pools = {u: tuple(ts) for u, ts in acc.items()}
 
-        levels = tuple(frozenset(iter_bits(m)) for m in masks)
-        core = frozenset(iter_bits(seen & ~self.deep_mask))
-        deep = frozenset(iter_bits(self.deep_mask))
         return LevelDecomposition(
             anchor=self.anchor,
             probe=self.probe,
-            levels=levels,
+            level_masks=tuple(masks),
+            deep_mask=self.deep_mask,
             level2_pairs=tuple(pairs),
             level2_singles=tuple(singles),
             pools=pools,
             pool_union=frozenset(self.pool_owner),
             shared3=frozenset(shared3),
-            core=core,
-            deep=deep,
         )
 
     def _bipartite(self, mask: int) -> bool:
@@ -643,18 +678,10 @@ class AnchorSolver:
                 if inert:
                     return
 
-    def g_alive_view(self) -> Graph:
-        """Materialized alive subgraph aligned with base vertex ids."""
+    def g_alive_view(self) -> Graph | AliveAdjacency:
+        """Adjacency of the alive graph in base vertex ids, for :func:`propagate`."""
         if self._view_alive != self.alive:
-            keep = list(iter_bits(self.alive))
-            edges = [
-                (u, v)
-                for u in keep
-                for v in iter_bits(self._adj(u) >> (u + 1) << (u + 1))
-            ]
-            weights = {e: self.g.weights[e] for e in edges}
-            view = Graph(self.g.n, edges, weights)
-            self._view = view
+            self._view = AliveAdjacency(self.g, self.alive)
             self._view_alive = self.alive
         return self._view
 
@@ -758,16 +785,8 @@ class AnchorSolver:
                     comp |= 1 << u
                     stack.append(u)
             remaining &= ~comp
-            verts = sorted(iter_bits(comp))
-            sub, old_of_new = self.g.induced_subgraph(verts)
-            idx = {v: i for i, v in enumerate(old_of_new)}
-            col = Coloring(
-                [self.state[v] for v in old_of_new],
-                {
-                    (idx[a], idx[b])
-                    for a, b in self.excluded
-                    if a in idx and b in idx
-                },
+            sub, col, old_of_new = restrict(
+                self.g, list(iter_bits(comp)), self.state, self.excluded
             )
             res = self.cfg.sub_solver(sub, col, minimize=self.cfg.minimize)
             if res is None:
@@ -791,19 +810,11 @@ class AnchorSolver:
         deep_matching: frozenset[Edge] = frozenset()
         deep_weight = 0.0
         if deep_alive:
-            verts = sorted(iter_bits(deep_alive))
-            sub, old_of_new = self.g.induced_subgraph(verts)
+            sub, col, old_of_new = restrict(
+                self.g, list(iter_bits(deep_alive)), state, self.excluded
+            )
             if self.cfg.strict:
                 self._strict_deep_checks(sub)
-            idx = {v: i for i, v in enumerate(old_of_new)}
-            col = Coloring(
-                [state[v] for v in old_of_new],
-                {
-                    (idx[a], idx[b])
-                    for a, b in self.excluded
-                    if a in idx and b in idx
-                },
-            )
             start = time.perf_counter()
             res = self.cfg.sub_solver(sub, col, minimize=self.cfg.minimize)
             self.cfg.tick("deep_solve", start)
@@ -1065,16 +1076,8 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
     matching: set[Edge] = set(committed)
     weight = g.matching_weight(committed)
     for comp in sorted(residual.connected_components(), key=min):
-        verts = sorted(comp)
-        sub, sub_old = residual.induced_subgraph(verts)
-        idx = {v: i for i, v in enumerate(sub_old)}
-        col = Coloring(
-            [residual_col.state[v] for v in sub_old],
-            {
-                (idx[a], idx[b])
-                for a, b in residual_col.excluded
-                if a in idx and b in idx
-            },
+        sub, col, sub_old = restrict(
+            residual, comp, residual_col.state, residual_col.excluded
         )
         out = _solve_residual(sub, col, cfg)
         if out.verdict == CLASS_VIOLATION:
@@ -1127,10 +1130,11 @@ def solve(
     matching: set[Edge] = set()
     weight = 0.0
     trace: list[str] = []
+    blank = [UNSET] * g.n
     for comp in sorted(g.connected_components(), key=min):
         if len(comp) == 1:
             continue
-        sub, old_of_new = g.induced_subgraph(sorted(comp))
+        sub, _, old_of_new = restrict(g, comp, blank, ())
         out = _solve_connected(sub, cfg)
         if out.verdict == CLASS_VIOLATION:
             witness = out.witness

@@ -43,8 +43,6 @@ def solve_precolored(
     edges never enter the matching.  With ``minimize`` the cheapest
     completion is returned, otherwise the first one found.
     """
-    if sys.getrecursionlimit() < g.n + 2000:
-        sys.setrecursionlimit(g.n + 2000)
     excluded = frozenset(coloring.excluded)
     state = list(coloring.state)
     reason = propagate(g, state, excluded, range(g.n))
@@ -85,27 +83,21 @@ def solve_precolored(
                     return True
         return False
 
-    if search(state):
-        pass
+    # search() recurses once per branching vertex, so deep residues need
+    # headroom; the caller's limit is restored afterwards.
+    limit = sys.getrecursionlimit()
+    if limit < g.n + 2000:
+        sys.setrecursionlimit(g.n + 2000)
+    try:
+        search(state)
+    finally:
+        sys.setrecursionlimit(limit)
     if not best:
         return None
     return best[0][1], best[0][0]
 
 
 default_sub_solver: PrecoloredDimSolver = solve_precolored
-
-
-def oracle_sub_solver(
-    g: Graph, coloring: Coloring, minimize: bool = False
-) -> Optional[tuple[frozenset[Edge], float]]:
-    """Alternative sub-solver backed by the plain branch-on-edge oracle."""
-    from .oracle import oracle_solve
-
-    result = oracle_solve(g, coloring, mode="min_weight" if minimize else "exists")
-    if not result.feasible:
-        return None
-    assert result.best is not None
-    return result.best
 
 
 SubSolver = Callable[..., Optional[tuple[frozenset[Edge], float]]]

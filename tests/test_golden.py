@@ -1,0 +1,115 @@
+"""Golden solve outputs: the full answer of `solve` pinned on a fixed corpus.
+
+Each case is recorded as verdict, sorted matching, weight, trace, reason,
+witness and the anchor-log entries, serialised canonically and hashed; the
+hashes live in ``golden_solve.json``.  Refactors of the solve path must keep
+every hash.  To re-record after a deliberate behaviour change, run
+``PYTHONPATH=src python tests/test_golden.py`` and say why in the changelog.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from dimatch.generate import GenSpec, SplitMix64, gadget, generate_planted, with_random_weights
+from dimatch.graph import Graph
+from dimatch.oracle import enumerate_all_graphs
+from dimatch.patterns import find_k4
+from dimatch.solver import solve
+
+GOLDEN = Path(__file__).with_name("golden_solve.json")
+
+GADGETS = (
+    ["diamond", "butterfly", "gem", "claw", "k4"]
+    + [f"c{k}" for k in range(3, 13)]
+    + [f"p{k}" for k in range(2, 13)]
+    + ["s_1_1_4", "s_1_2_2", "s_1_2_3", "s_1_2_4", "s_2_2_2", "s_1_3_4", "s_2_2_4"]
+)
+
+# (seed, pairs, whites) of the off-class blocks; seeds 11 and 2 give
+# class violations with a witness in min-weight mode.
+BLOCKS = ((1, 6, 6), (1, 10, 8), (1, 25, 25), (11, 25, 25), (1, 50, 40), (2, 50, 40), (2, 60, 40))
+
+# Solve kwargs per mode.  Strict mode asserts in-class structure, so the
+# off-class blocks run min-weight without it.
+MODES = {
+    "exists": {},
+    "minw": {"minimize": True, "strict": True},
+    "min": {"minimize": True},
+    "verify": {"verify_class": True},
+}
+
+
+def degree2_block(rng: SplitMix64, pairs: int, whites: int) -> Graph:
+    """Off-class block: matched pairs 2i, 2i+1 plus white vertices of degree two,
+    each joined to one end of two different pairs.  The pairs form a DIM."""
+    n = 2 * pairs + whites
+    edges = [(2 * i, 2 * i + 1) for i in range(pairs)]
+    for w in range(2 * pairs, n):
+        a = rng.randrange(pairs)
+        b = rng.randrange(pairs - 1)
+        b += b >= a
+        for p in (a, b):
+            edges.append((2 * p + rng.randrange(2), w))
+    return Graph(n, edges)
+
+
+def corpus():
+    """Yield (case id, graph, solve kwargs) for every pinned solve."""
+    for n in range(2, 6):
+        graphs = enumerate_all_graphs(n, predicate=lambda g: find_k4(g) is None)
+        for i, g in enumerate(graphs):
+            yield f"small/n{n}/{i}/exists", g, MODES["exists"]
+            yield f"small/n{n}/{i}/minw", g, MODES["minw"]
+    for seed in range(1, 6):
+        g, _ = generate_planted(GenSpec(n=120, seed=seed))
+        yield f"planted/{seed}/exists", g, MODES["exists"]
+        yield f"planted/{seed}/minw", with_random_weights(g, seed), MODES["minw"]
+    for name in GADGETS:
+        for mode in ("exists", "minw", "verify"):
+            yield f"gadget/{name}/{mode}", gadget(name), MODES[mode]
+    for seed, pairs, whites in BLOCKS:
+        g = degree2_block(SplitMix64(seed), pairs, whites)
+        for mode in ("exists", "min"):
+            yield f"block2/{seed}/{pairs}x{whites}/{mode}", g, MODES[mode]
+
+
+def record(g: Graph, kwargs: dict) -> dict:
+    log: list = []
+    out = solve(g, anchor_log=log, **kwargs)
+    witness = out.witness
+    return {
+        "verdict": out.verdict,
+        "matching": sorted(out.matching) if out.matching is not None else None,
+        "weight": out.weight,
+        "trace": list(out.trace),
+        "reason": out.reason,
+        "witness": [witness.pattern, list(witness.vertices)] if witness else None,
+        "anchor_log": [list(entry) for entry in log],
+    }
+
+
+def digest(rec: dict) -> str:
+    blob = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def test_solve_outputs_match_golden():
+    golden = json.loads(GOLDEN.read_text())
+    seen = set()
+    mismatched = []
+    for case, g, kwargs in corpus():
+        seen.add(case)
+        rec = record(g, kwargs)
+        if golden.get(case) != digest(rec):
+            mismatched.append((case, rec))
+    assert not mismatched, f"{len(mismatched)} outputs changed, first: {mismatched[0]}"
+    assert seen == set(golden), "corpus and golden file list different cases"
+
+
+if __name__ == "__main__":
+    table = {case: digest(record(g, kwargs)) for case, g, kwargs in corpus()}
+    GOLDEN.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
+    print(f"recorded {len(table)} cases in {GOLDEN}")

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 from dimatch import gadget, oracle_solve
-from dimatch.coloring import BLACK, WHITE
+from dimatch.coloring import BLACK, WHITE, Coloring
+from dimatch.generate import GenSpec, generate_planted
 from dimatch.graph import Graph
+from dimatch.oracle import enumerate_all_graphs
 from dimatch.solver import (
     CLASS_VIOLATION,
     NO_DIM,
@@ -20,6 +24,7 @@ from dimatch.solver import (
     dim_with_anchor,
     solve,
 )
+from dimatch.subsolver import solve_precolored
 
 from conftest import cycle, path, small_connected_graphs
 
@@ -381,3 +386,44 @@ class TestAnchorLog:
         assert out.found
         assert log, "anchor attempts should be recorded"
         assert all(len(entry) == 4 for entry in log)
+
+
+class TestNoWholeGraphCopies:
+    def test_solve_never_copies_a_whole_graph(self, monkeypatch):
+        real = Graph.induced_subgraph
+        whole: list[int] = []
+
+        def spy(self, vertices):
+            vertices = set(vertices)
+            if len(vertices) == self.n:
+                whole.append(self.n)
+            return real(self, vertices)
+
+        monkeypatch.setattr(Graph, "induced_subgraph", spy)
+        names = ("diamond", "butterfly", "gem", "claw", "c6", "c9", "p7", "p12", "s_1_2_4", "s_2_2_2")
+        graphs = [gadget(name) for name in names]
+        graphs.append(generate_planted(GenSpec(n=120, seed=3))[0])
+        for n in range(2, 6):
+            graphs.extend(enumerate_all_graphs(n))
+        for g in graphs:
+            solve(g)
+            solve(g, minimize=True, strict=True)
+        assert whole == [], f"{len(whole)} whole-graph copies, sizes {sorted(set(whole))}"
+
+
+class TestRecursionLimit:
+    def test_limit_unchanged_after_long_path(self):
+        saved = sys.getrecursionlimit()
+        # Below the n + 2000 headroom the sub-solver asks for on this path.
+        sys.setrecursionlimit(1000)
+        try:
+            g = path(1500)
+            res = solve_precolored(g, Coloring.fresh(g.n))
+            after_sub = sys.getrecursionlimit()
+            out = solve(g)
+            after_solve = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(saved)
+        assert res is not None and g.is_dim(res[0])
+        assert out.found
+        assert after_sub == 1000 and after_solve == 1000
