@@ -14,11 +14,8 @@ from .coloring import (
     WHITE,
     Coloring,
     ReductionOutcome,
-    edge_c_reduction,
     forced_edge_closure,
     propagate,
-    reduction_step,
-    vertex_c_reduction,
 )
 from .fileio import ParseError, parse_edge_list, parse_matching, write_edge_list, write_matching
 from .generate import (

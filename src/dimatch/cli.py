@@ -260,6 +260,7 @@ def cmd_compare(args) -> int:
             int(count),
             seed=args.seed,
             minimize=args.min_weight,
+            strict=args.strict,
             use_oracle=args.use_oracle,
             workers=workers,
         )

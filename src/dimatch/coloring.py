@@ -1,4 +1,4 @@
-"""Black/white vertex colorings and the reductions that drive the solver.
+"""Black/white vertex colorings and the commit surgery that drives the solver.
 
 Black marks a vertex that must be matched, white one that must stay
 unmatched.  A partial coloring is feasible while the white vertices form an
@@ -7,9 +7,10 @@ coloring is feasible when every black vertex sees exactly one black vertex,
 at which point the black-black edges are exactly a dominating induced
 matching.
 
-`propagate` is the shared worklist closure over those semantics; the
-C-reductions and `forced_edge_closure` perform the graph surgery that keeps
-committed matched pairs out of the working graph.
+`propagate` is the shared worklist closure over those semantics.
+`commit_pair` is the one implementation of committing a matched pair: it
+whitens the pair's alive neighbors and excludes their edges.  The anchor
+solver and `forced_edge_closure` both commit through it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
 from . import patterns
-from .graph import Edge, Graph, GraphError, edge
+from .graph import Edge, Graph, edge, iter_bits
 
 UNSET = 0
 BLACK = 1
@@ -38,8 +39,8 @@ class Coloring:
     """Per-vertex color state plus excluded-edge and committed-edge bookkeeping.
 
     ``committed`` records matched pairs in the coordinates of the graph they
-    were committed in; reductions that delete vertices keep the record even
-    though the endpoints leave the working graph.
+    were committed in; the forced-edge closure keeps the record even though
+    the endpoints leave the working graph.
     """
 
     __slots__ = ("state", "excluded", "committed")
@@ -58,55 +59,10 @@ class Coloring:
     def fresh(cls, n: int) -> "Coloring":
         return cls([UNSET] * n)
 
-    def copy(self) -> "Coloring":
-        return Coloring(self.state, self.excluded, self.committed)
-
-    def color(self, v: int) -> int:
-        return self.state[v]
-
-    def blacks(self) -> list[int]:
-        return [v for v, c in enumerate(self.state) if c == BLACK]
-
-    def whites(self) -> list[int]:
-        return [v for v, c in enumerate(self.state) if c == WHITE]
-
-    def is_complete(self) -> bool:
-        return UNSET not in self.state
-
-    def feasible_partial(self, g: Graph) -> bool:
-        """Whites independent and every black vertex has at most one black neighbor."""
-        for v, c in enumerate(self.state):
-            if c == WHITE:
-                if any(self.state[u] == WHITE for u in g.adj[v]):
-                    return False
-            elif c == BLACK:
-                if sum(1 for u in g.adj[v] if self.state[u] == BLACK) > 1:
-                    return False
-        return True
-
-    def feasible_complete(self, g: Graph) -> bool:
-        """Complete coloring in which every black vertex has exactly one black neighbor."""
-        if not self.is_complete():
-            return False
-        for v, c in enumerate(self.state):
-            if c == WHITE:
-                if any(self.state[u] == WHITE for u in g.adj[v]):
-                    return False
-            else:
-                if sum(1 for u in g.adj[v] if self.state[u] == BLACK) != 1:
-                    return False
-        return True
-
-    def matched_pairs(self, g: Graph) -> frozenset[Edge]:
-        """The black-black edges; for a feasible complete coloring this is the d.i.m."""
-        return frozenset(
-            e for e in g.edges if self.state[e[0]] == BLACK and self.state[e[1]] == BLACK
-        )
-
 
 @dataclass(frozen=True)
 class ReductionOutcome:
-    """Result of a reduction: either a smaller (graph, coloring) pair or a contradiction.
+    """Result of the forced-edge closure: a smaller (graph, coloring) pair or a contradiction.
 
     ``provenance`` maps the new graph's vertex ids back to the input graph's.
     On contradiction only ``reason`` is populated.
@@ -220,32 +176,6 @@ def propagate(
     return None
 
 
-def _feasibility_reason(g: Graph, state: Sequence[int]) -> str | None:
-    """Reason the partial coloring is infeasible on g, or None when it is fine."""
-    for v, c in enumerate(state):
-        if c == WHITE:
-            if any(state[u] == WHITE for u in g.adj[v]):
-                return R_WHITE_WHITE
-        elif c == BLACK:
-            if sum(1 for u in g.adj[v] if state[u] == BLACK) > 1:
-                return R_TWO_BLACK
-    return None
-
-
-def _committed_conflict(g: Graph, committed: Iterable[Edge], vw: Edge) -> str | None:
-    """Induced-matching check of vw against committed edges still present in g."""
-    v, w = vw
-    for m in committed:
-        a, b = m
-        if a >= g.n or b >= g.n or not g.has_edge_canon(m):
-            continue
-        if v in m or w in m:
-            return R_SHARED_VERTEX
-        if g.has_edge(v, a) or g.has_edge(v, b) or g.has_edge(w, a) or g.has_edge(w, b):
-            return R_DISTANCE_ONE
-    return None
-
-
 def restrict(
     g: Graph,
     vertices: Collection[int],
@@ -274,85 +204,39 @@ def restrict(
     return sub, col, old_of_new
 
 
-def reduction_step(g: Graph, coloring: Coloring, vw: Edge) -> ReductionOutcome:
-    """Commit a forced edge: delete its endpoints, exclude surviving edges at distance 1.
+def commit_pair(
+    g: Graph,
+    alive: int,
+    state: list[int],
+    excluded: set[Edge],
+    vw: Edge,
+) -> str | None:
+    """Commit the canonical edge ``vw`` as a matched pair; return a reason on contradiction.
 
-    Contradiction when the committed set plus ``vw`` is no longer an induced
-    matching, when ``vw`` is itself excluded, or when an endpoint was forced
-    unmatched earlier.
+    ``alive`` is a bitmask of the vertices still in the working graph.  The
+    alive neighbors of the pair turn white, and every alive edge at distance
+    1 from the pair is excluded from the matching; then both endpoints turn
+    black.  The caller removes the endpoints from ``alive``.  Mutates
+    ``state`` and ``excluded`` in place, also when it fails partway.
     """
-    vw = edge(*vw)
-    if not g.has_edge_canon(vw):
-        raise GraphError(f"edge {vw} not in graph")
     v, w = vw
-    if vw in coloring.excluded:
-        return ReductionOutcome.contradiction(R_DISTANCE_ONE)
-    if coloring.state[v] == WHITE or coloring.state[w] == WHITE:
-        return ReductionOutcome.contradiction(R_WHITE_COMMITTED)
-    conflict = _committed_conflict(g, coloring.committed, vw)
-    if conflict:
-        return ReductionOutcome.contradiction(conflict)
-    boundary = (g.adj[v] | g.adj[w]) - {v, w}
-    dropped = {v, w}
-    new_excluded = set(coloring.excluded)
-    for z in boundary:
-        for t in g.adj[z]:
-            if t not in dropped:
-                new_excluded.add(edge(z, t))
-    keep = [u for u in range(g.n) if u not in dropped]
-    return ReductionOutcome(
-        True, None, *restrict(g, keep, coloring.state, new_excluded, coloring.committed + [vw])
-    )
-
-
-def vertex_c_reduction(g: Graph, coloring: Coloring, u: int) -> ReductionOutcome:
-    """Remove a white vertex after forcing all of its neighbors black."""
-    g.check_vertex(u)
-    if coloring.state[u] != WHITE:
-        raise GraphError(f"vertex {u} must be white for this reduction")
-    state = list(coloring.state)
-    for z in g.adj[u]:
-        if state[z] == WHITE:
-            return ReductionOutcome.contradiction(R_WHITE_WHITE)
-        state[z] = BLACK
-    keep = [x for x in range(g.n) if x != u]
-    outcome = ReductionOutcome(
-        True, None, *restrict(g, keep, state, coloring.excluded, coloring.committed)
-    )
-    reason = _feasibility_reason(outcome.graph, outcome.coloring.state)
-    if reason:
-        return ReductionOutcome.contradiction(reason)
-    return outcome
-
-
-def edge_c_reduction(g: Graph, coloring: Coloring, uw: Edge) -> ReductionOutcome:
-    """Seal a black pair into the matching: whiten its neighborhood, delete the pair."""
-    uw = edge(*uw)
-    if not g.has_edge_canon(uw):
-        raise GraphError(f"edge {uw} not in graph")
-    u, w = uw
-    if uw in coloring.excluded:
-        return ReductionOutcome.contradiction(R_DISTANCE_ONE)
-    if coloring.state[u] == WHITE or coloring.state[w] == WHITE:
-        return ReductionOutcome.contradiction(R_WHITE_COMMITTED)
-    conflict = _committed_conflict(g, coloring.committed, uw)
-    if conflict:
-        return ReductionOutcome.contradiction(conflict)
-    state = list(coloring.state)
-    state[u] = BLACK
-    state[w] = BLACK
-    for z in (g.adj[u] | g.adj[w]) - {u, w}:
+    if not (alive >> v & 1 and alive >> w & 1):
+        return R_SHARED_VERTEX
+    if vw in excluded:
+        return R_DISTANCE_ONE
+    if state[v] == WHITE or state[w] == WHITE:
+        return R_WHITE_COMMITTED
+    bits = g.bits
+    rest = alive & ~(1 << v) & ~(1 << w)
+    for z in iter_bits((bits[v] | bits[w]) & rest):
         if state[z] == BLACK:
-            return ReductionOutcome.contradiction(R_TWO_BLACK)
+            return R_TWO_BLACK
         state[z] = WHITE
-    keep = [x for x in range(g.n) if x not in (u, w)]
-    outcome = ReductionOutcome(
-        True, None, *restrict(g, keep, state, coloring.excluded, coloring.committed + [uw])
-    )
-    reason = _feasibility_reason(outcome.graph, outcome.coloring.state)
-    if reason:
-        return ReductionOutcome.contradiction(reason)
-    return outcome
+        for t in iter_bits(bits[z] & rest):
+            excluded.add(edge(z, t))
+    state[v] = BLACK
+    state[w] = BLACK
+    return None
 
 
 def forced_edge_closure(
@@ -362,20 +246,20 @@ def forced_edge_closure(
 ) -> ReductionOutcome:
     """Commit a forced edge set, then rescan the residual for more forced edges.
 
-    Processes the seeds in the given order (callers wanting determinism pass
-    a sorted sequence), applying the same surgery as :func:`reduction_step`
-    and the neighbor whitening of :func:`edge_c_reduction`, then rescans the
-    residual graph for diamonds and butterflies until none are left.  On
-    success the residual graph is diamond- and butterfly-free.
+    Commits the seeds in the given order (callers wanting determinism pass
+    a sorted sequence) through :func:`commit_pair`, failing when a newly
+    white vertex has an alive white neighbor, then rescans the residual
+    graph for diamonds and butterflies until none are left.  On success the
+    residual graph is diamond- and butterfly-free.
 
     Committed edges in the outcome are expressed in the coordinates of the
     input graph.
     """
-    col = coloring.copy() if coloring is not None else Coloring.fresh(g.n)
+    col = coloring if coloring is not None else Coloring.fresh(g.n)
     state = list(col.state)
     excluded = set(col.excluded)
     committed = list(col.committed)
-    alive = set(range(g.n))
+    alive = (1 << g.n) - 1
     committed_set = {edge(*e) for e in committed}
     pending = [edge(*e) for e in seeds]
 
@@ -383,29 +267,19 @@ def forced_edge_closure(
         for vw in pending:
             if vw in committed_set:
                 continue
+            reason = commit_pair(g, alive, state, excluded, vw)
+            if reason:
+                return ReductionOutcome.contradiction(reason)
             v, w = vw
-            if v not in alive or w not in alive:
-                return ReductionOutcome.contradiction(R_SHARED_VERTEX)
-            if vw in excluded:
-                return ReductionOutcome.contradiction(R_DISTANCE_ONE)
-            if state[v] == WHITE or state[w] == WHITE:
-                return ReductionOutcome.contradiction(R_WHITE_COMMITTED)
-            boundary = [z for z in (g.adj[v] | g.adj[w]) if z in alive and z not in vw]
-            for z in boundary:
-                if state[z] == BLACK:
-                    return ReductionOutcome.contradiction(R_TWO_BLACK)
-                state[z] = WHITE
-                for t in g.adj[z]:
-                    if t in alive and t not in vw:
-                        excluded.add(edge(z, t))
-            alive.discard(v)
-            alive.discard(w)
-            for z in boundary:
-                if any(t in alive and state[t] == WHITE for t in g.adj[z] if t != z):
+            alive &= ~(1 << v) & ~(1 << w)
+            for z in iter_bits((g.bits[v] | g.bits[w]) & alive):
+                if any(state[t] == WHITE for t in iter_bits(g.bits[z] & alive)):
                     return ReductionOutcome.contradiction(R_WHITE_WHITE)
             committed.append(vw)
             committed_set.add(vw)
-        residual, residual_col, old_of_new = restrict(g, alive, state, excluded, committed)
+        residual, residual_col, old_of_new = restrict(
+            g, list(iter_bits(alive)), state, excluded, committed
+        )
         fresh = patterns.forced_edges_initial(residual)
         pending = sorted(
             residual.relabel_edges(fresh, old_of_new) - committed_set

@@ -131,6 +131,23 @@ def _merge(into: CompareReport, part: CompareReport) -> None:
         into.times.extend(part.times[:room])
 
 
+def _fan_out(worker, tasks: list, workers: int) -> CompareReport:
+    """Run ``worker`` on every task, serially or over a process pool, and fold
+    the parts into one report with its disagreements sorted."""
+    started = time.perf_counter()
+    if workers == 1:
+        parts = [worker(t) for t in tasks]
+    else:
+        with Pool(workers) as pool:
+            parts = pool.map(worker, tasks, chunksize=1)
+    report = CompareReport()
+    for part in parts:
+        _merge(report, part)
+    report.disagreements.sort(key=lambda d: d["instance"])
+    report.wall = time.perf_counter() - started
+    return report
+
+
 def _scan_mask_range(args) -> CompareReport:
     n, lo, hi, minimize, strict = args
     report = CompareReport()
@@ -156,9 +173,6 @@ def run_exhaustive(
     """
     if n_max > 7:
         raise ValueError("exhaustive corpus capped at n=7")
-    workers = workers or worker_count()
-    report = CompareReport()
-    started = time.perf_counter()
     tasks = []
     for n in range(2, n_max + 1):
         top = 1 << (n * (n - 1) // 2)
@@ -168,17 +182,7 @@ def run_exhaustive(
             hi = min(top, lo + step)
             tasks.append((n, lo, hi, minimize, strict))
             lo = hi
-    if workers == 1:
-        parts = [_scan_mask_range(t) for t in tasks]
-    else:
-        with Pool(workers) as pool:
-            parts = pool.map(_scan_mask_range, tasks, chunksize=1)
-    for part in parts:
-        _merge(report, part)
-    report.disagreements.sort(key=lambda d: d["instance"])
-    report.wall = time.perf_counter() - started
-    report.times.sort()
-    return report
+    return _fan_out(_scan_mask_range, tasks, workers or worker_count())
 
 
 def _sample_batch(args) -> CompareReport:
@@ -207,24 +211,13 @@ def run_samples(
 ) -> CompareReport:
     """Rejection-sampled connected class members at one size."""
     workers = workers or worker_count()
-    started = time.perf_counter()
     seeds = [seed + i for i in range(count)]
     chunk = max(1, len(seeds) // (workers * 8))
     tasks = [
         (n, seeds[i : i + chunk], density, minimize, strict)
         for i in range(0, len(seeds), chunk)
     ]
-    report = CompareReport()
-    if workers == 1:
-        parts = [_sample_batch(t) for t in tasks]
-    else:
-        with Pool(workers) as pool:
-            parts = pool.map(_sample_batch, tasks, chunksize=1)
-    for part in parts:
-        _merge(report, part)
-    report.disagreements.sort(key=lambda d: d["instance"])
-    report.wall = time.perf_counter() - started
-    return report
+    return _fan_out(_sample_batch, tasks, workers)
 
 
 def _planted_batch(args) -> CompareReport:
@@ -265,24 +258,13 @@ def run_planted(
     """Planted instances; the planted matching certifies feasibility, so the
     oracle is optional (and off by default at large sizes)."""
     workers = workers or worker_count()
-    started = time.perf_counter()
     seeds = [seed + i for i in range(count)]
     chunk = max(1, len(seeds) // (workers * 4))
     tasks = [
         (n, seeds[i : i + chunk], minimize, strict, use_oracle)
         for i in range(0, len(seeds), chunk)
     ]
-    report = CompareReport()
-    if workers == 1:
-        parts = [_planted_batch(t) for t in tasks]
-    else:
-        with Pool(workers) as pool:
-            parts = pool.map(_planted_batch, tasks, chunksize=1)
-    for part in parts:
-        _merge(report, part)
-    report.disagreements.sort(key=lambda d: d["instance"])
-    report.wall = time.perf_counter() - started
-    return report
+    return _fan_out(_planted_batch, tasks, workers)
 
 
 def run_directory(

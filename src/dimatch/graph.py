@@ -8,13 +8,10 @@ set algebra for the pattern searches and the solver hot paths).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Iterable, Iterator, Mapping
 
 Edge = tuple[int, int]
-
-INFINITE_DISTANCE = math.inf
 
 
 class GraphError(ValueError):
@@ -131,58 +128,7 @@ class Graph:
             return self.names[v]
         return str(v + 1)
 
-    # -- distances and components ----------------------------------------
-
-    def distances_from(self, sources: Iterable[int]) -> list[int]:
-        """BFS distance from a source set; -1 marks unreachable vertices."""
-        dist = [-1] * self.n
-        queue: deque[int] = deque()
-        for s in sources:
-            self.check_vertex(s)
-            if dist[s] == -1:
-                dist[s] = 0
-                queue.append(s)
-        while queue:
-            v = queue.popleft()
-            d = dist[v] + 1
-            for u in self.adj[v]:
-                if dist[u] == -1:
-                    dist[u] = d
-                    queue.append(u)
-        return dist
-
-    def distance(self, u: int, v: int) -> float:
-        d = self.distances_from([u])[v]
-        return INFINITE_DISTANCE if d == -1 else d
-
-    def edge_distance(self, e: Edge, f: Edge) -> float:
-        """Shortest-path distance between two edges; 0 iff they share a vertex."""
-        e, f = edge(*e), edge(*f)
-        for g_ in (e, f):
-            if g_ not in self._edge_set:
-                raise GraphError(f"edge {g_} not in graph")
-        dist = self.distances_from(e)
-        reachable = [d for d in (dist[f[0]], dist[f[1]]) if d != -1]
-        if not reachable:
-            return INFINITE_DISTANCE
-        return min(reachable)
-
-    def distance_levels(self, anchor: Edge) -> tuple[frozenset[int], ...]:
-        """Vertices grouped by distance from the anchor edge.
-
-        Level 0 is the anchor pair itself; the union of all levels is the
-        connected component containing the anchor.
-        """
-        anchor = edge(*anchor)
-        if anchor not in self._edge_set:
-            raise GraphError(f"edge {anchor} not in graph")
-        dist = self.distances_from(anchor)
-        top = max(dist)
-        levels: list[set[int]] = [set() for _ in range(top + 1)]
-        for v, d in enumerate(dist):
-            if d >= 0:
-                levels[d].add(v)
-        return tuple(frozenset(s) for s in levels)
+    # -- components --------------------------------------------------------
 
     def connected_components(self) -> tuple[frozenset[int], ...]:
         """Partition of the vertex set into maximal connected pieces."""

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Iterator
 
 from .coloring import BLACK, WHITE, Coloring
-from .graph import Edge, Graph, edge, iter_bits
+from .graph import Edge, Graph, iter_bits
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -40,12 +39,6 @@ class OracleResult:
 
 
 _MODES = ("exists", "min_weight", "enumerate")
-
-
-def _ensure_recursion_headroom(depth: int) -> None:
-    need = depth + 2000
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
 
 
 class _ComponentSearch:
@@ -103,9 +96,16 @@ class _ComponentSearch:
         return False
 
     def run(self) -> None:
-        _ensure_recursion_headroom(self.m)
-        if not self.infeasible_upfront():
-            self._search()
+        # _search() recurses once per chosen edge, so long pieces need
+        # headroom; the caller's limit is restored afterwards.
+        limit = sys.getrecursionlimit()
+        if limit < self.m + 2000:
+            sys.setrecursionlimit(self.m + 2000)
+        try:
+            if not self.infeasible_upfront():
+                self._search()
+        finally:
+            sys.setrecursionlimit(limit)
 
     def _viable(self, i: int) -> bool:
         if i in self.barred:
@@ -358,48 +358,22 @@ def mask_to_graph(n: int, mask: int, pairs: list[Edge] | None = None) -> Graph:
     return Graph(n, [pairs[i] for i in iter_bits(mask)])
 
 
-def canonical_mask(n: int, mask: int, pairs: list[Edge] | None = None) -> int:
-    """Minimum edge mask over all vertex relabelings; identifies isomorphism classes."""
-    pairs = pairs or _pair_table(n)
-    pair_index = {e: i for i, e in enumerate(pairs)}
-    present = [pairs[i] for i in iter_bits(mask)]
-    best = mask
-    for perm in permutations(range(n)):
-        out = 0
-        for u, v in present:
-            out |= 1 << pair_index[edge(perm[u], perm[v])]
-        if out < best:
-            best = out
-    return best
-
-
 def enumerate_all_graphs(
     n: int,
     predicate: Callable[[Graph], bool] | None = None,
     connected: bool = True,
-    distinct: bool = False,
     cap: int = 9,
 ) -> Iterator[Graph]:
-    """All labeled graphs on n vertices passing the predicate, streamed.
-
-    With ``distinct=True`` one representative per isomorphism class is kept
-    (practical only for small n; the harness uses plain labeled mode).
-    """
+    """All labeled graphs on n vertices passing the predicate, streamed."""
     if n > cap:
         raise ValueError(f"enumeration capped at n={cap}")
     if n == 0:
         return
     pairs = _pair_table(n)
-    seen_canon: set[int] = set()
     for mask in range(1 << len(pairs)):
         bits = mask_adjacency(n, mask, pairs)
         if connected and not mask_connected(n, bits):
             continue
-        if distinct:
-            canon = canonical_mask(n, mask, pairs)
-            if canon in seen_canon:
-                continue
-            seen_canon.add(canon)
         g = mask_to_graph(n, mask, pairs)
         if predicate is not None and not predicate(g):
             continue

@@ -27,12 +27,12 @@ from typing import Callable, Iterator
 from . import patterns
 from .coloring import (
     BLACK,
-    R_DISTANCE_ONE,
     R_TWO_BLACK,
     R_WHITE_WHITE,
     UNSET,
     WHITE,
     Coloring,
+    commit_pair,
     forced_edge_closure,
     propagate,
     restrict,
@@ -246,29 +246,12 @@ class AnchorSolver:
         return self.g.weights[edge(*e)]
 
     def _commit(self, vw: Edge, tag: str) -> None:
-        """Fuse edge commitment with the surrounding surgery.
-
-        Deletes the endpoints, whitens surviving neighbors, and excludes
-        surviving edges at distance 1 from the pair.
-        """
+        """Commit a matched pair through :func:`commit_pair` and delete its endpoints."""
         vw = edge(*vw)
-        v, w = vw
-        if not (self.alive >> v & 1 and self.alive >> w & 1):
-            self._fail("shared-vertex")
-        if vw in self.excluded:
-            self._fail(R_DISTANCE_ONE)
-        if self.state[v] == WHITE or self.state[w] == WHITE:
-            self._fail("white-endpoint-committed")
-        nb = (self._adj(v) | self._adj(w)) & ~(1 << v) & ~(1 << w)
-        for z in iter_bits(nb):
-            if self.state[z] == BLACK:
-                self._fail(R_TWO_BLACK)
-            self.state[z] = WHITE
-            for t in iter_bits(self._adj(z) & ~(1 << v) & ~(1 << w)):
-                self.excluded.add(edge(z, t))
-        self.state[v] = BLACK
-        self.state[w] = BLACK
-        self.alive &= ~(1 << v) & ~(1 << w)
+        reason = commit_pair(self.g, self.alive, self.state, self.excluded, vw)
+        if reason:
+            self._fail(reason)
+        self.alive &= ~(1 << vw[0]) & ~(1 << vw[1])
         self.committed.append(vw)
         self._tag(tag)
 
@@ -727,13 +710,6 @@ class AnchorSolver:
         self.state = list(best[1].state)
         self._tag("component-colored")
 
-    def enumerate_core_colorings(self, d: LevelDecomposition) -> list[Coloring]:
-        """Materialized list of the feasible core colorings (see the lazy iterator)."""
-        free, coupled = self.classify_components(d)
-        for task in free:
-            self._solve_free_component(d, task)
-        return [c for c in self._iter_core_colorings(coupled)]
-
     def _iter_core_colorings(self, coupled: list[ComponentTask]) -> Iterator[Coloring]:
         """Joint seed enumeration over the coupled components.
 
@@ -846,6 +822,14 @@ class AnchorSolver:
 
     # -- strict-mode checks ---------------------------------------------------
 
+    def _check_failed(self, message: str) -> None:
+        """A strict-mode check failed: report the spider of an off-class
+        input, or raise :class:`StructuralCheckError` for an in-class one."""
+        witness = patterns.find_induced_sijk(self.g, 1, 2, 4)
+        if witness is not None:
+            raise ClassViolationError(witness)
+        raise StructuralCheckError(message)
+
     def _strict_decomposition_checks(self, d: LevelDecomposition) -> None:
         for u in d.level2_singles:
             inner = [
@@ -855,7 +839,7 @@ class AnchorSolver:
                 if a < b and self.g.bits[a] >> b & 1
             ]
             if len(inner) > 1:
-                raise StructuralCheckError(f"pool of {u} holds more than one edge")
+                self._check_failed(f"pool of {u} holds more than one edge")
         if self.g.n <= 64:
             self._strict_path_endpoints()
 
@@ -880,16 +864,16 @@ class AnchorSolver:
                 return False
 
             if not extend([v]):
-                raise StructuralCheckError(f"vertex {v} lacks a descending 5-path")
+                self._check_failed(f"vertex {v} lacks a descending 5-path")
 
     def _strict_deep_checks(self, deep_sub: Graph) -> None:
         if patterns.find_induced_sijk(deep_sub, 1, 2, 2) is not None:
-            raise StructuralCheckError("deep residue contains a (1,2,2)-spider")
+            self._check_failed("deep residue contains a (1,2,2)-spider")
         if self._s114_free is None and self.g.n <= 32:
             self._s114_free = patterns.find_induced_sijk(self.g, 1, 1, 4) is None
         if self._s114_free:
             if patterns.find_induced_sijk(deep_sub, 1, 1, 1) is not None:
-                raise StructuralCheckError("deep residue contains a claw")
+                self._check_failed("deep residue contains a claw")
 
     # -- driver ---------------------------------------------------------------
 
@@ -955,9 +939,9 @@ class AnchorSolver:
             lu = self.lev[u] if u < len(self.lev) else -1
             lv = self.lev[v] if v < len(self.lev) else -1
             if lu == 3 and lv == 3:
-                raise StructuralCheckError("matched pair inside level 3")
+                self._check_failed("matched pair inside level 3")
             if 3 in (lu, lv) and max(lu, lv) >= 4:
-                raise StructuralCheckError("matched pair between level 3 and deeper")
+                self._check_failed("matched pair between level 3 and deeper")
 
     def _found(self, matching: frozenset[Edge], weight: float) -> SolveOutcome:
         if any(e in self.excluded for e in matching):

@@ -15,7 +15,7 @@ A sub-solver is any callable ``(graph, coloring, minimize) ->
 from __future__ import annotations
 
 import sys
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from .coloring import BLACK, UNSET, WHITE, Coloring, propagate
 from .graph import Edge, Graph
@@ -98,6 +98,3 @@ def solve_precolored(
 
 
 default_sub_solver: PrecoloredDimSolver = solve_precolored
-
-
-SubSolver = Callable[..., Optional[tuple[frozenset[Edge], float]]]

@@ -218,6 +218,22 @@ class TestCompareCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code == EXIT_FOUND and payload["found"] == 5
 
+    def test_planted_passes_strict(self, monkeypatch, capsys):
+        import dimatch.compare
+
+        real = dimatch.compare.solve
+        seen: list[bool] = []
+
+        def spy(g, minimize=False, strict=False):
+            seen.append(strict)
+            return real(g, minimize=minimize, strict=strict)
+
+        monkeypatch.setattr(dimatch.compare, "solve", spy)
+        code = main(["compare", "--planted", "2x60", "--threads", "1", "--strict", "--json"])
+        capsys.readouterr()
+        assert code == EXIT_FOUND
+        assert seen == [True, True]
+
     def test_directory_mode(self, tmp_path, capsys):
         (tmp_path / "a.col").write_text(write_edge_list(gadget("c6")))
         (tmp_path / "b.col").write_text(write_edge_list(gadget("c4")))

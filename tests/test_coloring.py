@@ -1,8 +1,7 @@
-"""Coloring state machine: reductions, closure, propagation."""
+"""Coloring state machine: commit surgery, closure, propagation."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,44 +11,45 @@ from dimatch.coloring import (
     UNSET,
     WHITE,
     Coloring,
-    edge_c_reduction,
+    commit_pair,
     forced_edge_closure,
     propagate,
-    reduction_step,
-    vertex_c_reduction,
 )
 from dimatch.graph import Graph
+from dimatch.subsolver import solve_precolored
 
 from conftest import cycle, path, small_graphs
 
 
 class TestFeasibility:
+    """Partial colorings are checked by propagate, complete ones by the sub-solver."""
+
     def test_partial_white_independence(self):
-        g = path(3)
-        col = Coloring([WHITE, WHITE, UNSET])
-        assert not col.feasible_partial(g)
+        g = cycle(3)
+        state = [WHITE, WHITE, UNSET]
+        # queueing 2 re-examines its colored neighbors, which clash
+        assert propagate(g, state, frozenset(), [2]) == "white-adjacent-white"
 
     def test_partial_black_neighbor_cap(self):
-        g = path(3)
-        col = Coloring([BLACK, BLACK, BLACK])
-        assert not col.feasible_partial(g)  # middle vertex has two black neighbors
+        g = gadget("claw")
+        state = [BLACK, BLACK, BLACK, UNSET]  # the center sees two black leaves
+        assert propagate(g, state, frozenset(), [0]) == "black-two-black-neighbors"
 
     def test_complete_requires_exactly_one(self):
         g = path(4)
         col = Coloring([WHITE, BLACK, BLACK, WHITE])
-        assert col.feasible_complete(g)
-        assert col.matched_pairs(g) == {(1, 2)}
+        assert solve_precolored(g, col) == ({(1, 2)}, 1)
 
     def test_complete_unmatched_black_fails(self):
         g = path(3)
         col = Coloring([BLACK, WHITE, BLACK])
-        assert not col.feasible_complete(g)
+        assert solve_precolored(g, col) is None
 
 
 class TestReductionStep:
     def test_p5_middle_edge(self):
         g = path(5)
-        out = reduction_step(g, Coloring.fresh(5), (1, 2))
+        out = forced_edge_closure(g, [(1, 2)], Coloring.fresh(5))
         assert out.ok
         assert out.graph.n == 3 and out.graph.m == 1
         assert out.coloring.committed == [(1, 2)]
@@ -60,76 +60,62 @@ class TestReductionStep:
 
     def test_shared_vertex_contradiction(self):
         g = path(3)
-        col = Coloring.fresh(3)
-        col.committed.append((0, 1))
-        out = reduction_step(g, col, (1, 2))
+        out = forced_edge_closure(g, [(0, 1), (1, 2)], Coloring.fresh(3))
         assert not out.ok and out.reason == "shared-vertex"
 
     def test_distance_one_contradiction(self):
         g = path(4)
-        col = Coloring.fresh(4)
-        col.committed.append((0, 1))
-        out = reduction_step(g, col, (2, 3))
+        out = forced_edge_closure(g, [(0, 1), (2, 3)], Coloring.fresh(4))
         assert not out.ok and out.reason == "distance-1"
 
     def test_white_endpoint_contradiction(self):
         g = path(3)
         col = Coloring([WHITE, UNSET, UNSET])
-        out = reduction_step(g, col, (0, 1))
-        assert not out.ok
+        out = forced_edge_closure(g, [(0, 1)], col)
+        assert not out.ok and out.reason == "white-endpoint-committed"
 
     def test_excluded_edge_contradiction(self):
         g = path(3)
         col = Coloring.fresh(3)
         col.excluded.add((1, 2))
-        out = reduction_step(g, col, (1, 2))
-        assert not out.ok
+        out = forced_edge_closure(g, [(1, 2)], col)
+        assert not out.ok and out.reason == "distance-1"
 
 
 class TestVertexCReduction:
+    """A white vertex forces its neighbors black; propagate applies the rule."""
+
     def test_star_center_white(self):
         g = gadget("claw")
-        col = Coloring([WHITE, UNSET, UNSET, UNSET])
-        out = vertex_c_reduction(g, col, 0)
-        assert out.ok
-        assert out.graph.n == 3 and out.graph.m == 0
-        assert all(c == BLACK for c in out.coloring.state)
-        # three isolated vertices forced matched: no completion exists
-        assert not oracle_solve(out.graph, out.coloring).feasible
-
-    def test_p3_end_white(self):
-        g = path(3)
-        col = Coloring([WHITE, UNSET, UNSET])
-        out = vertex_c_reduction(g, col, 0)
-        assert out.ok
-        assert out.coloring.state == [BLACK, UNSET]
+        state = [WHITE, UNSET, UNSET, UNSET]
+        # three leaves forced matched with no mate left: no completion exists
+        assert propagate(g, state, frozenset(), [0]) == "black-no-mate"
+        assert not oracle_solve(g, Coloring([WHITE, UNSET, UNSET, UNSET])).feasible
 
     def test_c4_whites_collide(self):
         g = cycle(4)
         col = Coloring([WHITE, UNSET, WHITE, UNSET])
-        out = vertex_c_reduction(g, col, 0)
-        # neighbors 1 and 3 blacken; vertex 2 white is adjacent to both, fine;
-        # but blackening both neighbors of white 2 later forces completion to fail
-        assert out.ok
-        assert not oracle_solve(out.graph, out.coloring).feasible
+        # neighbors 1 and 3 blacken, but both of their neighbors are white
+        assert propagate(g, list(col.state), frozenset(), [0, 2]) is not None
+        assert not oracle_solve(g, col).feasible
 
     def test_white_neighbor_contradiction(self):
         g = path(3)
-        col = Coloring([WHITE, WHITE, UNSET])
-        out = vertex_c_reduction(g, col, 0)
-        assert not out.ok and out.reason == "white-adjacent-white"
+        state = [WHITE, WHITE, UNSET]
+        assert propagate(g, state, frozenset(), [0]) == "white-adjacent-white"
 
     def test_requires_white(self):
         g = path(3)
-        with pytest.raises(Exception):
-            vertex_c_reduction(g, Coloring.fresh(3), 0)
+        state = [UNSET, UNSET, UNSET]
+        assert propagate(g, state, frozenset(), [0]) is None
+        assert state == [UNSET, UNSET, UNSET]
 
 
 class TestEdgeCReduction:
     def test_p4_middle(self):
         g = path(4)
         col = Coloring([UNSET, BLACK, BLACK, UNSET])
-        out = edge_c_reduction(g, col, (1, 2))
+        out = forced_edge_closure(g, [(1, 2)], col)
         assert out.ok
         assert out.graph.n == 2 and out.graph.m == 0
         assert out.coloring.state == [WHITE, WHITE]
@@ -137,7 +123,7 @@ class TestEdgeCReduction:
 
     def test_diamond_mid_edge(self):
         g = gadget("diamond")
-        out = edge_c_reduction(g, Coloring.fresh(4), (1, 3))
+        out = forced_edge_closure(g, [(1, 3)], Coloring.fresh(4))
         assert out.ok
         assert out.coloring.state == [WHITE, WHITE]
         assert out.graph.m == 0  # outer pair 0, 2 is non-adjacent
@@ -145,14 +131,29 @@ class TestEdgeCReduction:
     def test_triangle_third_black(self):
         g = cycle(3)
         col = Coloring([BLACK, BLACK, BLACK])
-        out = edge_c_reduction(g, col, (0, 1))
+        out = forced_edge_closure(g, [(0, 1)], col)
         assert not out.ok and out.reason == "black-two-black-neighbors"
 
     def test_adjacent_whites_detected(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
         col = Coloring([BLACK, BLACK, UNSET, UNSET])
-        out = edge_c_reduction(g, col, (0, 1))
-        assert not out.ok  # 2 and 3 both whiten but are adjacent
+        out = forced_edge_closure(g, [(0, 1)], col)
+        assert not out.ok and out.reason == "white-adjacent-white"  # 2 and 3 whiten
+
+
+class TestCommitPair:
+    def test_alive_mask_bounds_the_surgery(self):
+        g = path(5)
+        state = [UNSET] * 5
+        excluded: set = set()
+        alive = 0b11110  # vertex 0 already deleted
+        assert commit_pair(g, alive, state, excluded, (2, 3)) is None
+        assert state == [UNSET, WHITE, BLACK, BLACK, WHITE]
+        assert excluded == set()  # neither white vertex has an alive edge left
+
+    def test_endpoint_not_alive(self):
+        g = path(3)
+        assert commit_pair(g, 0b011, [UNSET] * 3, set(), (1, 2)) == "shared-vertex"
 
 
 class TestClosure:
@@ -228,7 +229,7 @@ class TestReductionSoundness:
             for m in (oracle_solve(g, mode="enumerate").all_dims or ())
             if e in m
         ]
-        out = reduction_step(g, Coloring.fresh(g.n), e)
+        out = forced_edge_closure(g, [e], Coloring.fresh(g.n))
         if not out.ok:
             assert not with_e
             return
@@ -238,9 +239,11 @@ class TestReductionSoundness:
 
     def test_feasibility_holds_after_ok(self):
         g = cycle(6)
-        out = reduction_step(g, Coloring.fresh(6), (0, 1))
+        out = forced_edge_closure(g, [(0, 1)], Coloring.fresh(6))
         assert out.ok
-        assert out.coloring.feasible_partial(out.graph)
+        state = list(out.coloring.state)
+        assert propagate(out.graph, state, out.coloring.excluded, range(out.graph.n)) is None
+        assert oracle_solve(out.graph, out.coloring).feasible
 
 
 class TestPropagate:

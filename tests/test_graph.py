@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimatch.graph import Graph, GraphError
+from dimatch.coloring import UNSET, commit_pair
+from dimatch.graph import Graph, GraphError, iter_bits
+from dimatch.solver import AnchorContradiction, AnchorSolver, anchor_edges
 
 from conftest import cycle, path, small_graphs
 
@@ -62,62 +62,75 @@ class TestNeighbors:
             path(3).neighbors(7)
 
 
+def committed_exclusions(g: Graph, e) -> set:
+    """Edges that committing ``e`` on a fresh coloring of g excludes."""
+    excluded: set = set()
+    assert commit_pair(g, (1 << g.n) - 1, [UNSET] * g.n, excluded, e) is None
+    return excluded
+
+
+def anchor_levels(g: Graph, anchor, probe) -> list[frozenset]:
+    """Distance levels of an anchor edge, from the solver's level BFS."""
+    solver = AnchorSolver(g, anchor, probe)
+    try:
+        solver.decompose()
+    except AnchorContradiction:
+        pass  # the levels are set before any structural check fails
+    return [frozenset(iter_bits(mask)) for mask in solver.level_masks]
+
+
 class TestEdgeDistance:
+    """Committing a pair excludes exactly the edges at distance 1 from it."""
+
     def test_p4_end_edges(self):
-        g = path(4)
-        assert g.edge_distance((0, 1), (2, 3)) == 1
+        assert committed_exclusions(path(4), (0, 1)) == {(2, 3)}
 
     def test_same_edge_is_zero(self):
-        g = path(4)
-        assert g.edge_distance((1, 2), (1, 2)) == 0
+        assert (1, 2) not in committed_exclusions(path(4), (1, 2))
 
     def test_shared_vertex_is_zero(self):
-        g = path(4)
-        assert g.edge_distance((0, 1), (1, 2)) == 0
+        assert (1, 2) not in committed_exclusions(path(4), (0, 1))
 
     def test_c6_opposite(self):
-        g = cycle(6)
-        assert g.edge_distance((0, 1), (3, 4)) == 2
+        excluded = committed_exclusions(cycle(6), (0, 1))
+        assert excluded == {(2, 3), (4, 5)}  # (3, 4) is at distance 2
 
     def test_disconnected_infinite(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        assert g.edge_distance((0, 1), (2, 3)) == math.inf
+        assert committed_exclusions(Graph(4, [(0, 1), (2, 3)]), (0, 1)) == set()
 
     @given(small_graphs(min_n=2, max_n=7))
     def test_symmetric(self, g: Graph):
         for e in g.edges[:6]:
             for f in g.edges[:6]:
-                assert g.edge_distance(e, f) == g.edge_distance(f, e)
+                assert (f in committed_exclusions(g, e)) == (e in committed_exclusions(g, f))
 
 
 class TestDistanceLevels:
     def test_p4_inner_edge(self):
-        g = path(4)
-        levels = g.distance_levels((1, 2))
+        levels = anchor_levels(path(4), (1, 2), 0)
         assert levels[0] == {1, 2}
         assert levels[1] == {0, 3}
         assert len(levels) == 2
 
     def test_p6_levels(self):
-        g = path(6)
-        levels = g.distance_levels((1, 2))
+        levels = anchor_levels(path(6), (1, 2), 0)
         assert levels[1] == {0, 3}
         assert levels[2] == {4}
         assert levels[3] == {5}
 
     def test_c4_two_levels(self):
-        g = cycle(4)
-        levels = g.distance_levels((0, 1))
+        levels = anchor_levels(cycle(4), (0, 1), 2)
         assert levels[1] == {2, 3}
         assert len(levels) == 2
 
     @given(small_graphs(min_n=2, max_n=8))
     @settings(max_examples=60)
     def test_partition_and_adjacency(self, g: Graph):
-        if not g.edges:
+        anchors = anchor_edges(g)
+        if not anchors:
             return
-        anchor = g.edges[0]
-        levels = g.distance_levels(anchor)
+        anchor, probe = anchors[0]
+        levels = anchor_levels(g, anchor, probe)
         flat = [v for level in levels for v in level]
         assert len(flat) == len(set(flat))
         comp = next(c for c in g.connected_components() if anchor[0] in c)

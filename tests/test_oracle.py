@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,17 +169,15 @@ class TestForcedEdges:
 
 class TestEnumeration:
     def test_n3_connected(self):
-        graphs = list(enumerate_all_graphs(3, distinct=True))
-        assert len(graphs) == 2  # the 3-path and the triangle
+        graphs = list(enumerate_all_graphs(3))
+        assert len(graphs) == 4  # three labeled 3-paths and the triangle
 
     def test_n4_connected_k4_free_classes(self):
-        graphs = list(
-            enumerate_all_graphs(4, predicate=lambda g: find_k4(g) is None, distinct=True)
-        )
-        assert len(graphs) == 5
+        graphs = list(enumerate_all_graphs(4, predicate=lambda g: find_k4(g) is None))
+        assert len(graphs) == 37  # every labeled connected graph but K4
 
     def test_n4_all_connected_classes(self):
-        assert len(list(enumerate_all_graphs(4, distinct=True))) == 6
+        assert len(list(enumerate_all_graphs(4))) == 38
 
     def test_n1(self):
         graphs = list(enumerate_all_graphs(1))
@@ -190,3 +190,18 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ValueError):
             next(enumerate_all_graphs(10))
+
+
+class TestRecursionLimit:
+    def test_limit_unchanged_after_long_path(self):
+        saved = sys.getrecursionlimit()
+        # Below the m + 2000 headroom the search asks for on this path.
+        sys.setrecursionlimit(1000)
+        try:
+            g = path(1500)
+            res = oracle_solve(g)
+            after = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(saved)
+        assert res.feasible and g.is_dim(res.best[0])
+        assert after == 1000

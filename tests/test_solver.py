@@ -238,7 +238,7 @@ class TestDeepHandling:
         free, coupled = solver.classify_components(d)
         assert free == [] and len(coupled) == 1
         assert coupled[0].seeds == (5, 6, 7)
-        colorings = solver.enumerate_core_colorings(d)
+        colorings = list(solver._iter_core_colorings(coupled))
         assert 1 <= len(colorings) <= 3
 
     def test_deep_solve_agrees_with_reference(self):
@@ -427,3 +427,16 @@ class TestRecursionLimit:
         assert res is not None and g.is_dim(res[0])
         assert out.found
         assert after_sub == 1000 and after_solve == 1000
+
+
+class TestStrictOffClass:
+    def test_failed_check_reports_the_spider(self):
+        from dimatch.generate import SplitMix64
+        from dimatch.patterns import verify_witness
+        from test_golden import degree2_block
+
+        g = degree2_block(SplitMix64(1), 6, 6)
+        out = solve(g, minimize=True, strict=True)
+        assert out.verdict == CLASS_VIOLATION
+        assert out.witness is not None
+        assert verify_witness(g, out.witness, (1, 2, 4))
