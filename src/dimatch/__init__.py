@@ -58,12 +58,10 @@ from .solver import (
     AnchorSolver,
     ClassViolationError,
     ComponentTask,
-    LevelDecomposition,
     SolveOutcome,
     SolverConfig,
     StructuralCheckError,
     anchor_edges,
-    decompose,
     dim_with_anchor,
     solve,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import time
+from array import array
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -43,7 +44,7 @@ class CompareReport:
     disagreements: list = field(default_factory=list)
     weight_mismatches: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    times: list = field(default_factory=list)
+    times: array = field(default_factory=lambda: array("d"))
     wall: float = 0.0
 
     @property
@@ -85,9 +86,7 @@ def _check_instance(
 ) -> None:
     t0 = time.perf_counter()
     out = solve(g, minimize=minimize, strict=strict)
-    dt = time.perf_counter() - t0
-    if len(report.times) < 10000:
-        report.times.append(dt)
+    report.times.append(time.perf_counter() - t0)
     report.total += 1
     if out.verdict == CLASS_VIOLATION:
         report.errors.append({"instance": label, "error": "class violation"})
@@ -126,9 +125,7 @@ def _merge(into: CompareReport, part: CompareReport) -> None:
     into.disagreements.extend(part.disagreements)
     into.weight_mismatches.extend(part.weight_mismatches)
     into.errors.extend(part.errors)
-    room = 10000 - len(into.times)
-    if room > 0:
-        into.times.extend(part.times[:room])
+    into.times.extend(part.times)
 
 
 def _fan_out(worker, tasks: list, workers: int) -> CompareReport:
@@ -231,9 +228,7 @@ def _planted_batch(args) -> CompareReport:
             continue
         t0 = time.perf_counter()
         out = solve(g, minimize=minimize, strict=strict)
-        dt = time.perf_counter() - t0
-        if len(report.times) < 10000:
-            report.times.append(dt)
+        report.times.append(time.perf_counter() - t0)
         report.total += 1
         if not out.found:
             report.disagreements.append(

@@ -3,11 +3,18 @@
 Graphs: a `p edge <n> <m>` header, then one `e <u> <v> [w]` line per edge
 with 1-indexed vertices and an optional weight token.  Lines starting with
 `c` are comments.  Matchings travel in sidecar files of `m <u> <v>` lines.
+A header may declare at most `MAX_VERTICES` vertices.
 """
 
 from __future__ import annotations
 
 from .graph import Edge, Graph, GraphError
+
+
+# Header cap: a graph allocates per-vertex state up front, so an unchecked
+# `p edge N 0` could exhaust memory.  It is about 12x the largest graph any
+# corpus uses, an 8,000-vertex path.
+MAX_VERTICES = 100_000
 
 
 class ParseError(ValueError):
@@ -43,6 +50,10 @@ def parse_edge_list(text: str) -> Graph:
                 n, declared_m = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad problem line") from exc
+            if n > MAX_VERTICES:
+                raise ParseError(
+                    f"line {lineno}: header declares {n} vertices, more than {MAX_VERTICES}"
+                )
         elif parts[0] == "e":
             if n < 0:
                 raise ParseError(f"line {lineno}: edge before problem line")

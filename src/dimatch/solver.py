@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import patterns
 from .coloring import (
@@ -38,7 +38,7 @@ from .coloring import (
     restrict,
 )
 from .graph import Edge, Graph, GraphError, edge, iter_bits
-from .subsolver import default_sub_solver
+from .subsolver import solve_precolored
 
 FOUND = "found"
 NO_DIM = "no_dim"
@@ -68,52 +68,10 @@ class ClassViolationError(Exception):
 
 
 @dataclass(frozen=True)
-class LevelDecomposition:
-    """Distance levels of an anchor edge plus the derived level-2/3 structure.
-
-    The levels are kept as vertex bitmasks: ``level_masks[i]`` holds the
-    alive vertices at distance ``i`` from the anchor, and ``deep_mask``
-    those at distance 4 or more.  ``pools`` maps each unmatched level-2
-    vertex to its private level-3 neighbors (the only vertices that can
-    become its mate); ``shared3`` holds level-3 vertices seeing two or more
-    level-2 vertices, which can never be matched.  The vertex sets
-    ``levels``, ``core`` (everything up to level 3) and ``deep`` (the rest of
-    the anchor's component) are derived from the masks on access.
-    """
-
-    anchor: Edge
-    probe: int
-    level_masks: tuple[int, ...]
-    deep_mask: int
-    level2_pairs: tuple[Edge, ...]
-    level2_singles: tuple[int, ...]
-    pools: dict[int, tuple[int, ...]]
-    pool_union: frozenset[int]
-    shared3: frozenset[int]
-
-    @property
-    def levels(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(iter_bits(m)) for m in self.level_masks)
-
-    @property
-    def core(self) -> frozenset[int]:
-        union = 0
-        for mask in self.level_masks[:4]:
-            union |= mask
-        return frozenset(iter_bits(union))
-
-    @property
-    def deep(self) -> frozenset[int]:
-        return frozenset(iter_bits(self.deep_mask))
-
-
-@dataclass(frozen=True)
 class ComponentTask:
     """One component of the level-2/3 structure, ready for seed enumeration."""
 
-    vertices: tuple[int, ...]
     singles: tuple[int, ...]
-    trivial: bool
     coupled: bool
     seeds: tuple[int, ...]
 
@@ -140,13 +98,9 @@ class SolverConfig:
     minimize: bool = False
     verify_class: bool = False
     strict: bool = False
-    sub_solver: Callable = None  # type: ignore[assignment]
+    sub_solver: Callable = solve_precolored
     anchor_log: list | None = None
     timings: dict | None = None
-
-    def __post_init__(self) -> None:
-        if self.sub_solver is None:
-            self.sub_solver = default_sub_solver
 
     def tick(self, key: str, start: float) -> None:
         if self.timings is not None:
@@ -184,12 +138,20 @@ class AnchorSolver:
 
     Holds the shrinking working state: an alive-vertex mask over the fixed
     base graph, per-vertex colors, excluded edges, and the committed pairs
-    (whose endpoints have left the alive set).  The level data of the last
-    :meth:`decompose` is kept as bitmasks (``level_masks``, ``n3_mask``,
-    ``deep_mask``) plus the per-vertex level ``lev``; :meth:`decompose`
-    hands the masks out in a :class:`LevelDecomposition`.  Propagation reads
-    the base graph until a vertex leaves the alive set, and from then on an
-    :class:`AliveAdjacency`, built once per alive mask and cached.
+    (whose endpoints have left the alive set).
+
+    The level state of the last :meth:`decompose` lives here too, and only
+    here: the bitmasks ``level_masks``, ``n3_mask`` and ``deep_mask``, the
+    per-vertex level ``lev``, the level-2 ``pairs`` and ``singles``, each
+    single's ``pools`` of private level-3 mates (``pool_owner`` maps a pool
+    vertex back to its single), and ``shared3``, the level-3 vertices seeing
+    two or more level-2 vertices, which can never be matched.  The forcing
+    stages and the component coloring read it from the solver; candidate
+    colorings travel as plain state lists.
+
+    Propagation reads the base graph until a vertex leaves the alive set,
+    and from then on an :class:`AliveAdjacency`, built once per alive mask
+    and cached.
     """
 
     def __init__(
@@ -226,7 +188,11 @@ class AnchorSolver:
         self.level_masks: list[int] = []
         self.deep_mask = 0
         self.n3_mask = 0
+        self.pairs: tuple[Edge, ...] = ()
+        self.singles: tuple[int, ...] = ()
+        self.pools: dict[int, tuple[int, ...]] = {}
         self.pool_owner: dict[int, int] = {}
+        self.shared3: set[int] = set()
         self._s114_free: bool | None = None
         self._view: Graph | AliveAdjacency = g
         self._view_alive: int = self.alive
@@ -257,8 +223,8 @@ class AnchorSolver:
 
     # -- decomposition -----------------------------------------------------
 
-    def decompose(self) -> LevelDecomposition:
-        """Recompute distance levels on the alive graph and validate the
+    def decompose(self) -> None:
+        """Recompute the level state on the alive graph and validate the
         level-1/level-2 structure, whitening level 1 and blackening the
         level-2 vertices that survive."""
         g = self.g
@@ -330,9 +296,11 @@ class AnchorSolver:
         if self.n3_mask and not self._bipartite(self.n3_mask):
             self._fail("level3-odd-cycle")
 
-        pools: dict[int, tuple[int, ...]] = {}
-        shared3: set[int] = set()
+        self.pairs = tuple(pairs)
+        self.singles = tuple(singles)
+        self.pools = {}
         self.pool_owner = {}
+        self.shared3 = set()
         if not pairs:
             acc: dict[int, list[int]] = {u: [] for u in singles}
             for t in iter_bits(self.n3_mask):
@@ -343,20 +311,8 @@ class AnchorSolver:
                     self.pool_owner[t] = owner
                     acc[owner].append(t)
                 else:
-                    shared3.add(t)
-            pools = {u: tuple(ts) for u, ts in acc.items()}
-
-        return LevelDecomposition(
-            anchor=self.anchor,
-            probe=self.probe,
-            level_masks=tuple(masks),
-            deep_mask=self.deep_mask,
-            level2_pairs=tuple(pairs),
-            level2_singles=tuple(singles),
-            pools=pools,
-            pool_union=frozenset(self.pool_owner),
-            shared3=frozenset(shared3),
-        )
+                    self.shared3.add(t)
+            self.pools = {u: tuple(ts) for u, ts in acc.items()}
 
     def _bipartite(self, mask: int) -> bool:
         color: dict[int, int] = {}
@@ -377,11 +333,11 @@ class AnchorSolver:
 
     # -- forcing stages ----------------------------------------------------
 
-    def force_level2_and_triangles(self, d: LevelDecomposition) -> bool:
+    def force_level2_and_triangles(self) -> bool:
         """Commit level-2 pairs, then matched pairs forced by triangles that
         hang off level 3 into the deep part."""
-        if d.level2_pairs:
-            for e in d.level2_pairs:
+        if self.pairs:
+            for e in self.pairs:
                 self._commit(e, "level2-pair-commit")
             return True
         forced: set[Edge] = set()
@@ -399,15 +355,15 @@ class AnchorSolver:
             self._commit(e, "deep-triangle-commit")
         return bool(forced)
 
-    def force_contact_edges(self, d: LevelDecomposition) -> bool:
+    def force_contact_edges(self) -> bool:
         """Forced mates from cross-pool double contacts and from edges into
         the never-matched shared level-3 vertices; then eliminate the latter."""
         commits: set[Edge] = set()
         shared_mask = 0
-        for s in d.shared3:
+        for s in self.shared3:
             shared_mask |= 1 << s
-        for u in d.level2_singles:
-            for t in d.pools[u]:
+        for u in self.singles:
+            for t in self.pools[u]:
                 per_owner: dict[int, int] = {}
                 for w in iter_bits(self._adj(t) & self.n3_mask):
                     owner = self.pool_owner.get(w)
@@ -415,7 +371,7 @@ class AnchorSolver:
                         per_owner[owner] = per_owner.get(owner, 0) + 1
                 if any(cnt >= 2 for cnt in per_owner.values()):
                     commits.add((min(u, t), max(u, t)))
-        for s in sorted(d.shared3):
+        for s in sorted(self.shared3):
             for t in iter_bits(self._adj(s) & self.n3_mask & ~shared_mask):
                 owner = self.pool_owner.get(t)
                 if owner is None:
@@ -428,9 +384,9 @@ class AnchorSolver:
                 self._commit(e, "contact-commit")
             return True
         changed = False
-        for s in sorted(d.shared3):
+        for s in sorted(self.shared3):
             self.state[s] = WHITE
-        for s in sorted(d.shared3):
+        for s in sorted(self.shared3):
             for z in iter_bits(self._adj(s)):
                 if self.state[z] == WHITE:
                     self._fail(R_WHITE_WHITE)
@@ -440,7 +396,7 @@ class AnchorSolver:
             changed = True
         return changed
 
-    def sweep_colored_boundary(self, d: LevelDecomposition) -> bool:
+    def sweep_colored_boundary(self) -> bool:
         """Push colors across the level-3 boundary.
 
         A white vertex forces every unset neighbor to be matched: pool
@@ -482,15 +438,15 @@ class AnchorSolver:
                     changed = True
         return changed
 
-    def prune_pools(self, d: LevelDecomposition) -> bool:
+    def prune_pools(self) -> bool:
         """Whiten pool vertices on 4-cycles through their owner, prune
         redundant pendant pool vertices, and commit pools forced to a
         single candidate."""
         changed = False
         commits: list[Edge] = []
         removals: list[int] = []
-        for u in d.level2_singles:
-            pool = [t for t in d.pools[u] if self.alive >> t & 1]
+        for u in self.singles:
+            pool = [t for t in self.pools[u] if self.alive >> t & 1]
             if not pool:
                 self._fail("pool-empty")
             nb = sorted(iter_bits(self._adj(u)))
@@ -529,7 +485,7 @@ class AnchorSolver:
             return True
         return changed
 
-    def force_isolated_deep(self, d: LevelDecomposition) -> bool:
+    def force_isolated_deep(self) -> bool:
         """Deep vertices with no deep neighbor can never be matched: whiten them."""
         changed = False
         for z in iter_bits(self.deep_mask):
@@ -539,25 +495,25 @@ class AnchorSolver:
                 changed = True
         return changed
 
-    def run_forcing(self) -> LevelDecomposition:
+    def run_forcing(self) -> None:
         """Iterate decomposition and the forcing stages to a fixpoint."""
         while True:
-            d = self.decompose()
+            self.decompose()
             if (
-                self.force_level2_and_triangles(d)
-                or self.sweep_colored_boundary(d)
-                or self.force_contact_edges(d)
-                or self.prune_pools(d)
-                or self.force_isolated_deep(d)
+                self.force_level2_and_triangles()
+                or self.sweep_colored_boundary()
+                or self.force_contact_edges()
+                or self.prune_pools()
+                or self.force_isolated_deep()
             ):
                 continue
             if self.cfg.strict:
-                self._strict_decomposition_checks(d)
-            return d
+                self._strict_decomposition_checks()
+            return
 
     # -- component coloring -------------------------------------------------
 
-    def classify_components(self, d: LevelDecomposition) -> tuple[list[ComponentTask], list[ComponentTask]]:
+    def classify_components(self) -> tuple[list[ComponentTask], list[ComponentTask]]:
         """Split the level-2/3 structure components into freestanding ones and
         those coupled to the deep part through an uncolored deep vertex.
 
@@ -565,15 +521,15 @@ class AnchorSolver:
         components exist, which cannot happen inside the supported class.
         """
         struct_mask = 0
-        for u in d.level2_singles:
+        for u in self.singles:
             struct_mask |= 1 << u
-        for t in d.pool_union:
+        for t in self.pool_owner:
             if self.alive >> t & 1:
                 struct_mask |= 1 << t
         seen = 0
         free: list[ComponentTask] = []
         coupled: list[ComponentTask] = []
-        for start in sorted(d.level2_singles):
+        for start in sorted(self.singles):
             if seen >> start & 1:
                 continue
             comp = 1 << start
@@ -584,7 +540,7 @@ class AnchorSolver:
                     comp |= 1 << u
                     stack.append(u)
             seen |= comp
-            singles = tuple(u for u in d.level2_singles if comp >> u & 1)
+            singles = tuple(u for u in self.singles if comp >> u & 1)
             coupled_flag = False
             for t in iter_bits(comp & self.n3_mask):
                 deep_nb = self._adj(t) & self.deep_mask
@@ -593,23 +549,10 @@ class AnchorSolver:
                     break
             first = singles[0]
             seeds = tuple(
-                t for t in d.pools[first]
+                t for t in self.pools[first]
                 if self.alive >> t & 1 and self.state[t] == UNSET
             )
-            cross = any(
-                self.pool_owner.get(w) not in (None, u)
-                for u in singles
-                for t in d.pools[u]
-                if self.alive >> t & 1
-                for w in iter_bits(self._adj(t) & self.n3_mask)
-            )
-            task = ComponentTask(
-                vertices=tuple(iter_bits(comp)),
-                singles=singles,
-                trivial=len(singles) == 1 and not cross,
-                coupled=coupled_flag,
-                seeds=seeds,
-            )
+            task = ComponentTask(singles=singles, coupled=coupled_flag, seeds=seeds)
             (coupled if coupled_flag else free).append(task)
         if len(coupled) > 3:
             witness = patterns.find_induced_sijk(self.g, 1, 2, 4)
@@ -668,13 +611,11 @@ class AnchorSolver:
             self._view_alive = self.alive
         return self._view
 
-    def propagate_component(
-        self, d: LevelDecomposition, task: ComponentTask, seed: int
-    ) -> Coloring | None:
+    def propagate_component(self, task: ComponentTask, seed: int) -> list[int] | None:
         """Color one structure component from a single seed choice.
 
         Seeds the given pool vertex black, closes under the forcing rules,
-        finishes any undecided pools, and returns the resulting coloring,
+        finishes any undecided pools, and returns the resulting state list,
         or None when the seed contradicts.
         """
         if self.state[seed] != UNSET:
@@ -683,34 +624,32 @@ class AnchorSolver:
         trial[seed] = BLACK
         if propagate(self.g_alive_view(), trial, self.excluded, [seed]) is not None:
             return None
-        for completed in self._completions(trial, [task]):
-            return Coloring(completed, self.excluded, list(self.committed))
-        return None
+        return next(self._completions(trial, [task]), None)
 
-    def _solve_free_component(self, d: LevelDecomposition, task: ComponentTask) -> None:
+    def _solve_free_component(self, task: ComponentTask) -> None:
         """Fix a freestanding component to its best (or first) feasible coloring."""
-        best: tuple[float, Coloring] | None = None
+        best: tuple[float, list[int]] | None = None
         for seed in task.seeds:
-            col = self.propagate_component(d, task, seed)
-            if col is None:
+            state = self.propagate_component(task, seed)
+            if state is None:
                 continue
             if not self.cfg.minimize:
-                best = (0.0, col)
+                best = (0.0, state)
                 break
             weight = sum(
                 self._weight((u, t))
                 for u in task.singles
                 for t in iter_bits(self._adj(u))
-                if col.state[t] == BLACK and self.pool_owner.get(t) == u
+                if state[t] == BLACK and self.pool_owner.get(t) == u
             )
             if best is None or weight < best[0]:
-                best = (weight, col)
+                best = (weight, state)
         if best is None:
             self._fail("component-infeasible")
-        self.state = list(best[1].state)
+        self.state = best[1]
         self._tag("component-colored")
 
-    def _iter_core_colorings(self, coupled: list[ComponentTask]) -> Iterator[Coloring]:
+    def _iter_core_colorings(self, coupled: list[ComponentTask]) -> Iterator[list[int]]:
         """Joint seed enumeration over the coupled components.
 
         The cartesian product has at most three factors inside the class;
@@ -720,8 +659,7 @@ class AnchorSolver:
         if not coupled:
             state = list(self.state)
             if propagate(self.g_alive_view(), state, self.excluded, list(iter_bits(self.alive))) is None:
-                for completed in self._completions(state, []):
-                    yield Coloring(completed, self.excluded, list(self.committed))
+                yield state
             return
         for combo in product(*[task.seeds for task in coupled]):
             state = list(self.state)
@@ -735,8 +673,7 @@ class AnchorSolver:
                 continue
             if propagate(self.g_alive_view(), state, self.excluded, list(combo)) is not None:
                 continue
-            for completed in self._completions(state, coupled):
-                yield Coloring(completed, self.excluded, list(self.committed))
+            yield from self._completions(state, coupled)
 
     # -- finishing -----------------------------------------------------------
 
@@ -772,16 +709,13 @@ class AnchorSolver:
         self._tag("stray-handoff")
         return frozenset(matching), total
 
-    def finish_deep(
-        self, d: LevelDecomposition, core_coloring: Coloring
-    ) -> tuple[frozenset[Edge], float] | None:
-        """Complete one feasible core coloring across the deep part.
+    def finish_deep(self, state: list[int]) -> tuple[frozenset[Edge], float] | None:
+        """Complete one feasible core coloring (a state list) across the deep part.
 
         Returns the full matching for the anchor's component (committed
         pairs included) and its weight, or None when the deep instance has
         no consistent completion.
         """
-        state = core_coloring.state
         deep_alive = self.deep_mask & self.alive
         deep_matching: frozenset[Edge] = frozenset()
         deep_weight = 0.0
@@ -830,12 +764,12 @@ class AnchorSolver:
             raise ClassViolationError(witness)
         raise StructuralCheckError(message)
 
-    def _strict_decomposition_checks(self, d: LevelDecomposition) -> None:
-        for u in d.level2_singles:
+    def _strict_decomposition_checks(self) -> None:
+        for u in self.singles:
             inner = [
                 (a, b)
-                for a in d.pools[u]
-                for b in d.pools[u]
+                for a in self.pools[u]
+                for b in self.pools[u]
                 if a < b and self.g.bits[a] >> b & 1
             ]
             if len(inner) > 1:
@@ -881,15 +815,15 @@ class AnchorSolver:
         """Search for a matching containing the anchor; full anchor pipeline."""
         try:
             start = time.perf_counter()
-            d = self.run_forcing()
+            self.run_forcing()
             self.cfg.tick("forcing", start)
             strays = self._solve_strays()
             if strays is None:
                 raise AnchorContradiction("stray-infeasible")
             stray_matching, stray_weight = strays
-            free, coupled = self.classify_components(d)
+            free, coupled = self.classify_components()
             for task in free:
-                self._solve_free_component(d, task)
+                self._solve_free_component(task)
             colorings = self._iter_core_colorings(coupled)
             if self.cfg.strict and coupled:
                 bound = max(
@@ -899,13 +833,13 @@ class AnchorSolver:
                 limit = max(bound, 1) ** 3
             best: tuple[float, frozenset[Edge]] | None = None
             count = 0
-            for col in colorings:
+            for state in colorings:
                 count += 1
                 if self.cfg.strict and coupled and count > limit:
                     raise ClassViolationError(
                         patterns.find_induced_sijk(self.g, 1, 2, 4)
                     )
-                finished = self.finish_deep(d, col)
+                finished = self.finish_deep(state)
                 if finished is None:
                     continue
                 matching = finished[0] | stray_matching
@@ -953,15 +887,6 @@ class AnchorSolver:
             trace=tuple(self.trace),
             anchor=self.anchor,
         )
-
-
-def decompose(g: Graph, anchor: Edge, probe: int | None = None) -> LevelDecomposition:
-    """One-shot decomposition of an anchor edge (validating the structure).
-
-    Raises :class:`AnchorContradiction` when the level structure already
-    rules out any matching through the anchor.
-    """
-    return AnchorSolver(g, anchor, probe).decompose()
 
 
 def dim_with_anchor(
@@ -1057,34 +982,60 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
         )
     cfg.tick("closure", start)
 
-    matching: set[Edge] = set(committed)
-    weight = g.matching_weight(committed)
-    for comp in sorted(residual.connected_components(), key=min):
-        sub, col, sub_old = restrict(
-            residual, comp, residual_col.state, residual_col.excluded
-        )
-        out = _solve_residual(sub, col, cfg)
-        if out.verdict == CLASS_VIOLATION:
+    out = _solve_pieces(
+        residual,
+        residual_col,
+        old_of_new,
+        lambda sub, col: _solve_residual(sub, col, cfg),
+        set(committed),
+        g.matching_weight(committed),
+        trace,
+    )
+    if out.found and not g.is_dim(out.matching):
+        raise StructuralCheckError("assembled matching fails verification")
+    return out
+
+
+def _solve_pieces(
+    g: Graph,
+    coloring: Coloring,
+    ids: Sequence[int],
+    solve_piece: Callable[[Graph, Coloring], SolveOutcome],
+    matching: set[Edge],
+    weight: float,
+    trace: list[str],
+) -> SolveOutcome:
+    """Solve each connected piece of a colored graph and merge the answers.
+
+    Pieces go in order of their least vertex; a one-vertex piece has nothing
+    to match and is skipped.  ``ids`` maps the vertices of ``g`` to the
+    caller's, in which the answer is given: the pieces' matchings join
+    ``matching``, their weights are added to ``weight`` in piece order and
+    their traces extend ``trace``.  The first piece without a matching ends
+    the merge; its verdict and reason come back with the trace so far and
+    its witness in the caller's ids.
+    """
+    for comp in sorted(g.connected_components(), key=min):
+        if len(comp) == 1:
+            continue
+        sub, col, sub_ids = restrict(g, comp, coloring.state, coloring.excluded)
+        out = solve_piece(sub, col)
+        if not out.found:
             witness = out.witness
             if witness is not None:
-                verts_map = [old_of_new[sub_old[v]] for v in witness.vertices]
-                witness = patterns.PatternWitness(witness.pattern, tuple(verts_map))
+                witness = patterns.PatternWitness(
+                    witness.pattern, tuple(ids[sub_ids[v]] for v in witness.vertices)
+                )
             return SolveOutcome(
-                CLASS_VIOLATION, witness=witness, trace=tuple(trace) + out.trace
+                out.verdict,
+                reason=out.reason,
+                witness=witness,
+                trace=tuple(trace) + out.trace,
             )
-        if not out.found:
-            return SolveOutcome(
-                NO_DIM, reason=out.reason, trace=tuple(trace) + out.trace
-            )
-        mapped = residual.relabel_edges(out.matching, sub_old)
-        matching.update(edge(old_of_new[a], old_of_new[b]) for a, b in mapped)
+        matching.update(edge(ids[sub_ids[a]], ids[sub_ids[b]]) for a, b in out.matching)
         weight += out.weight
         trace.extend(out.trace)
-
-    final = frozenset(matching)
-    if not g.is_dim(final):
-        raise StructuralCheckError("assembled matching fails verification")
-    return SolveOutcome(FOUND, matching=final, weight=weight, trace=tuple(trace))
+    return SolveOutcome(FOUND, matching=frozenset(matching), weight=weight, trace=tuple(trace))
 
 
 def solve(
@@ -1107,35 +1058,22 @@ def solve(
         minimize=minimize,
         verify_class=verify_class,
         strict=strict,
-        sub_solver=sub_solver,
+        sub_solver=sub_solver or solve_precolored,
         anchor_log=anchor_log,
         timings=timings,
     )
-    matching: set[Edge] = set()
-    weight = 0.0
-    trace: list[str] = []
-    blank = [UNSET] * g.n
-    for comp in sorted(g.connected_components(), key=min):
-        if len(comp) == 1:
-            continue
-        sub, _, old_of_new = restrict(g, comp, blank, ())
-        out = _solve_connected(sub, cfg)
-        if out.verdict == CLASS_VIOLATION:
-            witness = out.witness
-            if witness is not None:
-                witness = patterns.PatternWitness(
-                    witness.pattern,
-                    tuple(old_of_new[v] for v in witness.vertices),
-                )
-            return SolveOutcome(CLASS_VIOLATION, witness=witness, trace=tuple(trace) + out.trace)
-        if not out.found:
-            return SolveOutcome(NO_DIM, reason=out.reason, trace=tuple(trace) + out.trace)
-        matching.update(sub.relabel_edges(out.matching, old_of_new))
-        weight += out.weight
-        trace.extend(out.trace)
-    final = frozenset(matching)
-    start = time.perf_counter()
-    if not g.is_dim(final):
-        raise StructuralCheckError("assembled matching fails verification")
-    cfg.tick("verify", start)
-    return SolveOutcome(FOUND, matching=final, weight=weight, trace=tuple(trace))
+    out = _solve_pieces(
+        g,
+        Coloring.fresh(g.n),
+        range(g.n),
+        lambda sub, _: _solve_connected(sub, cfg),
+        set(),
+        0.0,
+        [],
+    )
+    if out.found:
+        start = time.perf_counter()
+        if not g.is_dim(out.matching):
+            raise StructuralCheckError("assembled matching fails verification")
+        cfg.tick("verify", start)
+    return out

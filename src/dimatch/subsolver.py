@@ -15,16 +15,10 @@ A sub-solver is any callable ``(graph, coloring, minimize) ->
 from __future__ import annotations
 
 import sys
-from typing import Optional, Protocol
+from typing import Optional
 
 from .coloring import BLACK, UNSET, WHITE, Coloring, propagate
 from .graph import Edge, Graph
-
-
-class PrecoloredDimSolver(Protocol):
-    def __call__(
-        self, g: Graph, coloring: Coloring, minimize: bool = False
-    ) -> Optional[tuple[frozenset[Edge], float]]: ...
 
 
 def _complete_weight(g: Graph, state: list[int]) -> tuple[frozenset[Edge], float]:
@@ -96,5 +90,3 @@ def solve_precolored(
         return None
     return best[0][1], best[0][0]
 
-
-default_sub_solver: PrecoloredDimSolver = solve_precolored

@@ -44,6 +44,13 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             parse_edge_list("p edge 2 1\ne 1 5\n")
 
+    def test_rejects_oversized_header(self):
+        from dimatch.fileio import MAX_VERTICES, ParseError
+
+        for n in (MAX_VERTICES + 1, 10**9):
+            with pytest.raises(ParseError, match="vertices"):
+                parse_edge_list(f"p edge {n} 0\n")
+
     def test_matching_round_trip(self):
         g = Graph(4, [(0, 1), (2, 3)])
         text = write_matching([(0, 1), (2, 3)])
@@ -83,6 +90,12 @@ class TestSolveCommand:
         p = tmp_path / "bad.col"
         p.write_text("p edge nope\n")
         assert main(["solve", str(p)]) == EXIT_USAGE
+
+    def test_oversized_header_is_a_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "huge.col"
+        p.write_text("p edge 1000000000 0\n")
+        assert main(["solve", str(p)]) == EXIT_USAGE
+        assert "1000000000 vertices" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["solve", "/nonexistent/graph.col"]) == EXIT_USAGE

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from dimatch.compare import run_planted
+from dimatch.compare import CompareReport, _merge, run_planted
 from dimatch.generate import (
     GenSpec,
     RetryBudgetExceeded,
@@ -80,3 +80,17 @@ class TestPlantedBatches:
     def test_planted_n50_against_oracle(self):
         rep = run_planted(50, 25, seed=7, use_oracle=True, strict=True, workers=1)
         assert rep.agreement and rep.found == 25
+
+
+class TestReportTiming:
+    def test_merged_percentiles_cover_every_instance(self):
+        fast, slow = CompareReport(), CompareReport()
+        fast.times.extend([0.001] * 6000)
+        slow.times.extend([1.0] * 6000)
+        report = CompareReport()
+        _merge(report, fast)
+        _merge(report, slow)
+        timing = report.timing_percentiles()
+        assert timing["samples"] == 12000
+        # the median sits in the second part, which a capped merge would drop
+        assert timing["p50"] == 1.0

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from dimatch import gadget, oracle_solve
 from dimatch.coloring import BLACK, WHITE, Coloring
 from dimatch.generate import GenSpec, generate_planted
-from dimatch.graph import Graph
+from dimatch.graph import Graph, iter_bits
 from dimatch.oracle import enumerate_all_graphs
 from dimatch.solver import (
     CLASS_VIOLATION,
@@ -20,7 +20,6 @@ from dimatch.solver import (
     AnchorSolver,
     SolverConfig,
     anchor_edges,
-    decompose,
     dim_with_anchor,
     solve,
 )
@@ -48,34 +47,42 @@ class TestAnchorEdges:
         assert len(anchor_edges(path(4))) == 3
 
 
+def decomposed(g, anchor):
+    """An anchor solver after one decompose, holding the anchor's level
+    state; raises AnchorContradiction when the levels rule the anchor out."""
+    solver = AnchorSolver(g, anchor)
+    solver.decompose()
+    return solver
+
+
 class TestDecompose:
     def test_p6_structure(self):
-        d = decompose(path(6), (1, 2))
-        assert d.levels[1] == {0, 3}
-        assert d.level2_singles == (4,)
+        d = decomposed(path(6), (1, 2))
+        assert set(iter_bits(d.level_masks[1])) == {0, 3}
+        assert d.singles == (4,)
         assert d.pools == {4: (5,)}
-        assert d.level2_pairs == ()
+        assert d.pairs == ()
         assert d.shared3 == frozenset()
-        assert d.deep == frozenset()
+        assert set(iter_bits(d.deep_mask)) == frozenset()
 
     def test_c4_level1_dependent(self):
         with pytest.raises(AnchorContradiction) as err:
-            decompose(cycle(4), (0, 1))
+            decomposed(cycle(4), (0, 1))
         assert err.value.reason == "level1-not-independent"
 
     def test_level2_path_malformed(self):
         g = Graph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6), (4, 5), (5, 6)])
         with pytest.raises(AnchorContradiction) as err:
-            decompose(g, (0, 1))
+            decomposed(g, (0, 1))
         assert err.value.reason == "level2-structure"
 
     def test_c6_level2_pair(self):
-        d = decompose(cycle(6), (0, 1))
-        assert d.level2_pairs == ((3, 4),)
+        d = decomposed(cycle(6), (0, 1))
+        assert d.pairs == ((3, 4),)
 
     def test_shared_level3_detected(self):
         g = spine([(3, 5), (4, 6), (5, 7), (6, 7), (5, 8), (6, 9)], 10)
-        d = decompose(g, (0, 1))
+        d = decomposed(g, (0, 1))
         assert d.shared3 == {7}
         assert d.pools == {5: (8,), 6: (9,)}
 
@@ -85,7 +92,7 @@ class TestDecompose:
             11,
         )
         with pytest.raises(AnchorContradiction) as err:
-            decompose(g, (0, 1))
+            decomposed(g, (0, 1))
         assert err.value.reason == "level3-odd-cycle"
 
 
@@ -169,18 +176,18 @@ class TestComponentColoring:
     def test_propagation_example(self):
         g = self.two_pool_graph()
         solver = AnchorSolver(g, (0, 1))
-        d = solver.run_forcing()
-        free, coupled = solver.classify_components(d)
+        solver.run_forcing()
+        free, coupled = solver.classify_components()
         assert coupled == []
         assert len(free) == 1
         task = free[0]
         assert task.singles == (5, 6)
-        col = solver.propagate_component(d, task, 7)
-        assert col is not None
-        assert col.state[7] == BLACK
-        assert col.state[8] == WHITE
-        assert col.state[9] == WHITE
-        assert col.state[10] == BLACK
+        state = solver.propagate_component(task, 7)
+        assert state is not None
+        assert state[7] == BLACK
+        assert state[8] == WHITE
+        assert state[9] == WHITE
+        assert state[10] == BLACK
 
     def test_full_solve_matches_reference(self):
         g = self.two_pool_graph()
@@ -234,8 +241,8 @@ class TestDeepHandling:
     def test_coupled_enumeration_bounded(self):
         g = self.chain_graph()
         solver = AnchorSolver(g, (0, 1))
-        d = solver.run_forcing()
-        free, coupled = solver.classify_components(d)
+        solver.run_forcing()
+        free, coupled = solver.classify_components()
         assert free == [] and len(coupled) == 1
         assert coupled[0].seeds == (5, 6, 7)
         colorings = list(solver._iter_core_colorings(coupled))
