@@ -62,7 +62,6 @@ from .solver import (
     SolverConfig,
     StructuralCheckError,
     anchor_edges,
-    dim_with_anchor,
     solve,
 )
 from .subsolver import solve_precolored

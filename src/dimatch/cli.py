@@ -238,7 +238,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    workers = args.threads or worker_count()
+    try:
+        workers = args.threads or worker_count()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.exhaustive is not None:
         report = run_exhaustive(
             args.exhaustive, minimize=args.min_weight, strict=args.strict, workers=workers
@@ -290,6 +294,17 @@ def cmd_compare(args) -> int:
                 print(f"reproducer: {fname}", file=sys.stderr)
         return EXIT_NO_DIM
     return EXIT_FOUND
+
+
+def _threads_arg(text: str) -> int:
+    """A ``--threads`` value: a whole number of worker processes, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a worker count of at least 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-weight", action="store_true")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--use-oracle", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_threads_arg, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--repro-dir", default=None)
     p.set_defaults(func=cmd_compare)

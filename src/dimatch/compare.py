@@ -32,7 +32,10 @@ _MASK_CHUNKS = 64
 def worker_count() -> int:
     env = os.environ.get("DIM_SOLVER_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"DIM_SOLVER_THREADS must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -129,10 +132,12 @@ def _merge(into: CompareReport, part: CompareReport) -> None:
 
 
 def _fan_out(worker, tasks: list, workers: int) -> CompareReport:
-    """Run ``worker`` on every task, serially or over a process pool, and fold
-    the parts into one report with its disagreements sorted."""
+    """Run ``worker`` on every task, serially or over a process pool of at
+    most one process per task, and fold the parts into one report with its
+    disagreements sorted."""
     started = time.perf_counter()
-    if workers == 1:
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         parts = [worker(t) for t in tasks]
     else:
         with Pool(workers) as pool:

@@ -50,6 +50,8 @@ def parse_edge_list(text: str) -> Graph:
                 n, declared_m = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad problem line") from exc
+            if n < 0 or declared_m < 0:
+                raise ParseError(f"line {lineno}: header declares a negative count")
             if n > MAX_VERTICES:
                 raise ParseError(
                     f"line {lineno}: header declares {n} vertices, more than {MAX_VERTICES}"

@@ -72,7 +72,6 @@ class ComponentTask:
     """One component of the level-2/3 structure, ready for seed enumeration."""
 
     singles: tuple[int, ...]
-    coupled: bool
     seeds: tuple[int, ...]
 
 
@@ -86,7 +85,6 @@ class SolveOutcome:
     trace: tuple[str, ...] = ()
     reason: str | None = None
     witness: patterns.PatternWitness | None = None
-    anchor: Edge | None = None
 
     @property
     def found(self) -> bool:
@@ -107,14 +105,11 @@ class SolverConfig:
             self.timings[key] = self.timings.get(key, 0.0) + (time.perf_counter() - start)
 
 
-def anchor_edges(g: Graph) -> list[tuple[Edge, int]]:
-    """Edges lying on a 3-vertex induced path, with a canonical witness vertex."""
-    out: list[tuple[Edge, int]] = []
-    for u, v in g.edges:
-        diff = (g.bits[u] ^ g.bits[v]) & ~(1 << u) & ~(1 << v)
-        if diff:
-            out.append(((u, v), (diff & -diff).bit_length() - 1))
-    return out
+def anchor_edges(g: Graph) -> list[Edge]:
+    """Edges lying on a 3-vertex induced path."""
+    return [
+        (u, v) for u, v in g.edges if (g.bits[u] ^ g.bits[v]) & ~(1 << u) & ~(1 << v)
+    ]
 
 
 class AliveAdjacency:
@@ -158,7 +153,6 @@ class AnchorSolver:
         self,
         g: Graph,
         anchor: Edge,
-        probe: int | None = None,
         coloring: Coloring | None = None,
         config: SolverConfig | None = None,
     ) -> None:
@@ -167,16 +161,8 @@ class AnchorSolver:
         if not g.has_edge_canon(self.anchor):
             raise GraphError(f"anchor edge {self.anchor} not in graph")
         x, y = self.anchor
-        if probe is None:
-            diff = (g.bits[x] ^ g.bits[y]) & ~(1 << x) & ~(1 << y)
-            if not diff:
-                raise GraphError(f"anchor edge {self.anchor} is not on a 3-vertex path")
-            probe = (diff & -diff).bit_length() - 1
-        okx = g.bits[probe] >> x & 1
-        oky = g.bits[probe] >> y & 1
-        if okx == oky:
-            raise GraphError(f"{probe} does not witness a 3-path through {self.anchor}")
-        self.probe = probe
+        if not (g.bits[x] ^ g.bits[y]) & ~(1 << x) & ~(1 << y):
+            raise GraphError(f"anchor edge {self.anchor} is not on a 3-vertex path")
         self.cfg = config or SolverConfig()
         self.state = list(coloring.state) if coloring is not None else [UNSET] * g.n
         self.excluded = set(coloring.excluded) if coloring is not None else set()
@@ -552,7 +538,7 @@ class AnchorSolver:
                 t for t in self.pools[first]
                 if self.alive >> t & 1 and self.state[t] == UNSET
             )
-            task = ComponentTask(singles=singles, coupled=coupled_flag, seeds=seeds)
+            task = ComponentTask(singles=singles, seeds=seeds)
             (coupled if coupled_flag else free).append(task)
         if len(coupled) > 3:
             witness = patterns.find_induced_sijk(self.g, 1, 2, 4)
@@ -678,36 +664,25 @@ class AnchorSolver:
     # -- finishing -----------------------------------------------------------
 
     def _solve_strays(self) -> tuple[frozenset[Edge], float] | None:
-        """Solve pieces that reductions disconnected from the anchor's component."""
+        """Solve the alive vertices that reductions cut off from the anchor's levels.
+
+        All of them go to the sub-solver in one hand-off, which may hold
+        several disconnected pieces; the sub-solver searches those in turn.
+        """
         level_union = 0
         for mask in self.level_masks:
             level_union |= mask
         stray_mask = self.alive & ~level_union
         if not stray_mask:
             return frozenset(), 0.0
-        matching: set[Edge] = set()
-        total = 0.0
-        remaining = stray_mask
-        while remaining:
-            start = (remaining & -remaining).bit_length() - 1
-            comp = 1 << start
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in iter_bits(self._adj(v) & ~comp):
-                    comp |= 1 << u
-                    stack.append(u)
-            remaining &= ~comp
-            sub, col, old_of_new = restrict(
-                self.g, list(iter_bits(comp)), self.state, self.excluded
-            )
-            res = self.cfg.sub_solver(sub, col, minimize=self.cfg.minimize)
-            if res is None:
-                return None
-            matching.update(sub.relabel_edges(res[0], old_of_new))
-            total += res[1]
+        sub, col, old_of_new = restrict(
+            self.g, list(iter_bits(stray_mask)), self.state, self.excluded
+        )
+        res = self.cfg.sub_solver(sub, col, minimize=self.cfg.minimize)
+        if res is None:
+            return None
         self._tag("stray-handoff")
-        return frozenset(matching), total
+        return sub.relabel_edges(res[0], old_of_new), res[1]
 
     def finish_deep(self, state: list[int]) -> tuple[frozenset[Edge], float] | None:
         """Complete one feasible core coloring (a state list) across the deep part.
@@ -858,20 +833,17 @@ class AnchorSolver:
                 NO_DIM_WITH_ANCHOR,
                 trace=tuple(self.trace),
                 reason=fail.reason,
-                anchor=self.anchor,
             )
         except ClassViolationError as violation:
             return SolveOutcome(
                 CLASS_VIOLATION,
                 trace=tuple(self.trace),
                 witness=violation.witness,
-                anchor=self.anchor,
             )
 
     def _strict_matching_checks(self, matching: frozenset[Edge]) -> None:
         for u, v in matching:
-            lu = self.lev[u] if u < len(self.lev) else -1
-            lv = self.lev[v] if v < len(self.lev) else -1
+            lu, lv = self.lev[u], self.lev[v]
             if lu == 3 and lv == 3:
                 self._check_failed("matched pair inside level 3")
             if 3 in (lu, lv) and max(lu, lv) >= 4:
@@ -885,19 +857,7 @@ class AnchorSolver:
             matching=matching,
             weight=weight,
             trace=tuple(self.trace),
-            anchor=self.anchor,
         )
-
-
-def dim_with_anchor(
-    g: Graph,
-    anchor: Edge,
-    probe: int | None = None,
-    coloring: Coloring | None = None,
-    config: SolverConfig | None = None,
-) -> SolveOutcome:
-    """Find a dominating induced matching containing the anchor edge, or rule it out."""
-    return AnchorSolver(g, anchor, probe, coloring, config).run()
 
 
 def _solve_residual(g: Graph, coloring: Coloring, cfg: SolverConfig) -> SolveOutcome:
@@ -920,10 +880,10 @@ def _solve_residual(g: Graph, coloring: Coloring, cfg: SolverConfig) -> SolveOut
         )
     best: SolveOutcome | None = None
     last: SolveOutcome | None = None
-    for anchor, probe in anchor_edges(g):
+    for anchor in anchor_edges(g):
         if anchor in coloring.excluded or anchor[0] in whites or anchor[1] in whites:
             continue
-        out = AnchorSolver(g, anchor, probe, coloring, cfg).run()
+        out = AnchorSolver(g, anchor, coloring, cfg).run()
         if cfg.anchor_log is not None:
             cfg.anchor_log.append(
                 (g.vertex_name(anchor[0]), g.vertex_name(anchor[1]), out.verdict, out.reason)

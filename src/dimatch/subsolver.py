@@ -2,14 +2,16 @@
 
 This is the default implementation behind the solver's pluggable
 sub-solver slot: the structural stage hands it residual precolored
-instances (the beyond-level-3 part of an anchor decomposition, plus any
-pieces that reductions cut off).  It backtracks over vertex colors with
-the full forcing-rule propagation from :mod:`dimatch.coloring` at every
-node, which keeps it effectively linear on the long sparse residues the
-solver produces while staying correct on anything.
+instances (the beyond-level-3 part of an anchor decomposition, plus the
+stray vertices that reductions cut off from the anchor's levels).  It
+backtracks over vertex colors with the full forcing-rule propagation from
+:mod:`dimatch.coloring` at every node, which keeps it effectively linear on
+the long sparse residues the solver produces while staying correct on
+anything.  Connected pieces are searched in turn, not as one product.
 
 A sub-solver is any callable ``(graph, coloring, minimize) ->
 (matching, weight) | None``; None means no consistent completion exists.
+The graph may be disconnected: either hand-off can pass several pieces.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ def solve_precolored(
 
     Black vertices must end up matched, white ones unmatched, excluded
     edges never enter the matching.  With ``minimize`` the cheapest
-    completion is returned, otherwise the first one found.
+    completion is returned, otherwise the first one found.  Connected
+    pieces are searched in turn, each branching in the order one search
+    over the whole graph would, so both return the same completion.
     """
     excluded = frozenset(coloring.excluded)
     state = list(coloring.state)
@@ -43,20 +47,43 @@ def solve_precolored(
     if reason:
         return None
 
-    best: list[tuple[float, frozenset[Edge]]] = []
+    # The search recurses once per branching vertex, so deep residues need
+    # headroom; the caller's limit is restored afterwards.
+    limit = sys.getrecursionlimit()
+    if limit < g.n + 2000:
+        sys.setrecursionlimit(g.n + 2000)
+    try:
+        for comp in g.connected_components():
+            vertices = sorted(comp)
+            best = _search_piece(g, vertices, state, excluded, minimize)
+            if best is None:
+                return None
+            for v in vertices:
+                state[v] = best[v]
+    finally:
+        sys.setrecursionlimit(limit)
+    return _complete_weight(g, state)
+
+
+def _search_piece(
+    g: Graph, vertices: list[int], state: list[int], excluded: frozenset[Edge], minimize: bool
+) -> Optional[list[int]]:
+    """The first (or first cheapest) completion of one piece, given its sorted vertices."""
+    edges = [(v, u) for v in vertices for u in g.adj[v] if u > v]
+    best: list[tuple[float, list[int]]] = []
 
     def leaf(st: list[int]) -> bool:
-        matching, weight = _complete_weight(g, st)
+        weight = g.matching_weight(e for e in edges if st[e[0]] == BLACK and st[e[1]] == BLACK)
         if not best:
-            best.append((weight, matching))
+            best.append((weight, st))
             return not minimize
         if weight < best[0][0]:
-            best[0] = (weight, matching)
+            best[0] = (weight, st)
         return False
 
     def branch_vertex(st: list[int]) -> int:
         fallback = -1
-        for v in range(g.n):
+        for v in vertices:
             if st[v] != UNSET:
                 continue
             if fallback == -1:
@@ -77,16 +104,5 @@ def solve_precolored(
                     return True
         return False
 
-    # search() recurses once per branching vertex, so deep residues need
-    # headroom; the caller's limit is restored afterwards.
-    limit = sys.getrecursionlimit()
-    if limit < g.n + 2000:
-        sys.setrecursionlimit(g.n + 2000)
-    try:
-        search(state)
-    finally:
-        sys.setrecursionlimit(limit)
-    if not best:
-        return None
-    return best[0][1], best[0][0]
-
+    search(state)
+    return best[0][1] if best else None

@@ -51,6 +51,13 @@ class TestFileFormat:
             with pytest.raises(ParseError, match="vertices"):
                 parse_edge_list(f"p edge {n} 0\n")
 
+    def test_rejects_negative_header(self):
+        from dimatch.fileio import ParseError
+
+        for text in ("p edge -1 0\np edge 3 0\n", "p edge -3 0\n", "p edge 3 -1\n"):
+            with pytest.raises(ParseError, match="line 1: header declares a negative count"):
+                parse_edge_list(text)
+
     def test_matching_round_trip(self):
         g = Graph(4, [(0, 1), (2, 3)])
         text = write_matching([(0, 1), (2, 3)])
@@ -218,6 +225,40 @@ class TestCompareCommand:
         assert worker_count() == 3
         monkeypatch.delenv("DIM_SOLVER_THREADS")
         assert worker_count() >= 1
+
+    @pytest.mark.parametrize("threads", ["-1", "0", "two"])
+    def test_bad_threads_is_a_usage_error(self, threads, capsys):
+        assert main(["compare", "--exhaustive", "3", "--threads", threads]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_worker_env_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("DIM_SOLVER_THREADS", "two")
+        assert main(["compare", "--exhaustive", "3"]) == EXIT_USAGE
+        assert "error: DIM_SOLVER_THREADS" in capsys.readouterr().err
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        import dimatch.compare
+
+        sizes: list[int] = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(dimatch.compare, "Pool", SerialPool)
+        assert dimatch.compare.run_planted(30, 3, workers=1000).found == 3
+        assert sizes == [3]
+        assert dimatch.compare.run_planted(30, 1, workers=1000).found == 1
+        assert sizes == [3]
 
     def test_small_exhaustive(self, capsys):
         code = main(["compare", "--exhaustive", "4", "--json", "--threads", "1"])

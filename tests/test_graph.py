@@ -69,9 +69,9 @@ def committed_exclusions(g: Graph, e) -> set:
     return excluded
 
 
-def anchor_levels(g: Graph, anchor, probe) -> list[frozenset]:
+def anchor_levels(g: Graph, anchor) -> list[frozenset]:
     """Distance levels of an anchor edge, from the solver's level BFS."""
-    solver = AnchorSolver(g, anchor, probe)
+    solver = AnchorSolver(g, anchor)
     try:
         solver.decompose()
     except AnchorContradiction:
@@ -107,19 +107,19 @@ class TestEdgeDistance:
 
 class TestDistanceLevels:
     def test_p4_inner_edge(self):
-        levels = anchor_levels(path(4), (1, 2), 0)
+        levels = anchor_levels(path(4), (1, 2))
         assert levels[0] == {1, 2}
         assert levels[1] == {0, 3}
         assert len(levels) == 2
 
     def test_p6_levels(self):
-        levels = anchor_levels(path(6), (1, 2), 0)
+        levels = anchor_levels(path(6), (1, 2))
         assert levels[1] == {0, 3}
         assert levels[2] == {4}
         assert levels[3] == {5}
 
     def test_c4_two_levels(self):
-        levels = anchor_levels(cycle(4), (0, 1), 2)
+        levels = anchor_levels(cycle(4), (0, 1))
         assert levels[1] == {2, 3}
         assert len(levels) == 2
 
@@ -129,8 +129,8 @@ class TestDistanceLevels:
         anchors = anchor_edges(g)
         if not anchors:
             return
-        anchor, probe = anchors[0]
-        levels = anchor_levels(g, anchor, probe)
+        anchor = anchors[0]
+        levels = anchor_levels(g, anchor)
         flat = [v for level in levels for v in level]
         assert len(flat) == len(set(flat))
         comp = next(c for c in g.connected_components() if anchor[0] in c)

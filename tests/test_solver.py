@@ -20,7 +20,6 @@ from dimatch.solver import (
     AnchorSolver,
     SolverConfig,
     anchor_edges,
-    dim_with_anchor,
     solve,
 )
 from dimatch.subsolver import solve_precolored
@@ -38,7 +37,7 @@ def spine(extra_edges, n, weights=None):
 class TestAnchorEdges:
     def test_p3_both_edges(self):
         got = anchor_edges(path(3))
-        assert [e for e, _ in got] == [(0, 1), (1, 2)]
+        assert got == [(0, 1), (1, 2)]
 
     def test_triangle_none(self):
         assert anchor_edges(cycle(3)) == []
@@ -110,7 +109,7 @@ class TestForcingStages:
 
     def test_double_contact_commit(self):
         g = spine([(3, 5), (4, 6), (5, 7), (6, 8), (6, 9), (7, 8), (7, 9), (6, 10)], 11)
-        out = dim_with_anchor(g, (0, 1))
+        out = AnchorSolver(g, (0, 1)).run()
         assert out.found
         assert "contact-commit" in out.trace
         assert (5, 7) in out.matching
@@ -118,14 +117,14 @@ class TestForcingStages:
 
     def test_shared_contact_commit(self):
         g = spine([(3, 5), (4, 6), (5, 7), (6, 7), (5, 8), (7, 8), (6, 9)], 10)
-        out = dim_with_anchor(g, (0, 1))
+        out = AnchorSolver(g, (0, 1)).run()
         assert out.found
         assert "contact-commit" in out.trace
         assert (5, 8) in out.matching and (6, 9) in out.matching
 
     def test_cycle4_through_owner_whitens_pool(self):
         g = spine([(3, 5), (5, 6), (5, 7), (6, 8), (7, 8)], 9)
-        out = dim_with_anchor(g, (0, 1))
+        out = AnchorSolver(g, (0, 1)).run()
         assert out.verdict == NO_DIM_WITH_ANCHOR
         assert out.reason == "candidate-exhausted"
         # matches the reference answer
@@ -134,7 +133,7 @@ class TestForcingStages:
         )
 
     def test_lone_candidate_commit(self):
-        out = dim_with_anchor(path(6), (1, 2))
+        out = AnchorSolver(path(6), (1, 2)).run()
         assert out.found
         assert out.matching == {(1, 2), (4, 5)}
         assert "lone-candidate-commit" in out.trace
@@ -150,14 +149,14 @@ class TestForcingStages:
 
     def test_isolated_deep_forces_commit(self):
         g = spine([(3, 5), (5, 6), (5, 7), (6, 8)], 9)
-        out = dim_with_anchor(g, (0, 1))
+        out = AnchorSolver(g, (0, 1)).run()
         assert out.found
         assert "isolated-deep-white" in out.trace
         assert (5, 6) in out.matching
 
     def test_isolated_deep_double_contact_fails(self):
         g = spine([(3, 5), (5, 6), (5, 7), (6, 8), (7, 8)], 9)
-        out = dim_with_anchor(g, (0, 1))
+        out = AnchorSolver(g, (0, 1)).run()
         assert out.verdict == NO_DIM_WITH_ANCHOR
         ref = oracle_solve(g, mode="enumerate")
         assert not any((0, 1) in m for m in (ref.all_dims or ()))
@@ -191,7 +190,7 @@ class TestComponentColoring:
 
     def test_full_solve_matches_reference(self):
         g = self.two_pool_graph()
-        out = dim_with_anchor(g, (0, 1))
+        out = AnchorSolver(g, (0, 1)).run()
         assert out.found
         ref = oracle_solve(g, mode="enumerate")
         assert out.matching in ref.all_dims
@@ -204,7 +203,7 @@ class TestComponentColoring:
             (7, 10), (8, 11), (9, 12),
         ]
         g = spine(edges, 13)
-        out = dim_with_anchor(g, (0, 1))
+        out = AnchorSolver(g, (0, 1)).run()
         assert out.verdict == NO_DIM_WITH_ANCHOR
         assert out.reason == "component-infeasible"
         ref = oracle_solve(g, mode="enumerate")
@@ -213,7 +212,7 @@ class TestComponentColoring:
     def test_trivial_components_take_min_weight(self):
         weights = {(5, 7): 3.0, (5, 8): 1.0, (6, 9): 2.0}
         g = spine([(3, 5), (4, 6), (5, 7), (5, 8), (6, 9)], 10, weights)
-        out = dim_with_anchor(g, (0, 1), config=SolverConfig(minimize=True))
+        out = AnchorSolver(g, (0, 1), config=SolverConfig(minimize=True)).run()
         assert out.found
         assert (5, 8) in out.matching and (6, 9) in out.matching
         # anchored minimum: cheapest matching that contains the anchor edge
@@ -257,9 +256,9 @@ class TestDeepHandling:
             assert g.is_dim(out.matching)
 
     def test_stray_pieces_resolved(self):
-        out = dim_with_anchor(path(10), (0, 1))
+        out = AnchorSolver(path(10), (0, 1)).run()
         assert out.verdict == NO_DIM_WITH_ANCHOR
-        out2 = dim_with_anchor(path(10), (1, 2))
+        out2 = AnchorSolver(path(10), (1, 2)).run()
         assert out2.found
         assert "stray-handoff" in out2.trace
 
@@ -300,7 +299,7 @@ class TestClassViolation:
 
     def test_four_coupled_components_flagged(self):
         g = self.four_branch_hub()
-        out = dim_with_anchor(g, (0, 1))
+        out = AnchorSolver(g, (0, 1)).run()
         assert out.verdict == CLASS_VIOLATION
         assert out.witness is not None and out.witness.pattern == "spider"
         from dimatch.patterns import verify_witness
@@ -447,3 +446,23 @@ class TestStrictOffClass:
         assert out.verdict == CLASS_VIOLATION
         assert out.witness is not None
         assert verify_witness(g, out.witness, (1, 2, 4))
+
+
+class TestPrecoloredPieces:
+    def test_disjoint_cycles_searched_in_turn(self, monkeypatch):
+        import dimatch.subsolver
+
+        real = dimatch.subsolver.propagate
+        calls: list[int] = []
+
+        def counting(g, state, excluded, queue):
+            calls.append(1)
+            return real(g, state, excluded, queue)
+
+        monkeypatch.setattr(dimatch.subsolver, "propagate", counting)
+        g = Graph(48, [(6 * k + i, 6 * k + (i + 1) % 6) for k in range(8) for i in range(6)])
+        res = solve_precolored(g, Coloring.fresh(g.n), minimize=True)
+        assert res is not None and g.is_dim(res[0])
+        assert res[1] == 16
+        # One product search over the eight cycles makes 13,121 calls.
+        assert len(calls) < 100
