@@ -14,6 +14,7 @@ import time
 
 from . import patterns
 from .compare import (
+    EXHAUSTIVE_MAX_N,
     dump_reproducer,
     run_directory,
     run_exhaustive,
@@ -35,7 +36,7 @@ EXIT_CLASS = 3
 
 def _load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        return parse_edge_list(fh)
 
 
 def _named_edges(g: Graph, edges) -> list[list[str]]:
@@ -75,6 +76,7 @@ def cmd_solve(args) -> int:
             verify_class=args.verify_class,
             anchor_log=anchor_log,
             timings=timings,
+            structural=args.structural,
         )
     except StructuralCheckError:
         # A structural guarantee failed mid-solve; on a conforming input this
@@ -258,10 +260,10 @@ def cmd_compare(args) -> int:
             workers=workers,
         )
     elif args.planted is not None:
-        count, _, size = args.planted.partition("x")
+        count, size = args.planted
         report = run_planted(
-            int(size),
-            int(count),
+            size,
+            count,
             seed=args.seed,
             minimize=args.min_weight,
             strict=args.strict,
@@ -307,6 +309,30 @@ def _threads_arg(text: str) -> int:
     return value
 
 
+def _exhaustive_arg(text: str) -> int:
+    """An ``--exhaustive`` value: the largest graph size, at most EXHAUSTIVE_MAX_N."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if value > EXHAUSTIVE_MAX_N:
+        raise argparse.ArgumentTypeError(
+            f"the exhaustive corpus is capped at n={EXHAUSTIVE_MAX_N}, got {value}"
+        )
+    return value
+
+
+def _planted_arg(text: str) -> tuple[int, int]:
+    """A ``--planted`` value ``COUNTxSIZE``: (count, size) of whole numbers."""
+    count, sep, size = text.partition("x")
+    try:
+        if not sep:
+            raise ValueError
+        return int(count), int(size)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected COUNTxSIZE, e.g. 5x60, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimatch",
@@ -319,6 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-weight", action="store_true")
     p.add_argument("--verify-class", action="store_true")
     p.add_argument("--all-anchors", action="store_true")
+    p.add_argument(
+        "--structural",
+        action="store_true",
+        help="solve with the structural pipeline, not exact search first (--verify-class implies it)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -350,10 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("compare", help="differential-test solver vs oracle")
-    p.add_argument("--exhaustive", type=int, default=None, metavar="N_MAX")
+    p.add_argument("--exhaustive", type=_exhaustive_arg, default=None, metavar="N_MAX")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--planted", default=None, metavar="COUNTxSIZE")
+    p.add_argument("--planted", type=_planted_arg, default=None, metavar="COUNTxSIZE")
     p.add_argument("--dir", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=None)

@@ -1,4 +1,4 @@
-"""Differential harness: run the structural solver against the exact oracle.
+"""Differential harness: run the solver against the exact oracle.
 
 Supports four corpus sources: exhaustive labeled enumeration of small
 connected class members, rejection-sampled random members, planted
@@ -28,14 +28,25 @@ from .solver import CLASS_VIOLATION, solve
 
 _MASK_CHUNKS = 64
 
+# Largest size of the exhaustive corpus: n = 8 alone has 2^28 labelled graphs.
+EXHAUSTIVE_MAX_N = 7
+
 
 def worker_count() -> int:
+    """Worker processes to use: ``DIM_SOLVER_THREADS`` if set, else one per CPU.
+
+    A set value that is not a whole number of at least 1 raises ValueError,
+    as the same value given as ``compare --threads`` is a usage error.
+    """
     env = os.environ.get("DIM_SOLVER_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
-            raise ValueError(f"DIM_SOLVER_THREADS must be an integer, got {env!r}") from None
+            value = 0
+        if value < 1:
+            raise ValueError(f"DIM_SOLVER_THREADS must be a worker count of at least 1, got {env!r}")
+        return value
     return max(1, os.cpu_count() or 1)
 
 
@@ -85,10 +96,15 @@ class CompareReport:
 
 
 def _check_instance(
-    label: str, g: Graph, minimize: bool, strict: bool, report: CompareReport
+    label: str,
+    g: Graph,
+    minimize: bool,
+    strict: bool,
+    report: CompareReport,
+    structural: bool = False,
 ) -> None:
     t0 = time.perf_counter()
-    out = solve(g, minimize=minimize, strict=strict)
+    out = solve(g, minimize=minimize, strict=strict, structural=structural)
     report.times.append(time.perf_counter() - t0)
     report.total += 1
     if out.verdict == CLASS_VIOLATION:
@@ -173,8 +189,8 @@ def run_exhaustive(
     The forbidden spider needs 8 vertices, so for n <= 7 the spider filter
     is vacuous and K4-freeness is the only class filter that can trigger.
     """
-    if n_max > 7:
-        raise ValueError("exhaustive corpus capped at n=7")
+    if n_max > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive corpus capped at n={EXHAUSTIVE_MAX_N}")
     tasks = []
     for n in range(2, n_max + 1):
         top = 1 << (n * (n - 1) // 2)
@@ -223,16 +239,16 @@ def run_samples(
 
 
 def _planted_batch(args) -> CompareReport:
-    n, seeds, minimize, strict, use_oracle = args
+    n, seeds, minimize, strict, structural, use_oracle = args
     report = CompareReport()
     for seed in seeds:
         g, planted = generate_planted(GenSpec(n=n, seed=seed, mode="planted"))
         label = f"planted n={n} seed={seed}"
         if use_oracle:
-            _check_instance(label, g, minimize, strict, report)
+            _check_instance(label, g, minimize, strict, report, structural)
             continue
         t0 = time.perf_counter()
-        out = solve(g, minimize=minimize, strict=strict)
+        out = solve(g, minimize=minimize, strict=strict, structural=structural)
         report.times.append(time.perf_counter() - t0)
         report.total += 1
         if not out.found:
@@ -252,24 +268,27 @@ def run_planted(
     seed: int = 0,
     minimize: bool = False,
     strict: bool = False,
+    structural: bool = False,
     use_oracle: bool = False,
     workers: int | None = None,
 ) -> CompareReport:
     """Planted instances; the planted matching certifies feasibility, so the
-    oracle is optional (and off by default at large sizes)."""
+    oracle is optional (and off by default at large sizes).
+
+    ``structural`` solves on the structural route without strict mode's
+    assertions, as acceptance criterion 6a does at n = 1000.
+    """
     workers = workers or worker_count()
     seeds = [seed + i for i in range(count)]
     chunk = max(1, len(seeds) // (workers * 4))
     tasks = [
-        (n, seeds[i : i + chunk], minimize, strict, use_oracle)
+        (n, seeds[i : i + chunk], minimize, strict, structural, use_oracle)
         for i in range(0, len(seeds), chunk)
     ]
     return _fan_out(_planted_batch, tasks, workers)
 
 
-def run_directory(
-    path: str, minimize: bool = False, strict: bool = False
-) -> CompareReport:
+def run_directory(path: str, minimize: bool = False, strict: bool = False) -> CompareReport:
     """Compare solver and oracle on every edge-list file in a directory."""
     report = CompareReport()
     started = time.perf_counter()
@@ -278,7 +297,7 @@ def run_directory(
     )
     for name in names:
         with open(os.path.join(path, name), "r", encoding="utf-8") as fh:
-            g = parse_edge_list(fh.read())
+            g = parse_edge_list(fh)
         _check_instance(name, g, minimize, strict, report)
     report.wall = time.perf_counter() - started
     return report

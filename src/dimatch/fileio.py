@@ -3,10 +3,13 @@
 Graphs: a `p edge <n> <m>` header, then one `e <u> <v> [w]` line per edge
 with 1-indexed vertices and an optional weight token.  Lines starting with
 `c` are comments.  Matchings travel in sidecar files of `m <u> <v>` lines.
-A header may declare at most `MAX_VERTICES` vertices.
+A header may declare at most `MAX_VERTICES` vertices, and no more edge
+lines may follow than it declares.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .graph import Edge, Graph, GraphError
 
@@ -31,12 +34,19 @@ def _parse_weight(token: str) -> float:
             raise ParseError(f"bad weight token {token!r}") from exc
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(source: str | Iterable[str]) -> Graph:
+    """Parse an edge list given as one string or as an iterable of lines.
+
+    An open text file is read line by line, so an input that declares too
+    few edges fails at the first edge line beyond the header's count,
+    without the rest being read.
+    """
+    lines = source.splitlines() if isinstance(source, str) else source
     n = -1
     declared_m = -1
     edges: list[Edge] = []
     weights: dict[Edge, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -59,6 +69,10 @@ def parse_edge_list(text: str) -> Graph:
         elif parts[0] == "e":
             if n < 0:
                 raise ParseError(f"line {lineno}: edge before problem line")
+            if len(edges) == declared_m:
+                raise ParseError(
+                    f"line {lineno}: edge line beyond the {declared_m} edges the header declares"
+                )
             if len(parts) not in (3, 4):
                 raise ParseError(f"line {lineno}: expected 'e <u> <v> [w]'")
             try:

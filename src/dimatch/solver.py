@@ -15,6 +15,12 @@ residual precolored instance.
 On inputs outside the intended graph class (no induced spider with legs
 1, 2, 4 and no 4-clique) the bounded-enumeration guarantees can fail; the
 solver then reports a class violation with a witness instead of guessing.
+
+:func:`solve` is a dispatcher in front of this pipeline.  By default it
+first runs the exact search under a node budget, which answers in-class
+inputs faster; the structural pipeline is the fallback when the budget
+trips, and the only route in strict, class-verifying or ``structural``
+mode.
 """
 
 from __future__ import annotations
@@ -38,12 +44,21 @@ from .coloring import (
     restrict,
 )
 from .graph import Edge, Graph, GraphError, edge, iter_bits
-from .subsolver import solve_precolored
+from .subsolver import SearchBudgetExceeded, solve_precolored
 
 FOUND = "found"
 NO_DIM = "no_dim"
 NO_DIM_WITH_ANCHOR = "no_dim_with_anchor"
 CLASS_VIOLATION = "class_violation"
+
+# The exact route tags its answers with this trace, and its no_dim with
+# this reason.
+TRACE_EXACT = "exact-search"
+REASON_NO_COMPLETION = "no-completion"
+
+# Search nodes per vertex the exact route may spend on a component before
+# the structural route takes over (see subsolver.BUDGET_SLACK).
+EXACT_NODES_PER_VERTEX = 4
 
 
 class StructuralCheckError(AssertionError):
@@ -1006,13 +1021,29 @@ def solve(
     sub_solver: Callable | None = None,
     anchor_log: list | None = None,
     timings: dict | None = None,
+    structural: bool = False,
 ) -> SolveOutcome:
     """Decide whether the graph has a dominating induced matching and return one.
 
-    Components are handled independently; ``minimize`` returns a minimum
-    total-weight matching instead of the first one found.  ``strict`` turns
-    on the structural runtime assertions used by the test harness, and
-    ``verify_class`` rejects inputs containing the out-of-class spider.
+    ``minimize`` returns a minimum total-weight matching instead of the
+    first one found.  There are two routes to the answer:
+
+    * the exact route (the default) runs the budgeted exact search
+      :func:`solve_precolored` once on the whole input, which searches each
+      component in turn.  Its answer carries the trace ``(TRACE_EXACT,)``;
+      a ``no_dim`` carries the reason ``REASON_NO_COMPLETION``.  When any
+      component needs more than ``EXACT_NODES_PER_VERTEX`` search nodes per
+      vertex (plus a small slack), the structural route answers instead,
+      so the answer is then exactly the structural route's;
+    * the structural route handles components independently with the
+      anchor pipeline.  ``structural`` selects it outright, and so do
+      ``strict``, which turns on the structural runtime assertions used by
+      the test harness, and ``verify_class``, which rejects inputs
+      containing the out-of-class spider.
+
+    ``sub_solver`` and ``anchor_log`` serve and observe the structural
+    route, and ``timings`` collects per-layer times of either; none of them
+    chooses the route.  A found matching is re-verified on both routes.
     """
     cfg = SolverConfig(
         minimize=minimize,
@@ -1022,18 +1053,39 @@ def solve(
         anchor_log=anchor_log,
         timings=timings,
     )
-    out = _solve_pieces(
-        g,
-        Coloring.fresh(g.n),
-        range(g.n),
-        lambda sub, _: _solve_connected(sub, cfg),
-        set(),
-        0.0,
-        [],
-    )
+    out = None
+    if not (structural or strict or verify_class):
+        out = _solve_exact(g, cfg)
+    if out is None:
+        out = _solve_pieces(
+            g,
+            Coloring.fresh(g.n),
+            range(g.n),
+            lambda sub, _: _solve_connected(sub, cfg),
+            set(),
+            0.0,
+            [],
+        )
     if out.found:
         start = time.perf_counter()
         if not g.is_dim(out.matching):
             raise StructuralCheckError("assembled matching fails verification")
         cfg.tick("verify", start)
     return out
+
+
+def _solve_exact(g: Graph, cfg: SolverConfig) -> SolveOutcome | None:
+    """The exact route's answer, or None when the node budget trips."""
+    start = time.perf_counter()
+    try:
+        res = solve_precolored(
+            g, Coloring.fresh(g.n), cfg.minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX
+        )
+    except SearchBudgetExceeded:
+        return None
+    finally:
+        cfg.tick("exact", start)
+    if res is None:
+        return SolveOutcome(NO_DIM, reason=REASON_NO_COMPLETION, trace=(TRACE_EXACT,))
+    matching, weight = res
+    return SolveOutcome(FOUND, matching=matching, weight=float(weight), trace=(TRACE_EXACT,))

@@ -1,13 +1,17 @@
 """Exact search for dominating induced matchings under a partial coloring.
 
-This is the default implementation behind the solver's pluggable
-sub-solver slot: the structural stage hands it residual precolored
-instances (the beyond-level-3 part of an anchor decomposition, plus the
-stray vertices that reductions cut off from the anchor's levels).  It
-backtracks over vertex colors with the full forcing-rule propagation from
-:mod:`dimatch.coloring` at every node, which keeps it effectively linear on
-the long sparse residues the solver produces while staying correct on
-anything.  Connected pieces are searched in turn, not as one product.
+Two callers use it.  :func:`dimatch.solver.solve` first runs it on the
+whole input under a node budget (the exact route), and the structural
+route hands it residual precolored instances through its pluggable
+sub-solver slot (the beyond-level-3 part of an anchor decomposition, plus
+the stray vertices that reductions cut off from the anchor's levels),
+without a budget.  It backtracks over vertex colors with the full
+forcing-rule propagation from :mod:`dimatch.coloring` at every node, which
+keeps it effectively linear on the long sparse residues the solver
+produces while staying correct on anything.  Connected pieces are searched
+in turn, not as one product, and each piece is searched in place: a choice
+point keeps only the piece's own colors to restore, since propagation
+never leaves a connected piece.
 
 A sub-solver is any callable ``(graph, coloring, minimize) ->
 (matching, weight) | None``; None means no consistent completion exists.
@@ -16,11 +20,18 @@ The graph may be disconnected: either hand-off can pass several pieces.
 
 from __future__ import annotations
 
-import sys
 from typing import Optional
 
 from .coloring import BLACK, UNSET, WHITE, Coloring, propagate
 from .graph import Edge, Graph
+
+# Nodes a budgeted search may spend on any piece beyond its per-vertex
+# allowance, so that small pieces never trip the budget.
+BUDGET_SLACK = 64
+
+
+class SearchBudgetExceeded(Exception):
+    """A piece needed more search nodes than its budget allows."""
 
 
 def _complete_weight(g: Graph, state: list[int]) -> tuple[frozenset[Edge], float]:
@@ -31,7 +42,10 @@ def _complete_weight(g: Graph, state: list[int]) -> tuple[frozenset[Edge], float
 
 
 def solve_precolored(
-    g: Graph, coloring: Coloring, minimize: bool = False
+    g: Graph,
+    coloring: Coloring,
+    minimize: bool = False,
+    nodes_per_vertex: int | None = None,
 ) -> Optional[tuple[frozenset[Edge], float]]:
     """Extend the coloring to a full dominating induced matching, or None.
 
@@ -40,69 +54,95 @@ def solve_precolored(
     completion is returned, otherwise the first one found.  Connected
     pieces are searched in turn, each branching in the order one search
     over the whole graph would, so both return the same completion.
+
+    A search node is one color tried at a branching vertex.  With
+    ``nodes_per_vertex`` set, a piece of k vertices may use at most
+    ``nodes_per_vertex * k + BUDGET_SLACK`` nodes; one that needs more
+    raises :class:`SearchBudgetExceeded`.  None leaves the search unbounded.
     """
     excluded = frozenset(coloring.excluded)
     state = list(coloring.state)
     reason = propagate(g, state, excluded, range(g.n))
     if reason:
         return None
-
-    # The search recurses once per branching vertex, so deep residues need
-    # headroom; the caller's limit is restored afterwards.
-    limit = sys.getrecursionlimit()
-    if limit < g.n + 2000:
-        sys.setrecursionlimit(g.n + 2000)
-    try:
-        for comp in g.connected_components():
-            vertices = sorted(comp)
-            best = _search_piece(g, vertices, state, excluded, minimize)
-            if best is None:
-                return None
-            for v in vertices:
-                state[v] = best[v]
-    finally:
-        sys.setrecursionlimit(limit)
+    for comp in g.connected_components():
+        vertices = sorted(comp)
+        limit = None
+        if nodes_per_vertex is not None:
+            limit = nodes_per_vertex * len(vertices) + BUDGET_SLACK
+        best = _search_piece(g, vertices, state, excluded, minimize, limit)
+        if best is None:
+            return None
+        for v, color in zip(vertices, best):
+            state[v] = color
     return _complete_weight(g, state)
 
 
-def _search_piece(
-    g: Graph, vertices: list[int], state: list[int], excluded: frozenset[Edge], minimize: bool
-) -> Optional[list[int]]:
-    """The first (or first cheapest) completion of one piece, given its sorted vertices."""
-    edges = [(v, u) for v in vertices for u in g.adj[v] if u > v]
-    best: list[tuple[float, list[int]]] = []
-
-    def leaf(st: list[int]) -> bool:
-        weight = g.matching_weight(e for e in edges if st[e[0]] == BLACK and st[e[1]] == BLACK)
-        if not best:
-            best.append((weight, st))
-            return not minimize
-        if weight < best[0][0]:
-            best[0] = (weight, st)
-        return False
-
-    def branch_vertex(st: list[int]) -> int:
-        fallback = -1
-        for v in vertices:
-            if st[v] != UNSET:
-                continue
-            if fallback == -1:
-                fallback = v
-            if any(st[u] != UNSET for u in g.adj[v]):
+def _branch_vertex(g: Graph, vertices: list[int], state: list[int]) -> int:
+    """The first uncolored vertex with a colored neighbor, else the first uncolored one, else -1."""
+    fallback = -1
+    for v in vertices:
+        if state[v] != UNSET:
+            continue
+        if fallback == -1:
+            fallback = v
+        for u in g.adj[v]:
+            if state[u] != UNSET:
                 return v
-        return fallback
+    return fallback
 
-    def search(st: list[int]) -> bool:
-        v = branch_vertex(st)
+
+def _search_piece(
+    g: Graph,
+    vertices: list[int],
+    state: list[int],
+    excluded: frozenset[Edge],
+    minimize: bool,
+    limit: int | None,
+) -> Optional[list[int]]:
+    """The first (or first cheapest) completion of one piece, given its sorted vertices.
+
+    Returns the completion as the colors of ``vertices``, in order.  The
+    search runs depth first, WHITE before BLACK, on an explicit stack of
+    choice points, each holding its branching vertex, the piece's colors
+    when it was reached and the next color to try.  It mutates ``state``
+    in place on the piece's vertices and on nothing else.
+    """
+    edges = [(v, u) for v in vertices for u in g.adj[v] if u > v]
+    best: Optional[list[int]] = None
+    best_weight = 0.0
+    nodes = 0
+    stack: list[list] = []
+    v = _branch_vertex(g, vertices, state)
+    while True:
         if v == -1:
-            return leaf(st)
-        for color in (WHITE, BLACK):
-            trial = list(st)
-            trial[v] = color
-            if propagate(g, trial, excluded, [v]) is None:
-                if search(trial):
-                    return True
-        return False
-
-    search(state)
-    return best[0][1] if best else None
+            weight = g.matching_weight(
+                e for e in edges if state[e[0]] == BLACK and state[e[1]] == BLACK
+            )
+            if best is None or weight < best_weight:
+                best, best_weight = [state[u] for u in vertices], weight
+                if not minimize:
+                    return best
+        else:
+            stack.append([v, [state[u] for u in vertices], 0])
+        while stack:
+            point = stack[-1]
+            u, saved, i = point
+            if i == 2:
+                stack.pop()
+                continue
+            point[2] = i + 1
+            if i:
+                for w, color in zip(vertices, saved):
+                    state[w] = color
+            nodes += 1
+            if limit is not None and nodes > limit:
+                raise SearchBudgetExceeded(
+                    f"a piece of {len(vertices)} vertices needs more than {limit} search nodes"
+                )
+            state[u] = (WHITE, BLACK)[i]
+            if propagate(g, state, excluded, [u]) is None:
+                v = _branch_vertex(g, vertices, state)
+                break
+        else:
+            return best

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from dimatch.generate import SplitMix64
 from dimatch.graph import Graph
 
 
@@ -13,6 +14,25 @@ def path(k: int) -> Graph:
 
 def cycle(k: int) -> Graph:
     return Graph(k, [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)])
+
+
+# solve() keyword sets for its two routes: the structural pipeline, and the
+# default dispatch that runs the exact search first.
+ROUTES = ({"structural": True}, {})
+
+
+def degree2_block(rng: SplitMix64, pairs: int, whites: int) -> Graph:
+    """Off-class block: matched pairs 2i, 2i+1 plus white vertices of degree two,
+    each joined to one end of two different pairs.  The pairs form a DIM."""
+    n = 2 * pairs + whites
+    edges = [(2 * i, 2 * i + 1) for i in range(pairs)]
+    for w in range(2 * pairs, n):
+        a = rng.randrange(pairs)
+        b = rng.randrange(pairs - 1)
+        b += b >= a
+        for p in (a, b):
+            edges.append((2 * p + rng.randrange(2), w))
+    return Graph(n, edges)
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:

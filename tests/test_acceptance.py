@@ -3,7 +3,9 @@
 The heavy criteria fan out over a worker pool (DIM_SOLVER_THREADS overrides
 the size).  Criterion 1's exhaustive corpus runs in min-weight mode so the
 same pass also certifies criterion 4's weight equality on it; the structural
-runtime checks of criterion 5 are active (strict mode) everywhere.
+runtime checks of criterion 5 are active (strict mode) everywhere.  Every
+solve here takes the structural route: strict mode implies it, and the
+other solves ask for it with ``structural=True``.
 
 Run with ``pytest -v tests/test_acceptance.py`` (budget roughly ten minutes
 on two cores, dominated by the exhaustive corpus).
@@ -90,14 +92,14 @@ class TestCriterion2MatchingValidity:
                 g = generate_rejection(spec)
             except RetryBudgetExceeded:
                 continue
-            out = solve(g)
+            out = solve(g, structural=True)
             if out.found:
                 checked += 1
                 if not g.is_dim(out.matching):
                     bad += 1
         for seed in range(120):
             g, _ = generate_planted(GenSpec(n=150, seed=seed))
-            out = solve(g)
+            out = solve(g, structural=True)
             checked += 1
             if not (out.found and g.is_dim(out.matching)):
                 bad += 1
@@ -200,7 +202,7 @@ class TestCriterion5StructuralAssertions:
 class TestCriterion6PlantedScalability:
     def test_hundred_planted_at_n1000(self):
         started = time.time()
-        rep = run_planted(1000, 100, seed=0)
+        rep = run_planted(1000, 100, seed=0, structural=True)
         elapsed = time.time() - started
         ok = rep.agreement and rep.found == 100 and elapsed < 300
         report(
@@ -219,7 +221,7 @@ class TestCriterion6PlantedScalability:
             for seed in (1, 2, 3):
                 g, _ = generate_planted(GenSpec(n=n, seed=seed))
                 t0 = time.perf_counter()
-                out = solve(g)
+                out = solve(g, structural=True)
                 times.append(time.perf_counter() - t0)
                 assert out.found
             times.sort()
@@ -265,7 +267,7 @@ class TestCriterion7Determinism:
 
                 buf = io.StringIO()
                 with redirect_stdout(buf):
-                    main(["solve", inst, "--min-weight", "--all-anchors", "--json"])
+                    main(["solve", inst, "--min-weight", "--all-anchors", "--structural", "--json"])
                 payload = json.loads(buf.getvalue())
                 payload.pop("timings")
                 outputs.append(json.dumps(payload, sort_keys=True))

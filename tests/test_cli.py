@@ -58,6 +58,29 @@ class TestFileFormat:
             with pytest.raises(ParseError, match="line 1: header declares a negative count"):
                 parse_edge_list(text)
 
+    def test_rejects_edge_lines_beyond_header_at_the_first(self):
+        from dimatch.fileio import ParseError
+
+        def lines():
+            yield "p edge 4 1\n"
+            yield "e 1 2\n"
+            yield "e 2 3\n"
+            raise AssertionError("read past the first surplus edge line")
+            yield "e 3 4\n"
+
+        with pytest.raises(ParseError, match="line 3: edge line beyond the 1 edges"):
+            parse_edge_list(lines())
+        with pytest.raises(ParseError, match="line 3: edge line beyond the 1 edges"):
+            parse_edge_list("p edge 4 1\ne 1 2\ne 2 3\ne 3 4\n")
+
+    def test_parses_an_open_file(self, tmp_path):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)], weights={(1, 2): 3})
+        p = tmp_path / "g.col"
+        p.write_text(write_edge_list(g, comment="file"))
+        with open(p, encoding="utf-8") as fh:
+            back = parse_edge_list(fh)
+        assert back.edges == g.edges and back.weights == g.weights
+
     def test_matching_round_trip(self):
         g = Graph(4, [(0, 1), (2, 3)])
         text = write_matching([(0, 1), (2, 3)])
@@ -109,10 +132,18 @@ class TestSolveCommand:
 
     def test_all_anchors_reported(self, tmp_path, capsys):
         path = write_gadget(tmp_path, "p5")
-        code = main(["solve", path, "--all-anchors", "--json"])
+        code = main(["solve", path, "--all-anchors", "--structural", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == EXIT_FOUND
         assert payload["anchors"]
+
+    def test_default_route_reports_exact_search(self, tmp_path, capsys):
+        path = write_gadget(tmp_path, "p5")
+        code = main(["solve", path, "--all-anchors", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_FOUND
+        assert payload["trace"] == ["exact-search"]
+        assert payload["anchors"] == []
 
     def test_json_round_trips_through_check(self, tmp_path, capsys):
         path = write_gadget(tmp_path, "c6")
@@ -231,6 +262,24 @@ class TestCompareCommand:
         assert main(["compare", "--exhaustive", "3", "--threads", threads]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_worker_env_is_a_usage_error(self, value, monkeypatch, capsys):
+        from dimatch.compare import worker_count
+
+        monkeypatch.setenv("DIM_SOLVER_THREADS", value)
+        with pytest.raises(ValueError, match="at least 1"):
+            worker_count()
+        assert main(["compare", "--exhaustive", "3"]) == EXIT_USAGE
+        assert "error: DIM_SOLVER_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--planted", "3"], ["--planted", "3xbig"], ["--exhaustive", "9"], ["--exhaustive", "x"]],
+    )
+    def test_bad_corpus_argument_is_a_usage_error(self, argv, capsys):
+        assert main(["compare", *argv, "--threads", "1"]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_worker_env_is_a_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("DIM_SOLVER_THREADS", "two")
         assert main(["compare", "--exhaustive", "3"]) == EXIT_USAGE
@@ -278,15 +327,34 @@ class TestCompareCommand:
         real = dimatch.compare.solve
         seen: list[bool] = []
 
-        def spy(g, minimize=False, strict=False):
+        def spy(g, minimize=False, strict=False, structural=False):
             seen.append(strict)
-            return real(g, minimize=minimize, strict=strict)
+            return real(g, minimize=minimize, strict=strict, structural=structural)
 
         monkeypatch.setattr(dimatch.compare, "solve", spy)
         code = main(["compare", "--planted", "2x60", "--threads", "1", "--strict", "--json"])
         capsys.readouterr()
         assert code == EXIT_FOUND
         assert seen == [True, True]
+
+    def test_run_planted_passes_structural(self, monkeypatch):
+        import dimatch.compare
+
+        real = dimatch.compare.solve
+        seen: list[bool] = []
+
+        def spy(g, minimize=False, strict=False, structural=False):
+            seen.append(structural)
+            return real(g, minimize=minimize, strict=strict, structural=structural)
+
+        monkeypatch.setattr(dimatch.compare, "solve", spy)
+        for use_oracle in (False, True):
+            seen.clear()
+            rep = dimatch.compare.run_planted(
+                20, 2, structural=True, use_oracle=use_oracle, workers=1
+            )
+            assert rep.agreement and rep.found == 2
+            assert seen == [True, True]
 
     def test_directory_mode(self, tmp_path, capsys):
         (tmp_path / "a.col").write_text(write_edge_list(gadget("c6")))

@@ -3,6 +3,8 @@
 Long paths and cycles reach deep distance levels with heavy stray traffic;
 rejection-sampled mid-size class members exercise the full pipeline with
 random weights; planted batches check the generator/solver/oracle triangle.
+The exact route, solve's default, is checked against the oracle and against
+the structural route.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ from dimatch.compare import CompareReport, _merge, run_planted
 from dimatch.generate import (
     GenSpec,
     RetryBudgetExceeded,
+    generate_planted,
     generate_rejection,
     with_random_weights,
 )
-from dimatch.oracle import oracle_solve
-from dimatch.solver import solve
+from dimatch.oracle import enumerate_all_graphs, oracle_solve
+from dimatch.patterns import find_k4
+from dimatch.solver import TRACE_EXACT, solve
 
-from conftest import cycle, path
+from conftest import ROUTES, cycle, path
 
 
 class TestLongThinGraphs:
@@ -40,9 +44,10 @@ class TestLongThinGraphs:
 
     def test_long_path_min_weight(self):
         g = path(24)
-        out = solve(g, minimize=True)
         ref = oracle_solve(g, mode="min_weight")
-        assert out.weight == ref.best[1]
+        for route in ROUTES:
+            out = solve(g, minimize=True, **route)
+            assert out.weight == ref.best[1]
 
 
 class TestMidSizeWeighted:
@@ -80,6 +85,38 @@ class TestPlantedBatches:
     def test_planted_n50_against_oracle(self):
         rep = run_planted(50, 25, seed=7, use_oracle=True, strict=True, workers=1)
         assert rep.agreement and rep.found == 25
+
+
+class TestExactRoute:
+    def test_exhaustive_n5_against_oracle(self):
+        checked = 0
+        disagreements = []
+        for n in range(2, 6):
+            for g in enumerate_all_graphs(n, predicate=lambda g: find_k4(g) is None):
+                for minimize, mode in ((False, "exists"), (True, "min_weight")):
+                    out = solve(g, minimize=minimize)
+                    ref = oracle_solve(g, mode=mode)
+                    checked += 1
+                    assert out.trace == (TRACE_EXACT,)
+                    if out.found != ref.feasible or (
+                        minimize and out.found and abs(out.weight - ref.best[1]) > 1e-9
+                    ):
+                        disagreements.append((n, sorted(g.edges), mode))
+        assert checked > 1000
+        assert disagreements == []
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_planted_n120_matches_structural(self, seed: int):
+        g, _ = generate_planted(GenSpec(n=120, seed=seed))
+        weighted = with_random_weights(g, seed)
+        for h, minimize in ((g, False), (g, True), (weighted, False), (weighted, True)):
+            out = solve(h, minimize=minimize)
+            ref = solve(h, minimize=minimize, structural=True)
+            assert out.trace == (TRACE_EXACT,)
+            assert out.found and ref.found
+            assert h.is_dim(out.matching)
+            if minimize:
+                assert abs(out.weight - ref.weight) < 1e-9
 
 
 class TestReportTiming:

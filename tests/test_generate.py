@@ -20,6 +20,8 @@ from dimatch.generate import (
 from dimatch.patterns import find_induced_sijk, find_k4
 from dimatch.solver import solve
 
+from conftest import ROUTES
+
 
 class TestSplitMix64:
     def test_reference_stream(self):
@@ -111,8 +113,9 @@ class TestPlanted:
 
     def test_solver_finds_on_planted(self):
         g, _ = generate_planted(GenSpec(n=50, seed=5))
-        out = solve(g)
-        assert out.found and g.is_dim(out.matching)
+        for route in ROUTES:
+            out = solve(g, **route)
+            assert out.found and g.is_dim(out.matching)
 
     def test_small_sizes(self):
         for n in (2, 3, 4, 5):

@@ -19,6 +19,8 @@ from dimatch.oracle import enumerate_all_graphs
 from dimatch.patterns import find_k4
 from dimatch.solver import solve
 
+from conftest import degree2_block
+
 GOLDEN = Path(__file__).with_name("golden_solve.json")
 
 GADGETS = (
@@ -35,25 +37,11 @@ BLOCKS = ((1, 6, 6), (1, 10, 8), (1, 25, 25), (11, 25, 25), (1, 50, 40), (2, 50,
 # Solve kwargs per mode.  Strict mode asserts in-class structure, so the
 # off-class blocks run min-weight without it.
 MODES = {
-    "exists": {},
+    "exists": {"structural": True},
     "minw": {"minimize": True, "strict": True},
-    "min": {"minimize": True},
+    "min": {"minimize": True, "structural": True},
     "verify": {"verify_class": True},
 }
-
-
-def degree2_block(rng: SplitMix64, pairs: int, whites: int) -> Graph:
-    """Off-class block: matched pairs 2i, 2i+1 plus white vertices of degree two,
-    each joined to one end of two different pairs.  The pairs form a DIM."""
-    n = 2 * pairs + whites
-    edges = [(2 * i, 2 * i + 1) for i in range(pairs)]
-    for w in range(2 * pairs, n):
-        a = rng.randrange(pairs)
-        b = rng.randrange(pairs - 1)
-        b += b >= a
-        for p in (a, b):
-            edges.append((2 * p + rng.randrange(2), w))
-    return Graph(n, edges)
 
 
 def corpus():

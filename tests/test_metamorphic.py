@@ -15,7 +15,7 @@ from dimatch.patterns import find_k4
 from dimatch.solver import FOUND, NO_DIM, solve
 from dimatch.subsolver import solve_precolored
 
-from conftest import small_graphs
+from conftest import ROUTES, small_graphs
 
 
 @st.composite
@@ -31,8 +31,8 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, list(a.edges) + list(shifted), {**a.weights, **shifted})
 
 
-def min_weight(g: Graph) -> float | None:
-    out = solve(g, minimize=True)
+def min_weight(g: Graph, route: dict) -> float | None:
+    out = solve(g, minimize=True, **route)
     assert out.verdict in (FOUND, NO_DIM)
     return out.weight if out.found else None
 
@@ -45,8 +45,9 @@ class TestRelabelling:
         perm = data.draw(st.permutations(range(g.n)))
         moved = {(perm[u], perm[v]): w for (u, v), w in g.weights.items()}
         h = Graph(g.n, list(moved), moved)
-        assert solve(g).verdict == solve(h).verdict
-        assert min_weight(g) == min_weight(h)
+        for route in ROUTES:
+            assert solve(g, **route).verdict == solve(h, **route).verdict
+            assert min_weight(g, route) == min_weight(h, route)
 
 
 class TestDisjointUnion:
@@ -54,9 +55,10 @@ class TestDisjointUnion:
     @settings(max_examples=60, deadline=None)
     def test_solve_verdicts_and_weights_combine(self, a: Graph, b: Graph):
         u = disjoint_union(a, b)
-        assert solve(u).found == (solve(a).found and solve(b).found)
-        wa, wb, wu = min_weight(a), min_weight(b), min_weight(u)
-        assert wu == (None if wa is None or wb is None else wa + wb)
+        for route in ROUTES:
+            assert solve(u, **route).found == (solve(a, **route).found and solve(b, **route).found)
+            wa, wb, wu = (min_weight(h, route) for h in (a, b, u))
+            assert wu == (None if wa is None or wb is None else wa + wb)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

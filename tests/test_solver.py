@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -9,22 +10,25 @@ from hypothesis import given, settings
 
 from dimatch import gadget, oracle_solve
 from dimatch.coloring import BLACK, WHITE, Coloring
-from dimatch.generate import GenSpec, generate_planted
+from dimatch.generate import GenSpec, SplitMix64, generate_planted
 from dimatch.graph import Graph, iter_bits
 from dimatch.oracle import enumerate_all_graphs
 from dimatch.solver import (
     CLASS_VIOLATION,
+    EXACT_NODES_PER_VERTEX,
     NO_DIM,
     NO_DIM_WITH_ANCHOR,
+    REASON_NO_COMPLETION,
+    TRACE_EXACT,
     AnchorContradiction,
     AnchorSolver,
     SolverConfig,
     anchor_edges,
     solve,
 )
-from dimatch.subsolver import solve_precolored
+from dimatch.subsolver import SearchBudgetExceeded, solve_precolored
 
-from conftest import cycle, path, small_connected_graphs
+from conftest import ROUTES, cycle, degree2_block, path, small_connected_graphs
 
 
 def spine(extra_edges, n, weights=None):
@@ -104,7 +108,8 @@ class TestForcingStages:
         assert "deep-triangle-commit" in out.trace
         assert (7, 8) in solver.committed
         # no anchor rescues this graph; the reference agrees
-        assert solve(g).verdict == NO_DIM
+        for route in ROUTES:
+            assert solve(g, **route).verdict == NO_DIM
         assert not oracle_solve(g).feasible
 
     def test_double_contact_commit(self):
@@ -223,8 +228,9 @@ class TestComponentColoring:
         ]
         assert out.weight == min(anchored)
         # the global minimum may use a different anchor; full solve finds it
-        best = solve(g, minimize=True)
-        assert best.weight == oracle_solve(g, mode="min_weight").best[1]
+        for route in ROUTES:
+            best = solve(g, minimize=True, **route)
+            assert best.weight == oracle_solve(g, mode="min_weight").best[1]
 
 
 class TestDeepHandling:
@@ -272,7 +278,7 @@ class TestDeepHandling:
             return solve_precolored(sub, coloring, minimize)
 
         g = self.chain_graph()
-        out = solve(g, sub_solver=recording)
+        out = solve(g, sub_solver=recording, structural=True)
         assert out.found
         assert calls, "sub-solver should receive the deep residue"
 
@@ -281,7 +287,7 @@ class TestDeepHandling:
             return None
 
         g = self.chain_graph()
-        out = solve(g, sub_solver=refuse)
+        out = solve(g, sub_solver=refuse, structural=True)
         assert out.verdict == NO_DIM
 
 
@@ -328,47 +334,54 @@ class TestClassViolation:
 
 class TestSolveEndToEnd:
     def test_diamond_via_closure(self):
-        out = solve(gadget("diamond"))
+        out = solve(gadget("diamond"), structural=True)
         assert out.found and out.matching == {(1, 3)}
 
     def test_c4_no_dim(self):
-        assert solve(cycle(4)).verdict == NO_DIM
+        for route in ROUTES:
+            assert solve(cycle(4), **route).verdict == NO_DIM
 
     def test_c6(self):
-        out = solve(cycle(6))
-        assert out.found and len(out.matching) == 2
+        for route in ROUTES:
+            out = solve(cycle(6), **route)
+            assert out.found and len(out.matching) == 2
 
     def test_k4_rejected(self):
-        out = solve(gadget("k4"))
+        out = solve(gadget("k4"), structural=True)
         assert out.verdict == NO_DIM and out.reason == "clique4"
 
     def test_gem_no_dim(self):
-        assert solve(gadget("gem")).verdict == NO_DIM
+        for route in ROUTES:
+            assert solve(gadget("gem"), **route).verdict == NO_DIM
 
     def test_single_edge_scan(self):
-        out = solve(gadget("claw"))
+        out = solve(gadget("claw"), structural=True)
         assert out.found and len(out.matching) == 1
         assert "single-edge" in out.trace
 
     def test_disconnected_components_combine(self):
         g = Graph(9, [(0, 1), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)])
-        out = solve(g)
-        assert out.found
-        assert g.is_dim(out.matching)
+        for route in ROUTES:
+            out = solve(g, **route)
+            assert out.found
+            assert g.is_dim(out.matching)
 
     def test_disconnected_failure_propagates(self):
         g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
-        assert solve(g).verdict == NO_DIM  # second piece is a 4-cycle
+        for route in ROUTES:
+            assert solve(g, **route).verdict == NO_DIM  # second piece is a 4-cycle
 
     def test_isolated_vertices_ignored(self):
         g = Graph(3, [(0, 1)])
-        out = solve(g)
-        assert out.found and out.matching == {(0, 1)}
+        for route in ROUTES:
+            out = solve(g, **route)
+            assert out.found and out.matching == {(0, 1)}
 
     def test_min_weight_prefers_light_single(self):
         g = Graph(3, [(0, 1), (1, 2)], weights={(0, 1): 5, (1, 2): 2})
-        out = solve(g, minimize=True)
-        assert out.matching == {(1, 2)} and out.weight == 2
+        for route in ROUTES:
+            out = solve(g, minimize=True, **route)
+            assert out.matching == {(1, 2)} and out.weight == 2
 
     @given(small_connected_graphs(min_n=2, max_n=7))
     @settings(max_examples=120, deadline=None)
@@ -388,7 +401,7 @@ class TestSolveEndToEnd:
 class TestAnchorLog:
     def test_log_collects_all_anchors(self):
         log: list = []
-        out = solve(path(5), anchor_log=log)
+        out = solve(path(5), anchor_log=log, structural=True)
         assert out.found
         assert log, "anchor attempts should be recorded"
         assert all(len(entry) == 4 for entry in log)
@@ -412,7 +425,8 @@ class TestNoWholeGraphCopies:
         for n in range(2, 6):
             graphs.extend(enumerate_all_graphs(n))
         for g in graphs:
-            solve(g)
+            for route in ROUTES:
+                solve(g, **route)
             solve(g, minimize=True, strict=True)
         assert whole == [], f"{len(whole)} whole-graph copies, sizes {sorted(set(whole))}"
 
@@ -426,20 +440,18 @@ class TestRecursionLimit:
             g = path(1500)
             res = solve_precolored(g, Coloring.fresh(g.n))
             after_sub = sys.getrecursionlimit()
-            out = solve(g)
+            outs = [solve(g, **route) for route in ROUTES]
             after_solve = sys.getrecursionlimit()
         finally:
             sys.setrecursionlimit(saved)
         assert res is not None and g.is_dim(res[0])
-        assert out.found
+        assert all(out.found for out in outs)
         assert after_sub == 1000 and after_solve == 1000
 
 
 class TestStrictOffClass:
     def test_failed_check_reports_the_spider(self):
-        from dimatch.generate import SplitMix64
         from dimatch.patterns import verify_witness
-        from test_golden import degree2_block
 
         g = degree2_block(SplitMix64(1), 6, 6)
         out = solve(g, minimize=True, strict=True)
@@ -466,3 +478,52 @@ class TestPrecoloredPieces:
         assert res[1] == 16
         # One product search over the eight cycles makes 13,121 calls.
         assert len(calls) < 100
+
+
+class TestExactRoute:
+    def test_default_route_answers_with_exact_search(self):
+        timings: dict = {}
+        out = solve(gadget("c6"), timings=timings)
+        assert out.found and out.trace == (TRACE_EXACT,)
+        assert "exact" in timings
+        out = solve(gadget("k4"))
+        assert out.verdict == NO_DIM and out.reason == REASON_NO_COMPLETION
+        assert out.trace == (TRACE_EXACT,)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"structural": True}, {"strict": True}, {"verify_class": True}]
+    )
+    def test_structural_options_skip_exact_search(self, kwargs):
+        timings: dict = {}
+        out = solve(gadget("k4"), timings=timings, **kwargs)
+        assert out.reason == "clique4"
+        assert "exact" not in timings
+
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_budget_trip_returns_the_structural_answer(self, minimize):
+        g = degree2_block(SplitMix64(7), 40, 40)
+        with pytest.raises(SearchBudgetExceeded):
+            solve_precolored(
+                g, Coloring.fresh(g.n), minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX
+            )
+        log: list = []
+        ref_log: list = []
+        out = solve(g, minimize=minimize, anchor_log=log)
+        assert out == solve(g, minimize=minimize, anchor_log=ref_log, structural=True)
+        assert log == ref_log
+        assert TRACE_EXACT not in out.trace
+
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_search_leaves_no_reference_cycles(self, minimize):
+        # A cycle would keep every searched graph alive until the cyclic
+        # collector runs.
+        g, _ = generate_planted(GenSpec(n=200, seed=1))
+        gc.collect()
+        gc.disable()
+        try:
+            res = solve_precolored(g, Coloring.fresh(g.n), minimize)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert res is not None
+        assert unreachable == 0
