@@ -245,35 +245,39 @@ def cmd_compare(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.exhaustive is not None:
-        report = run_exhaustive(
-            args.exhaustive, minimize=args.min_weight, strict=args.strict, workers=workers
-        )
-    elif args.samples is not None:
-        report = run_samples(
-            args.n,
-            args.samples,
-            seed=args.seed,
-            density=args.density,
-            minimize=args.min_weight,
-            strict=args.strict,
-            workers=workers,
-        )
-    elif args.planted is not None:
-        count, size = args.planted
-        report = run_planted(
-            size,
-            count,
-            seed=args.seed,
-            minimize=args.min_weight,
-            strict=args.strict,
-            use_oracle=args.use_oracle,
-            workers=workers,
-        )
-    elif args.dir is not None:
-        report = run_directory(args.dir, minimize=args.min_weight, strict=args.strict)
-    else:
-        print("error: pick one of --exhaustive/--samples/--planted/--dir", file=sys.stderr)
+    try:
+        if args.exhaustive is not None:
+            report = run_exhaustive(
+                args.exhaustive, minimize=args.min_weight, strict=args.strict, workers=workers
+            )
+        elif args.samples is not None:
+            report = run_samples(
+                args.n,
+                args.samples,
+                seed=args.seed,
+                density=args.density,
+                minimize=args.min_weight,
+                strict=args.strict,
+                workers=workers,
+            )
+        elif args.planted is not None:
+            count, size = args.planted
+            report = run_planted(
+                size,
+                count,
+                seed=args.seed,
+                minimize=args.min_weight,
+                strict=args.strict,
+                use_oracle=args.use_oracle,
+                workers=workers,
+            )
+        elif args.dir is not None:
+            report = run_directory(args.dir, minimize=args.min_weight, strict=args.strict)
+        else:
+            print("error: pick one of --exhaustive/--samples/--planted/--dir", file=sys.stderr)
+            return EXIT_USAGE
+    except (OSError, ParseError, GenerationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if report.total == 0:
         print("warning: corpus is empty; nothing compared", file=sys.stderr)

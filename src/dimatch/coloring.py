@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from . import patterns
 from .graph import Edge, Graph, edge, iter_bits
 
 UNSET = 0
@@ -36,24 +35,13 @@ R_WHITE_COMMITTED = "white-endpoint-committed"
 
 
 class Coloring:
-    """Per-vertex color state plus excluded-edge and committed-edge bookkeeping.
+    """Per-vertex color state plus the edges excluded from the matching."""
 
-    ``committed`` records matched pairs in the coordinates of the graph they
-    were committed in; the forced-edge closure keeps the record even though
-    the endpoints leave the working graph.
-    """
+    __slots__ = ("state", "excluded")
 
-    __slots__ = ("state", "excluded", "committed")
-
-    def __init__(
-        self,
-        state: Sequence[int],
-        excluded: Iterable[Edge] = (),
-        committed: Iterable[Edge] = (),
-    ) -> None:
+    def __init__(self, state: Sequence[int], excluded: Iterable[Edge] = ()) -> None:
         self.state = list(state)
         self.excluded = {edge(*e) for e in excluded}
-        self.committed = [edge(*e) for e in committed]
 
     @classmethod
     def fresh(cls, n: int) -> "Coloring":
@@ -64,8 +52,9 @@ class Coloring:
 class ReductionOutcome:
     """Result of the forced-edge closure: a smaller (graph, coloring) pair or a contradiction.
 
-    ``provenance`` maps the new graph's vertex ids back to the input graph's.
-    On contradiction only ``reason`` is populated.
+    ``committed`` lists the committed pairs in the input graph's vertex ids,
+    in commit order; ``provenance`` maps the new graph's vertex ids back to
+    the input graph's.  On contradiction only ``reason`` is populated.
     """
 
     ok: bool
@@ -73,6 +62,7 @@ class ReductionOutcome:
     graph: Graph | None = None
     coloring: Coloring | None = None
     provenance: tuple[int, ...] | None = None
+    committed: list[Edge] | None = None
 
     @classmethod
     def contradiction(cls, reason: str) -> "ReductionOutcome":
@@ -181,18 +171,17 @@ def restrict(
     vertices: Collection[int],
     state: Sequence[int],
     excluded: Iterable[Edge],
-    committed: Iterable[Edge] = (),
 ) -> tuple[Graph, Coloring, tuple[int, ...]]:
     """The piece of a colored graph induced by a vertex set, relabeled densely.
 
     Returns the piece, its coloring and the new->old vertex map.  The
     coloring carries the states of the kept vertices and the excluded edges
-    inside the piece, in the piece's ids; ``committed`` passes through as
-    given.  ``vertices`` must hold distinct vertices of ``g``; when it holds
-    all of them, ``g`` itself is returned rather than a copy.
+    inside the piece, in the piece's ids.  ``vertices`` must hold distinct
+    vertices of ``g``; when it holds all of them, ``g`` itself is returned
+    rather than a copy.
     """
     if len(vertices) == g.n:
-        return g, Coloring(state, excluded, committed), tuple(range(g.n))
+        return g, Coloring(state, excluded), tuple(range(g.n))
     sub, old_of_new = g.induced_subgraph(vertices)
     new_of_old = {v: i for i, v in enumerate(old_of_new)}
     sub_excluded = [
@@ -200,7 +189,7 @@ def restrict(
         for a, b in excluded
         if a in new_of_old and b in new_of_old
     ]
-    col = Coloring([state[v] for v in old_of_new], sub_excluded, committed)
+    col = Coloring([state[v] for v in old_of_new], sub_excluded)
     return sub, col, old_of_new
 
 
@@ -244,45 +233,35 @@ def forced_edge_closure(
     seeds: Iterable[Edge],
     coloring: Coloring | None = None,
 ) -> ReductionOutcome:
-    """Commit a forced edge set, then rescan the residual for more forced edges.
+    """Commit a set of forced edges in one pass; return the residual or a contradiction.
 
     Commits the seeds in the given order (callers wanting determinism pass
-    a sorted sequence) through :func:`commit_pair`, failing when a newly
-    white vertex has an alive white neighbor, then rescans the residual
-    graph for diamonds and butterflies until none are left.  On success the
-    residual graph is diamond- and butterfly-free.
+    a sorted sequence) through :func:`commit_pair`, skipping repeats, and
+    fails when a newly white vertex has an alive white neighbor.  The
+    residual is the subgraph induced by the vertices left uncommitted.
 
-    Committed edges in the outcome are expressed in the coordinates of the
-    input graph.
+    The residual is diamond- and butterfly-free when the seeds hold every
+    forced edge of ``g`` (every diamond mid edge and butterfly wing edge,
+    as :func:`patterns.forced_edges_initial` returns them): the residual is
+    an induced subgraph of ``g``, so a diamond or butterfly in it would be
+    one of ``g`` whose forced edges were seeds, but committing a seed
+    removes its endpoints.
     """
     col = coloring if coloring is not None else Coloring.fresh(g.n)
     state = list(col.state)
     excluded = set(col.excluded)
-    committed = list(col.committed)
+    bits = g.bits
     alive = (1 << g.n) - 1
-    committed_set = {edge(*e) for e in committed}
-    pending = [edge(*e) for e in seeds]
-
-    while True:
-        for vw in pending:
-            if vw in committed_set:
-                continue
-            reason = commit_pair(g, alive, state, excluded, vw)
-            if reason:
-                return ReductionOutcome.contradiction(reason)
-            v, w = vw
-            alive &= ~(1 << v) & ~(1 << w)
-            for z in iter_bits((g.bits[v] | g.bits[w]) & alive):
-                if any(state[t] == WHITE for t in iter_bits(g.bits[z] & alive)):
-                    return ReductionOutcome.contradiction(R_WHITE_WHITE)
-            committed.append(vw)
-            committed_set.add(vw)
-        residual, residual_col, old_of_new = restrict(
-            g, list(iter_bits(alive)), state, excluded, committed
-        )
-        fresh = patterns.forced_edges_initial(residual)
-        pending = sorted(
-            residual.relabel_edges(fresh, old_of_new) - committed_set
-        )
-        if not pending:
-            return ReductionOutcome(True, None, residual, residual_col, old_of_new)
+    committed: list[Edge] = []
+    for vw in dict.fromkeys(edge(*e) for e in seeds):
+        reason = commit_pair(g, alive, state, excluded, vw)
+        if reason:
+            return ReductionOutcome.contradiction(reason)
+        v, w = vw
+        alive &= ~(1 << v) & ~(1 << w)
+        for z in iter_bits((bits[v] | bits[w]) & alive):
+            if any(state[t] == WHITE for t in iter_bits(bits[z] & alive)):
+                return ReductionOutcome.contradiction(R_WHITE_WHITE)
+        committed.append(vw)
+    residual, residual_col, old_of_new = restrict(g, list(iter_bits(alive)), state, excluded)
+    return ReductionOutcome(True, None, residual, residual_col, old_of_new, committed)

@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
-from .fileio import parse_edge_list, write_edge_list
+from .fileio import ParseError, parse_edge_list, write_edge_list
 from .generate import GenSpec, RetryBudgetExceeded, generate_planted, generate_rejection
 from .graph import Graph
 from .oracle import (
@@ -296,8 +296,12 @@ def run_directory(path: str, minimize: bool = False, strict: bool = False) -> Co
         f for f in os.listdir(path) if not f.startswith(".") and f.endswith((".col", ".txt", ".graph"))
     )
     for name in names:
-        with open(os.path.join(path, name), "r", encoding="utf-8") as fh:
-            g = parse_edge_list(fh)
+        fname = os.path.join(path, name)
+        with open(fname, "r", encoding="utf-8") as fh:
+            try:
+                g = parse_edge_list(fh)
+            except ParseError as exc:
+                raise ParseError(f"{fname}: {exc}") from exc
         _check_instance(name, g, minimize, strict, report)
     report.wall = time.perf_counter() - started
     return report

@@ -7,8 +7,8 @@ identical graphs on any platform.
 
 Planted instances are assembled from independently verified blocks: small
 dense gadgets, paths, cycles of length divisible by three, and hub stars.
-Each block carries its matching by construction, every block is checked to
-be free of the filtered patterns, and the union of blocks inherits both
+Each block carries its matching by construction, every block is built free
+of K4 and of the spider S(1,2,4), and the union of blocks inherits both
 properties.  Arbitrary connected random graphs of this size essentially
 always contain the forbidden spider, so block composition is what makes
 large in-class instances reachable at all.
@@ -76,7 +76,6 @@ class GenSpec:
     mode: str = "planted"
     density: float | None = None
     gadget_name: str | None = None
-    class_filters: tuple[str, ...] = ("s_1_2_4", "k4")
     connected: bool = False
     retry_budget: int = 400
 
@@ -257,25 +256,8 @@ def generate_planted(spec: GenSpec) -> tuple[Graph, frozenset[Edge]]:
 # -- rejection sampling --------------------------------------------------------
 
 
-def _passes_filters(g: Graph, filters: tuple[str, ...]) -> bool:
-    for name in filters:
-        name = name.lower()
-        if name == "k4":
-            if patterns.find_k4(g) is not None:
-                return False
-            continue
-        m = _SPIDER_RE.match(name)
-        if m:
-            i, j, k = (int(t) for t in m.groups())
-            if patterns.find_induced_sijk(g, i, j, k) is not None:
-                return False
-            continue
-        raise GenerationError(f"unknown class filter {name!r}")
-    return True
-
-
 def generate_rejection(spec: GenSpec) -> Graph:
-    """Random graph resampled until every class filter pattern is absent."""
+    """Random graph resampled until it is K4-free and S(1,2,4)-free."""
     if spec.n < 1:
         raise GenerationError("need at least one vertex")
     density = spec.density if spec.density is not None else 0.3
@@ -286,7 +268,8 @@ def generate_rejection(spec: GenSpec) -> Graph:
         g = Graph(spec.n, edges)
         if spec.connected and not g.is_connected():
             continue
-        if _passes_filters(g, spec.class_filters):
+        # The K4 check first: it is much cheaper than the spider search.
+        if patterns.find_k4(g) is None and patterns.find_induced_sijk(g, 1, 2, 4) is None:
             return g
     raise RetryBudgetExceeded(
         f"no conforming graph within {spec.retry_budget} draws (n={spec.n}, density={density})"

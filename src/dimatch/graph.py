@@ -168,9 +168,6 @@ class Graph:
             mate[v] = u
         return mate
 
-    def is_matching(self, matching: Iterable[Edge]) -> bool:
-        return self._mate_map(matching) is not None
-
     def is_induced_matching(self, matching: Iterable[Edge]) -> bool:
         """True iff the matching's endpoints induce exactly the matching itself."""
         mate = self._mate_map(matching)

@@ -876,9 +876,11 @@ class AnchorSolver:
 
 
 def _solve_residual(g: Graph, coloring: Coloring, cfg: SolverConfig) -> SolveOutcome:
-    """Solve one connected residual piece left over after the forced closure."""
-    if g.m == 0:
-        return SolveOutcome(FOUND, matching=frozenset(), weight=0.0)
+    """Solve one connected residual piece left over after the forced closure.
+
+    The piece has at least one edge: :func:`_solve_pieces` hands over only
+    connected pieces with two or more vertices.
+    """
     whites = {v for v, c in enumerate(coloring.state) if c == WHITE}
     singles: list[tuple[float, Edge]] = []
     for u, v in g.edges:
@@ -919,9 +921,11 @@ def _solve_residual(g: Graph, coloring: Coloring, cfg: SolverConfig) -> SolveOut
 
 
 def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
-    """Algorithm backbone for one connected component."""
-    if g.m == 0:
-        return SolveOutcome(FOUND, matching=frozenset(), weight=0.0)
+    """Algorithm backbone for one connected component with at least one edge.
+
+    The matching is verified once, by :func:`solve`, after all components
+    are merged.
+    """
     if cfg.verify_class:
         witness = patterns.find_induced_sijk(g, 1, 2, 4)
         if witness is not None:
@@ -949,7 +953,7 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
         if not closure.ok:
             cfg.tick("closure", start)
             return SolveOutcome(NO_DIM, reason=closure.reason, trace=tuple(trace))
-        committed = list(closure.coloring.committed)
+        committed = closure.committed
         residual, residual_col, old_of_new = (
             closure.graph,
             closure.coloring,
@@ -957,7 +961,7 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
         )
     cfg.tick("closure", start)
 
-    out = _solve_pieces(
+    return _solve_pieces(
         residual,
         residual_col,
         old_of_new,
@@ -966,9 +970,6 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
         g.matching_weight(committed),
         trace,
     )
-    if out.found and not g.is_dim(out.matching):
-        raise StructuralCheckError("assembled matching fails verification")
-    return out
 
 
 def _solve_pieces(

@@ -372,3 +372,26 @@ class TestCompareCommand:
 
     def test_requires_a_source(self, capsys):
         assert main(["compare"]) == EXIT_USAGE
+
+    def test_samples_without_vertices_is_a_usage_error(self, capsys):
+        assert main(["compare", "--samples", "3", "--n", "0", "--threads", "1"]) == EXIT_USAGE
+        assert "error: need at least one vertex" in capsys.readouterr().err
+
+    def test_planted_single_vertex_is_a_usage_error(self, capsys):
+        assert main(["compare", "--planted", "3x1", "--threads", "1"]) == EXIT_USAGE
+        assert "error: planted instances need at least 2 vertices" in capsys.readouterr().err
+
+    def test_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent"
+        assert main(["compare", "--dir", str(missing), "--threads", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+
+    def test_malformed_directory_file_names_the_file(self, tmp_path, capsys):
+        (tmp_path / "a.col").write_text(write_edge_list(gadget("c6")))
+        bad = tmp_path / "b.col"
+        bad.write_text("p edge 2 1\ne 1 5\n")
+        assert main(["compare", "--dir", str(tmp_path), "--threads", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
+        assert "vertex out of range 1..2" in err

@@ -52,7 +52,7 @@ class TestReductionStep:
         out = forced_edge_closure(g, [(1, 2)], Coloring.fresh(5))
         assert out.ok
         assert out.graph.n == 3 and out.graph.m == 1
-        assert out.coloring.committed == [(1, 2)]
+        assert out.committed == [(1, 2)]
         # surviving edge between old 3 and 4 is at distance 1: excluded
         old = out.provenance
         assert old == (0, 3, 4)
@@ -119,7 +119,7 @@ class TestEdgeCReduction:
         assert out.ok
         assert out.graph.n == 2 and out.graph.m == 0
         assert out.coloring.state == [WHITE, WHITE]
-        assert out.coloring.committed == [(1, 2)]
+        assert out.committed == [(1, 2)]
 
     def test_diamond_mid_edge(self):
         g = gadget("diamond")
@@ -161,14 +161,14 @@ class TestClosure:
         g = gadget("diamond")
         out = forced_edge_closure(g, [(1, 3)])
         assert out.ok
-        assert out.coloring.committed == [(1, 3)]
+        assert out.committed == [(1, 3)]
         assert out.graph.n == 2 and out.graph.m == 0
 
     def test_butterfly(self):
         g = gadget("butterfly")
         out = forced_edge_closure(g, [(0, 1), (2, 3)])
         assert out.ok
-        assert sorted(out.coloring.committed) == [(0, 1), (2, 3)]
+        assert sorted(out.committed) == [(0, 1), (2, 3)]
         assert out.graph.n == 1 and out.graph.m == 0
 
     def test_2p2_both(self):
@@ -201,7 +201,7 @@ class TestClosure:
         b = forced_edge_closure(g, perm)
         assert a.ok == b.ok
         if a.ok:
-            assert sorted(a.coloring.committed) == sorted(b.coloring.committed)
+            assert sorted(a.committed) == sorted(b.committed)
 
     @given(small_graphs(min_n=2, max_n=7))
     @settings(max_examples=60, deadline=None)
@@ -213,6 +213,22 @@ class TestClosure:
         if out.ok:
             assert find_all_diamonds(out.graph) == []
             assert find_all_butterflies(out.graph) == []
+
+    def test_residual_is_diamond_butterfly_free_exhaustive(self):
+        """Committing every forced edge of g once leaves no forced edge behind,
+        on all labelled graphs with n <= 6."""
+        from dimatch.oracle import enumerate_all_graphs
+        from dimatch.patterns import find_all_butterflies, find_all_diamonds, forced_edges_initial
+
+        checked = 0
+        for n in range(2, 7):
+            for g in enumerate_all_graphs(n, connected=False):
+                out = forced_edge_closure(g, sorted(forced_edges_initial(g)))
+                if out.ok:
+                    assert find_all_diamonds(out.graph) == []
+                    assert find_all_butterflies(out.graph) == []
+                checked += 1
+        assert checked == 33866
 
 
 class TestReductionSoundness:

@@ -398,6 +398,26 @@ class TestSolveEndToEnd:
             assert out.weight == ref.best[1]
 
 
+class TestForcedScan:
+    def test_structural_solve_scans_each_component_once(self, monkeypatch):
+        import dimatch.patterns
+
+        real = dimatch.patterns.forced_edges_initial
+        scanned: list[int] = []
+
+        def spy(g):
+            scanned.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(dimatch.patterns, "forced_edges_initial", spy)
+        # a diamond with a path hanging off it: the closure commits the mid
+        # edge (1, 3) and needs no second scan of the residual
+        g = Graph(7, [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3), (2, 4), (4, 5), (5, 6)])
+        out = solve(g, structural=True)
+        assert out.found and g.is_dim(out.matching)
+        assert scanned == [7]
+
+
 class TestAnchorLog:
     def test_log_collects_all_anchors(self):
         log: list = []
@@ -434,7 +454,8 @@ class TestNoWholeGraphCopies:
 class TestRecursionLimit:
     def test_limit_unchanged_after_long_path(self):
         saved = sys.getrecursionlimit()
-        # Below the n + 2000 headroom the sub-solver asks for on this path.
+        # A limit below the path's length: the sub-solver searches on an
+        # explicit stack, so neither it nor solve needs or sets a higher one.
         sys.setrecursionlimit(1000)
         try:
             g = path(1500)
