@@ -2,7 +2,12 @@
 
 Subcommands: solve, check, detect, oracle, generate, compare.  Exit codes
 for ``solve``: 0 a matching was found, 1 no matching exists, 2 usage or
-parse error, 3 the input is outside the supported graph class.
+input error, 3 the input is outside the supported graph class.
+
+:func:`main` is the one error boundary: a file that cannot be read,
+decoded, parsed or written, a bad generator or corpus specification, an
+exhausted retry budget or enumeration cap ends any subcommand with an
+``error:`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from .compare import (
     run_samples,
     worker_count,
 )
-from .fileio import ParseError, parse_edge_list, parse_matching, write_edge_list, write_matching
-from .generate import GenSpec, GenerationError, RetryBudgetExceeded, generate
+from .fileio import parse_matching, read_edge_list, write_edge_list, write_matching
+from .generate import GenSpec, RetryBudgetExceeded, generate
 from .graph import Graph, GraphError
 from .oracle import EnumerationCapExceeded, oracle_solve
 from .solver import CLASS_VIOLATION, FOUND, StructuralCheckError, solve
@@ -32,11 +37,6 @@ EXIT_FOUND = 0
 EXIT_NO_DIM = 1
 EXIT_USAGE = 2
 EXIT_CLASS = 3
-
-
-def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh)
 
 
 def _named_edges(g: Graph, edges) -> list[list[str]]:
@@ -61,11 +61,7 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        g = _load_graph(args.path)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = read_edge_list(args.path)
     anchor_log: list | None = [] if args.all_anchors else None
     timings: dict = {}
     started = time.perf_counter()
@@ -117,13 +113,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-        with open(args.matching, "r", encoding="utf-8") as fh:
-            matching = parse_matching(fh.read(), g)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = read_edge_list(args.graph)
+    with open(args.matching, "r", encoding="utf-8") as fh:
+        matching = parse_matching(fh.read(), g)
     ok = g.is_dim(matching)
     print("valid dominating induced matching" if ok else "not a dominating induced matching")
     return EXIT_FOUND if ok else EXIT_NO_DIM
@@ -171,28 +163,15 @@ def _detect(g: Graph, spec: list[str]) -> list[dict]:
 
 
 def cmd_detect(args) -> int:
-    try:
-        g = _load_graph(args.path)
-        witnesses = _detect(g, args.pattern)
-    except (OSError, ParseError, GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    witnesses = _detect(read_edge_list(args.path), args.pattern)
     print(json.dumps({"schema": 1, "witnesses": witnesses}, sort_keys=True))
     return EXIT_FOUND if witnesses else EXIT_NO_DIM
 
 
 def cmd_oracle(args) -> int:
-    try:
-        g = _load_graph(args.path)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = read_edge_list(args.path)
     mode = {"exists": "exists", "min": "min_weight", "enumerate": "enumerate"}[args.mode]
-    try:
-        res = oracle_solve(g, mode=mode, cap=args.cap)
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    res = oracle_solve(g, mode=mode, cap=args.cap)
     payload = {
         "schema": 1,
         "feasible": res.feasible,
@@ -221,11 +200,7 @@ def cmd_generate(args) -> int:
         gadget_name=args.gadget,
         connected=args.connected,
     )
-    try:
-        g, matching = generate(spec)
-    except (GenerationError, RetryBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g, matching = generate(spec)
     comment = f"generated mode={spec.mode} n={g.n} seed={spec.seed}"
     text = write_edge_list(g, comment=comment)
     if args.out:
@@ -240,44 +215,36 @@ def cmd_generate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        workers = args.threads or worker_count()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.exhaustive is not None:
-            report = run_exhaustive(
-                args.exhaustive, minimize=args.min_weight, strict=args.strict, workers=workers
-            )
-        elif args.samples is not None:
-            report = run_samples(
-                args.n,
-                args.samples,
-                seed=args.seed,
-                density=args.density,
-                minimize=args.min_weight,
-                strict=args.strict,
-                workers=workers,
-            )
-        elif args.planted is not None:
-            count, size = args.planted
-            report = run_planted(
-                size,
-                count,
-                seed=args.seed,
-                minimize=args.min_weight,
-                strict=args.strict,
-                use_oracle=args.use_oracle,
-                workers=workers,
-            )
-        elif args.dir is not None:
-            report = run_directory(args.dir, minimize=args.min_weight, strict=args.strict)
-        else:
-            print("error: pick one of --exhaustive/--samples/--planted/--dir", file=sys.stderr)
-            return EXIT_USAGE
-    except (OSError, ParseError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    workers = args.threads or worker_count()
+    if args.exhaustive is not None:
+        report = run_exhaustive(
+            args.exhaustive, minimize=args.min_weight, strict=args.strict, workers=workers
+        )
+    elif args.samples is not None:
+        report = run_samples(
+            args.n,
+            args.samples,
+            seed=args.seed,
+            density=args.density,
+            minimize=args.min_weight,
+            strict=args.strict,
+            workers=workers,
+        )
+    elif args.planted is not None:
+        count, size = args.planted
+        report = run_planted(
+            size,
+            count,
+            seed=args.seed,
+            minimize=args.min_weight,
+            strict=args.strict,
+            use_oracle=args.use_oracle,
+            workers=workers,
+        )
+    elif args.dir is not None:
+        report = run_directory(args.dir, minimize=args.min_weight, strict=args.strict)
+    else:
+        print("error: pick one of --exhaustive/--samples/--planted/--dir", file=sys.stderr)
         return EXIT_USAGE
     if report.total == 0:
         print("warning: corpus is empty; nothing compared", file=sys.stderr)
@@ -409,7 +376,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_FOUND
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, RetryBudgetExceeded, EnumerationCapExceeded) as exc:
+        # ValueError covers ParseError, GraphError, GenerationError and
+        # UnicodeDecodeError.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

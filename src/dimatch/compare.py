@@ -2,8 +2,12 @@
 
 Supports four corpus sources: exhaustive labeled enumeration of small
 connected class members, rejection-sampled random members, planted
-instances, and a directory of edge-list files.  Work fans out over a
-process pool; per-instance results fold into one deterministic report.
+instances, and a directory of edge-list files.  Each source is a generator
+of labelled graphs, and every instance goes through one check,
+:func:`_check_instance`.  Every ``run_*`` solves on ``solve``'s default
+route unless ``strict=True`` (off by default) asks for strict mode.  Work
+fans out over a process pool; per-instance results fold into one
+deterministic report.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from multiprocessing import Pool
+from typing import Iterator
 
-from .fileio import ParseError, parse_edge_list, write_edge_list
+from .fileio import read_edge_list, write_edge_list
 from .generate import GenSpec, RetryBudgetExceeded, generate_planted, generate_rejection
 from .graph import Graph
 from .oracle import (
@@ -98,43 +103,64 @@ class CompareReport:
 def _check_instance(
     label: str,
     g: Graph,
+    report: CompareReport,
     minimize: bool,
     strict: bool,
-    report: CompareReport,
     structural: bool = False,
+    planted: bool = False,
 ) -> None:
+    """Solve one instance and file the outcome in ``report``.
+
+    The oracle is the reference, or with ``planted`` the planted matching,
+    which certifies that a matching exists; then the oracle is not called
+    and any other verdict, ``class_violation`` included, is a disagreement.
+    """
     t0 = time.perf_counter()
     out = solve(g, minimize=minimize, strict=strict, structural=structural)
     report.times.append(time.perf_counter() - t0)
     report.total += 1
-    if out.verdict == CLASS_VIOLATION:
+    ref = None
+    if planted:
+        feasible, reference = True, "found (planted)"
+    elif out.verdict == CLASS_VIOLATION:
         report.errors.append({"instance": label, "error": "class violation"})
         return
-    mode = "min_weight" if minimize else "exists"
-    ref = oracle_solve(g, mode=mode)
-    if out.found != ref.feasible:
+    else:
+        ref = oracle_solve(g, mode="min_weight" if minimize else "exists")
+        feasible, reference = ref.feasible, "found" if ref.feasible else "no_dim"
+    if out.found != feasible:
         report.disagreements.append(
-            {
-                "instance": label,
-                "solver": out.verdict,
-                "oracle": "found" if ref.feasible else "no_dim",
-            }
+            {"instance": label, "solver": out.verdict, "oracle": reference}
         )
         return
-    if out.found:
-        report.found += 1
-        if not g.is_dim(out.matching):
-            report.errors.append({"instance": label, "error": "invalid matching"})
-        if minimize and abs(out.weight - ref.best[1]) > 1e-9:
-            report.weight_mismatches.append(
-                {
-                    "instance": label,
-                    "solver_weight": out.weight,
-                    "oracle_weight": ref.best[1],
-                }
-            )
-    else:
+    if not out.found:
         report.no_dim += 1
+        return
+    report.found += 1
+    if not g.is_dim(out.matching):
+        report.errors.append({"instance": label, "error": "invalid matching"})
+    if minimize and ref is not None and abs(out.weight - ref.best[1]) > 1e-9:
+        report.weight_mismatches.append(
+            {
+                "instance": label,
+                "solver_weight": out.weight,
+                "oracle_weight": ref.best[1],
+            }
+        )
+
+
+def _check_batch(task) -> CompareReport:
+    """Pool worker: check every ``(label, graph)`` of one corpus source.
+
+    ``task`` is ``(source, args, options)``: ``source(*args)`` yields the
+    instances and ``options`` are the trailing arguments of
+    :func:`_check_instance`.
+    """
+    source, args, options = task
+    report = CompareReport()
+    for label, g in source(*args):
+        _check_instance(label, g, report, *options)
+    return report
 
 
 def _merge(into: CompareReport, part: CompareReport) -> None:
@@ -166,56 +192,66 @@ def _fan_out(worker, tasks: list, workers: int) -> CompareReport:
     return report
 
 
-def _scan_mask_range(args) -> CompareReport:
-    n, lo, hi, minimize, strict = args
-    report = CompareReport()
+def _mask_graphs(n: int, lo: int, hi: int) -> Iterator[tuple[str, Graph]]:
+    """The connected K4-free graphs among edge masks ``lo..hi-1`` on n vertices."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(lo, hi):
         bits = mask_adjacency(n, mask, pairs)
-        if not mask_connected(n, bits):
+        if mask_connected(n, bits) and bits_k4_free(bits):
+            yield f"n={n} mask={mask}", mask_to_graph(n, mask, pairs)
+
+
+def _sampled_graphs(n: int, seeds: list[int], density: float | None) -> Iterator[tuple[str, Graph]]:
+    """One rejection sample per seed; a seed that exhausts its retries is skipped."""
+    for seed in seeds:
+        spec = GenSpec(n=n, seed=seed, mode="rejection", density=density, connected=True)
+        try:
+            g = generate_rejection(spec)
+        except RetryBudgetExceeded:
             continue
-        if not bits_k4_free(bits):
-            continue
-        g = mask_to_graph(n, mask, pairs)
-        _check_instance(f"n={n} mask={mask}", g, minimize, strict, report)
-    return report
+        yield f"n={n} seed={seed}", g
+
+
+def _planted_graphs(n: int, seeds: list[int]) -> Iterator[tuple[str, Graph]]:
+    for seed in seeds:
+        g, _ = generate_planted(GenSpec(n=n, seed=seed, mode="planted"))
+        yield f"planted n={n} seed={seed}", g
+
+
+def _directory_graphs(path: str) -> Iterator[tuple[str, Graph]]:
+    """The edge-list files of a directory, by name."""
+    names = sorted(
+        f for f in os.listdir(path) if not f.startswith(".") and f.endswith((".col", ".txt", ".graph"))
+    )
+    for name in names:
+        yield name, read_edge_list(os.path.join(path, name))
+
+
+def _seed_chunks(seed: int, count: int, chunks: int) -> list[list[int]]:
+    """Seeds ``seed .. seed+count-1`` in consecutive runs, about ``chunks`` of them."""
+    seeds = [seed + i for i in range(count)]
+    step = max(1, len(seeds) // chunks)
+    return [seeds[i : i + step] for i in range(0, len(seeds), step)]
 
 
 def run_exhaustive(
-    n_max: int, minimize: bool = False, strict: bool = True, workers: int | None = None
+    n_max: int, minimize: bool = False, strict: bool = False, workers: int | None = None
 ) -> CompareReport:
-    """All labeled connected K4-free graphs up to n_max vertices.
+    """All labeled connected K4-free graphs up to n_max vertices, against the oracle.
 
     The forbidden spider needs 8 vertices, so for n <= 7 the spider filter
     is vacuous and K4-freeness is the only class filter that can trigger.
     """
     if n_max > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive corpus capped at n={EXHAUSTIVE_MAX_N}")
+    options = (minimize, strict)
     tasks = []
     for n in range(2, n_max + 1):
         top = 1 << (n * (n - 1) // 2)
         step = max(1, top // _MASK_CHUNKS)
-        lo = 0
-        while lo < top:
-            hi = min(top, lo + step)
-            tasks.append((n, lo, hi, minimize, strict))
-            lo = hi
-    return _fan_out(_scan_mask_range, tasks, workers or worker_count())
-
-
-def _sample_batch(args) -> CompareReport:
-    n, seeds, density, minimize, strict = args
-    report = CompareReport()
-    for seed in seeds:
-        spec = GenSpec(
-            n=n, seed=seed, mode="rejection", density=density, connected=True
-        )
-        try:
-            g = generate_rejection(spec)
-        except RetryBudgetExceeded:
-            continue
-        _check_instance(f"n={n} seed={seed}", g, minimize, strict, report)
-    return report
+        for lo in range(0, top, step):
+            tasks.append((_mask_graphs, (n, lo, min(top, lo + step)), options))
+    return _fan_out(_check_batch, tasks, workers or worker_count())
 
 
 def run_samples(
@@ -224,42 +260,16 @@ def run_samples(
     seed: int = 0,
     density: float | None = None,
     minimize: bool = False,
-    strict: bool = True,
+    strict: bool = False,
     workers: int | None = None,
 ) -> CompareReport:
-    """Rejection-sampled connected class members at one size."""
+    """Rejection-sampled connected class members at one size, against the oracle."""
     workers = workers or worker_count()
-    seeds = [seed + i for i in range(count)]
-    chunk = max(1, len(seeds) // (workers * 8))
     tasks = [
-        (n, seeds[i : i + chunk], density, minimize, strict)
-        for i in range(0, len(seeds), chunk)
+        (_sampled_graphs, (n, seeds, density), (minimize, strict))
+        for seeds in _seed_chunks(seed, count, workers * 8)
     ]
-    return _fan_out(_sample_batch, tasks, workers)
-
-
-def _planted_batch(args) -> CompareReport:
-    n, seeds, minimize, strict, structural, use_oracle = args
-    report = CompareReport()
-    for seed in seeds:
-        g, planted = generate_planted(GenSpec(n=n, seed=seed, mode="planted"))
-        label = f"planted n={n} seed={seed}"
-        if use_oracle:
-            _check_instance(label, g, minimize, strict, report, structural)
-            continue
-        t0 = time.perf_counter()
-        out = solve(g, minimize=minimize, strict=strict, structural=structural)
-        report.times.append(time.perf_counter() - t0)
-        report.total += 1
-        if not out.found:
-            report.disagreements.append(
-                {"instance": label, "solver": out.verdict, "oracle": "found (planted)"}
-            )
-        else:
-            report.found += 1
-            if not g.is_dim(out.matching):
-                report.errors.append({"instance": label, "error": "invalid matching"})
-    return report
+    return _fan_out(_check_batch, tasks, workers)
 
 
 def run_planted(
@@ -273,38 +283,26 @@ def run_planted(
     workers: int | None = None,
 ) -> CompareReport:
     """Planted instances; the planted matching certifies feasibility, so the
-    oracle is optional (and off by default at large sizes).
+    oracle is optional (and off by default at large sizes).  Without it a
+    weight is not checked.
 
     ``structural`` solves on the structural route without strict mode's
     assertions, as acceptance criterion 6a does at n = 1000.
     """
     workers = workers or worker_count()
-    seeds = [seed + i for i in range(count)]
-    chunk = max(1, len(seeds) // (workers * 4))
+    options = (minimize, strict, structural, not use_oracle)
     tasks = [
-        (n, seeds[i : i + chunk], minimize, strict, structural, use_oracle)
-        for i in range(0, len(seeds), chunk)
+        (_planted_graphs, (n, seeds), options)
+        for seeds in _seed_chunks(seed, count, workers * 4)
     ]
-    return _fan_out(_planted_batch, tasks, workers)
+    return _fan_out(_check_batch, tasks, workers)
 
 
 def run_directory(path: str, minimize: bool = False, strict: bool = False) -> CompareReport:
-    """Compare solver and oracle on every edge-list file in a directory."""
-    report = CompareReport()
-    started = time.perf_counter()
-    names = sorted(
-        f for f in os.listdir(path) if not f.startswith(".") and f.endswith((".col", ".txt", ".graph"))
-    )
-    for name in names:
-        fname = os.path.join(path, name)
-        with open(fname, "r", encoding="utf-8") as fh:
-            try:
-                g = parse_edge_list(fh)
-            except ParseError as exc:
-                raise ParseError(f"{fname}: {exc}") from exc
-        _check_instance(name, g, minimize, strict, report)
-    report.wall = time.perf_counter() - started
-    return report
+    """Compare solver and oracle on every edge-list file in a directory, in
+    name order and in this process.  A file that cannot be read or parsed
+    raises with its path in the message."""
+    return _fan_out(_check_batch, [(_directory_graphs, (path,), (minimize, strict))], 1)
 
 
 def dump_reproducer(report: CompareReport, directory: str) -> list[str]:

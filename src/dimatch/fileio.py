@@ -97,6 +97,19 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
         raise ParseError(str(exc)) from exc
 
 
+def read_edge_list(path: str) -> Graph:
+    """Parse the edge-list file at ``path``, read as UTF-8.
+
+    A decode or parse error is raised as :class:`ParseError` with the path
+    in front of its message.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse_edge_list(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+
+
 def write_edge_list(g: Graph, comment: str | None = None) -> str:
     lines = []
     if comment:

@@ -109,7 +109,6 @@ class SolveOutcome:
 @dataclass
 class SolverConfig:
     minimize: bool = False
-    verify_class: bool = False
     strict: bool = False
     sub_solver: Callable = solve_precolored
     anchor_log: list | None = None
@@ -209,9 +208,6 @@ class AnchorSolver:
     def _tag(self, label: str) -> None:
         self.trace.append(label)
 
-    def _weight(self, e: Edge) -> float:
-        return self.g.weights[edge(*e)]
-
     def _commit(self, vw: Edge, tag: str) -> None:
         """Commit a matched pair through :func:`commit_pair` and delete its endpoints."""
         vw = edge(*vw)
@@ -221,6 +217,12 @@ class AnchorSolver:
         self.alive &= ~(1 << vw[0]) & ~(1 << vw[1])
         self.committed.append(vw)
         self._tag(tag)
+
+    def _commit_all(self, edges, tag: str) -> bool:
+        """Commit the distinct ``edges`` in sorted order; whether there were any."""
+        for vw in sorted(set(edges)):
+            self._commit(vw, tag)
+        return bool(edges)
 
     # -- decomposition -----------------------------------------------------
 
@@ -337,9 +339,7 @@ class AnchorSolver:
     def force_level2_and_triangles(self) -> bool:
         """Commit level-2 pairs, then matched pairs forced by triangles that
         hang off level 3 into the deep part."""
-        if self.pairs:
-            for e in self.pairs:
-                self._commit(e, "level2-pair-commit")
+        if self._commit_all(self.pairs, "level2-pair-commit"):
             return True
         forced: set[Edge] = set()
         for a in iter_bits(self.n3_mask):
@@ -352,9 +352,7 @@ class AnchorSolver:
                 for c in cands[i + 1:]:
                     if inner >> c & 1:
                         forced.add((b, c))
-        for e in sorted(forced):
-            self._commit(e, "deep-triangle-commit")
-        return bool(forced)
+        return self._commit_all(forced, "deep-triangle-commit")
 
     def force_contact_edges(self) -> bool:
         """Forced mates from cross-pool double contacts and from edges into
@@ -380,9 +378,7 @@ class AnchorSolver:
                 if self.state[t] == WHITE:
                     self._fail("white-endpoint-committed")
                 commits.add(edge(owner, t))
-        if commits:
-            for e in sorted(commits):
-                self._commit(e, "contact-commit")
+        if self._commit_all(commits, "contact-commit"):
             return True
         changed = False
         for s in sorted(self.shared3):
@@ -423,9 +419,7 @@ class AnchorSolver:
                 elif self.lev[t] >= 4:
                     self.state[t] = BLACK
                     changed = True
-        if commits:
-            for e in sorted(set(commits)):
-                self._commit(e, "white-neighbor-commit")
+        if self._commit_all(commits, "white-neighbor-commit"):
             return True
         for z in iter_bits(self.deep_mask):
             if self.state[z] != BLACK:
@@ -472,7 +466,7 @@ class AnchorSolver:
                 t for t in candidates if self._adj(t) == 1 << u
             ]
             if len(pendants) > 1:
-                keep = min(pendants, key=lambda t: (self._weight((u, t)), t))
+                keep = min(pendants, key=lambda t: (self.g.weight((u, t)), t))
                 for t in pendants:
                     if t != keep:
                         removals.append(t)
@@ -480,11 +474,7 @@ class AnchorSolver:
             self.alive &= ~(1 << t)
             self._tag("pendant-prune")
             changed = True
-        if commits:
-            for e in sorted(set(commits)):
-                self._commit(e, "lone-candidate-commit")
-            return True
-        return changed
+        return self._commit_all(commits, "lone-candidate-commit") or changed
 
     def force_isolated_deep(self) -> bool:
         """Deep vertices with no deep neighbor can never be matched: whiten them."""
@@ -589,7 +579,7 @@ class AnchorSolver:
             yield state
             return
         u, pool, cands = stalled
-        cands.sort(key=lambda t: (self._weight((u, t)), t))
+        cands.sort(key=lambda t: (self.g.weight((u, t)), t))
         pool_mask = 1 << u
         for t in pool:
             pool_mask |= 1 << t
@@ -638,7 +628,7 @@ class AnchorSolver:
                 best = (0.0, state)
                 break
             weight = sum(
-                self._weight((u, t))
+                self.g.weight((u, t))
                 for u in task.singles
                 for t in iter_bits(self._adj(u))
                 if state[t] == BLACK and self.pool_owner.get(t) == u
@@ -926,10 +916,6 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
     The matching is verified once, by :func:`solve`, after all components
     are merged.
     """
-    if cfg.verify_class:
-        witness = patterns.find_induced_sijk(g, 1, 2, 4)
-        if witness is not None:
-            return SolveOutcome(CLASS_VIOLATION, witness=witness)
     k4 = patterns.find_k4(g)
     if k4 is not None:
         return SolveOutcome(NO_DIM, reason="clique4", trace=("clique4-reject",))
@@ -1039,16 +1025,24 @@ def solve(
     * the structural route handles components independently with the
       anchor pipeline.  ``structural`` selects it outright, and so do
       ``strict``, which turns on the structural runtime assertions used by
-      the test harness, and ``verify_class``, which rejects inputs
-      containing the out-of-class spider.
+      the test harness, and ``verify_class``.
+
+    ``verify_class`` first checks the whole input for the out-of-class
+    spider S(1,2,4) and, when it holds one, returns ``class_violation``
+    with the spider of least centre as witness before any route runs.  A
+    graph is S(1,2,4)-free exactly when each of its components is, so the
+    verdict does not depend on how the components are numbered.
 
     ``sub_solver`` and ``anchor_log`` serve and observe the structural
     route, and ``timings`` collects per-layer times of either; none of them
     chooses the route.  A found matching is re-verified on both routes.
     """
+    if verify_class:
+        witness = patterns.find_induced_sijk(g, 1, 2, 4)
+        if witness is not None:
+            return SolveOutcome(CLASS_VIOLATION, witness=witness)
     cfg = SolverConfig(
         minimize=minimize,
-        verify_class=verify_class,
         strict=strict,
         sub_solver=sub_solver or solve_precolored,
         anchor_log=anchor_log,

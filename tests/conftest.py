@@ -16,6 +16,11 @@ def cycle(k: int) -> Graph:
     return Graph(k, [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)])
 
 
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    shifted = {(u + a.n, v + a.n): w for (u, v), w in b.weights.items()}
+    return Graph(a.n + b.n, list(a.edges) + list(shifted), {**a.weights, **shifted})
+
+
 # solve() keyword sets for its two routes: the structural pipeline, and the
 # default dispatch that runs the exact search first.
 ROUTES = ({"structural": True}, {})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -10,6 +11,9 @@ from dimatch.cli import EXIT_CLASS, EXIT_FOUND, EXIT_NO_DIM, EXIT_USAGE, main
 from dimatch.fileio import parse_edge_list, parse_matching, write_edge_list, write_matching
 from dimatch.generate import gadget
 from dimatch.graph import Graph
+from dimatch.solver import CLASS_VIOLATION, SolveOutcome
+
+from conftest import disjoint_union
 
 
 def write_gadget(tmp_path, name, fname="g.col"):
@@ -73,6 +77,17 @@ class TestFileFormat:
         with pytest.raises(ParseError, match="line 3: edge line beyond the 1 edges"):
             parse_edge_list("p edge 4 1\ne 1 2\ne 2 3\ne 3 4\n")
 
+    def test_read_edge_list_names_the_path(self, tmp_path):
+        from dimatch.fileio import ParseError, read_edge_list
+
+        p = tmp_path / "g.col"
+        p.write_text(write_edge_list(gadget("c6")))
+        assert read_edge_list(str(p)).edges == gadget("c6").edges
+        p.write_text("p edge 2 1\ne 1 5\n")
+        with pytest.raises(ParseError) as err:
+            read_edge_list(str(p))
+        assert str(err.value) == f"{p}: line 2: vertex out of range 1..2"
+
     def test_parses_an_open_file(self, tmp_path):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)], weights={(1, 2): 3})
         p = tmp_path / "g.col"
@@ -115,6 +130,12 @@ class TestSolveCommand:
     def test_spider_class_violation(self, tmp_path):
         path = write_gadget(tmp_path, "s_1_2_4")
         assert main(["solve", path, "--verify-class"]) == EXIT_CLASS
+
+    def test_verify_class_checks_the_whole_input(self, tmp_path):
+        # C4 (no DIM) numbered before the spider.
+        p = tmp_path / "g.col"
+        p.write_text(write_edge_list(disjoint_union(gadget("c4"), gadget("s_1_2_4"))))
+        assert main(["solve", str(p), "--verify-class"]) == EXIT_CLASS
 
     def test_parse_error(self, tmp_path):
         p = tmp_path / "bad.col"
@@ -248,6 +269,44 @@ class TestGenerateCommand:
         assert main(["generate", "--mode", "gadget", "--gadget", "blob"]) == EXIT_USAGE
 
 
+class TestInputErrors:
+    """Every subcommand reports an unreadable or unwritable file as
+    ``error: ...`` with exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(lambda good, bad: ["solve", bad], id="solve"),
+            pytest.param(lambda good, bad: ["check", bad, good], id="check-graph"),
+            pytest.param(lambda good, bad: ["check", good, bad], id="check-matching"),
+            pytest.param(lambda good, bad: ["oracle", bad], id="oracle"),
+            pytest.param(lambda good, bad: ["detect", bad, "k4"], id="detect"),
+            pytest.param(
+                lambda good, bad: ["compare", "--dir", os.path.dirname(bad), "--threads", "1"],
+                id="compare-dir",
+            ),
+        ],
+    )
+    def test_undecodable_file(self, argv, tmp_path, capsys):
+        good = write_gadget(tmp_path, "c6")
+        (tmp_path / "inputs").mkdir()
+        bad = tmp_path / "inputs" / "bad.col"
+        bad.write_bytes(b"\xff\xfep edge 2 1\ne 1 2\n")
+        args = argv(good, str(bad))
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if args[0] == "compare":
+            assert str(bad) in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--matching-out"])
+    def test_generate_into_a_missing_directory(self, flag, tmp_path, capsys):
+        target = tmp_path / "absent" / "out.col"
+        argv = ["generate", "--mode", "planted", "--n", "20", "--seed", "1", flag, str(target)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestCompareCommand:
     def test_worker_count_env_override(self, monkeypatch):
         from dimatch.compare import worker_count
@@ -355,6 +414,25 @@ class TestCompareCommand:
             )
             assert rep.agreement and rep.found == 2
             assert seen == [True, True]
+
+    @pytest.mark.parametrize("use_oracle", [False, True])
+    def test_planted_class_violation(self, use_oracle, monkeypatch):
+        import dimatch.compare
+
+        monkeypatch.setattr(
+            dimatch.compare, "solve", lambda g, **kwargs: SolveOutcome(CLASS_VIOLATION)
+        )
+        rep = dimatch.compare.run_planted(20, 2, use_oracle=use_oracle, workers=1)
+        labels = ["planted n=20 seed=0", "planted n=20 seed=1"]
+        if use_oracle:
+            assert not rep.disagreements
+            assert rep.errors == [{"instance": x, "error": "class violation"} for x in labels]
+        else:
+            assert not rep.errors
+            assert rep.disagreements == [
+                {"instance": x, "solver": CLASS_VIOLATION, "oracle": "found (planted)"}
+                for x in labels
+            ]
 
     def test_directory_mode(self, tmp_path, capsys):
         (tmp_path / "a.col").write_text(write_edge_list(gadget("c6")))

@@ -15,7 +15,7 @@ from dimatch.patterns import find_k4
 from dimatch.solver import FOUND, NO_DIM, solve
 from dimatch.subsolver import solve_precolored
 
-from conftest import ROUTES, small_graphs
+from conftest import ROUTES, disjoint_union, small_graphs
 
 
 @st.composite
@@ -24,11 +24,6 @@ def weighted_k4_free(draw, max_n: int = 7) -> Graph:
     assume(find_k4(g) is None)
     weights = draw(st.lists(st.integers(1, 5), min_size=g.m, max_size=g.m))
     return Graph(g.n, g.edges, dict(zip(g.edges, weights)))
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    shifted = {(u + a.n, v + a.n): w for (u, v), w in b.weights.items()}
-    return Graph(a.n + b.n, list(a.edges) + list(shifted), {**a.weights, **shifted})
 
 
 def min_weight(g: Graph, route: dict) -> float | None:

@@ -13,6 +13,7 @@ from dimatch.coloring import BLACK, WHITE, Coloring
 from dimatch.generate import GenSpec, SplitMix64, generate_planted
 from dimatch.graph import Graph, iter_bits
 from dimatch.oracle import enumerate_all_graphs
+from dimatch.patterns import verify_witness
 from dimatch.solver import (
     CLASS_VIOLATION,
     EXACT_NODES_PER_VERTEX,
@@ -28,7 +29,7 @@ from dimatch.solver import (
 )
 from dimatch.subsolver import SearchBudgetExceeded, solve_precolored
 
-from conftest import ROUTES, cycle, degree2_block, path, small_connected_graphs
+from conftest import ROUTES, cycle, degree2_block, disjoint_union, path, small_connected_graphs
 
 
 def spine(extra_edges, n, weights=None):
@@ -330,6 +331,17 @@ class TestClassViolation:
         out = solve(gadget("s_1_2_4"), verify_class=True)
         assert out.verdict == CLASS_VIOLATION
         assert out.witness is not None
+
+    @pytest.mark.parametrize("minimize", [False, True])
+    @pytest.mark.parametrize("spider_first", [False, True])
+    def test_verify_class_checks_the_whole_input(self, minimize, spider_first):
+        # C4 has no DIM: a check made per component would stop at it when it
+        # is numbered first and answer no_dim.
+        parts = (gadget("s_1_2_4"), cycle(4))
+        g = disjoint_union(*(parts if spider_first else parts[::-1]))
+        out = solve(g, minimize=minimize, verify_class=True)
+        assert out.verdict == CLASS_VIOLATION
+        assert verify_witness(g, out.witness, (1, 2, 4))
 
 
 class TestSolveEndToEnd:
