@@ -27,7 +27,7 @@ from .compare import (
     run_samples,
     worker_count,
 )
-from .fileio import parse_matching, read_edge_list, write_edge_list, write_matching
+from .fileio import read_edge_list, read_matching, write_edge_list, write_matching
 from .generate import GenSpec, RetryBudgetExceeded, generate
 from .graph import Graph, GraphError
 from .oracle import EnumerationCapExceeded, oracle_solve
@@ -114,8 +114,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     g = read_edge_list(args.graph)
-    with open(args.matching, "r", encoding="utf-8") as fh:
-        matching = parse_matching(fh.read(), g)
+    matching = read_matching(args.matching, g)
     ok = g.is_dim(matching)
     print("valid dominating induced matching" if ok else "not a dominating induced matching")
     return EXIT_FOUND if ok else EXIT_NO_DIM

@@ -148,6 +148,19 @@ def parse_matching(text: str, g: Graph) -> frozenset[Edge]:
     return frozenset(out)
 
 
+def read_matching(path: str, g: Graph) -> frozenset[Edge]:
+    """Parse the matching file at ``path`` against ``g``, read as UTF-8.
+
+    A decode or parse error is raised as :class:`ParseError` with the path
+    in front of its message, as in :func:`read_edge_list`.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse_matching(fh.read(), g)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+
+
 def write_matching(matching, comment: str | None = None) -> str:
     lines = []
     if comment:

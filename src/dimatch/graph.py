@@ -8,6 +8,7 @@ set algebra for the pattern searches and the solver hot paths).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterable, Iterator, Mapping
 
@@ -34,11 +35,15 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """A finite simple undirected graph, immutable after construction.
 
-    Optional per-edge weights default to 1, and an optional ``names`` tuple
-    preserves external vertex labels for reporting.
+    ``edges`` is the sorted tuple of canonical edges and ``weights`` maps
+    each of them to its weight, finite and non-negative, 1 unless given;
+    edge membership is read from ``weights``, the one edge container.
+    Adjacency is kept as frozensets (``adj``) and as bitmasks (``bits``).
+    An optional ``names`` tuple preserves external vertex labels for
+    reporting.
     """
 
-    __slots__ = ("n", "edges", "adj", "bits", "weights", "names", "_edge_set")
+    __slots__ = ("n", "edges", "adj", "bits", "weights", "names")
 
     def __init__(
         self,
@@ -51,43 +56,39 @@ class Graph:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
         bits = [0] * n
-        canon: list[Edge] = []
-        seen: set[Edge] = set()
+        w: dict[Edge, float] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             e = (u, v) if u < v else (v, u)
-            if e in seen:
+            if e in w:
                 raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
+            w[e] = 1
             adj[u].add(v)
             adj[v].add(u)
             bits[u] |= 1 << v
             bits[v] |= 1 << u
-        canon.sort()
-        w: dict[Edge, float] = {}
         if weights:
             for e, wt in weights.items():
                 e = edge(*e)
-                if e not in seen:
+                if e not in w:
                     raise GraphError(f"weight given for absent edge {e}")
+                # wt != wt catches NaN; math.isfinite would overflow on a huge int.
+                if wt != wt or wt in (math.inf, -math.inf):
+                    raise GraphError(f"non-finite weight on {e}")
                 if wt < 0:
                     raise GraphError(f"negative weight on {e}")
                 w[e] = wt
-        for e in canon:
-            w.setdefault(e, 1)
         if names is not None and len(names) != n:
             raise GraphError("names tuple must have one entry per vertex")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "edges", tuple(sorted(w)))
         object.__setattr__(self, "adj", tuple(frozenset(s) for s in adj))
         object.__setattr__(self, "bits", tuple(bits))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_edge_set", seen)
 
     def __setattr__(self, key, value):  # pragma: no cover - guard rail
         raise AttributeError("Graph is immutable")
@@ -112,10 +113,10 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self._edge_set
+        return edge(u, v) in self.weights
 
     def has_edge_canon(self, e: Edge) -> bool:
-        return e in self._edge_set
+        return e in self.weights
 
     def weight(self, e: Edge) -> float:
         return self.weights[edge(*e)]
@@ -160,7 +161,7 @@ class Graph:
         mate: dict[int, int] = {}
         for e in matching:
             u, v = edge(*e)
-            if e not in self._edge_set:
+            if e not in self.weights:
                 raise GraphError(f"matching edge {(u, v)} not in graph")
             if u in mate or v in mate:
                 return None

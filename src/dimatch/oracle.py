@@ -18,6 +18,7 @@ from typing import Callable, Iterator
 
 from .coloring import BLACK, WHITE, Coloring
 from .graph import Edge, Graph, iter_bits
+from .patterns import _first_k4
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -53,13 +54,11 @@ class _ComponentSearch:
         mode: str,
         cap: int,
     ) -> None:
-        self.g = g
         self.mode = mode
         self.cap = cap
         vset = set(vertices)
-        self.edges = sorted(e for e in g.edges if e[0] in vset and e[1] in vset)
+        self.edges = [e for e in g.edges if e[0] in vset and e[1] in vset]
         self.m = len(self.edges)
-        self.index = {e: i for i, e in enumerate(self.edges)}
         self.weights = [g.weights[e] for e in self.edges]
         self.incident: dict[int, list[int]] = {v: [] for v in vertices}
         for i, (u, v) in enumerate(self.edges):
@@ -340,17 +339,8 @@ def mask_connected(n: int, bits: list[int]) -> bool:
 
 
 def bits_k4_free(bits: list[int]) -> bool:
-    n = len(bits)
-    for u in range(n):
-        bu = bits[u] >> (u + 1) << (u + 1)
-        for v in iter_bits(bu):
-            common = bits[u] & bits[v]
-            if not common:
-                continue
-            for w in iter_bits(common):
-                if bits[w] & common >> (w + 1) << (w + 1):
-                    return False
-    return True
+    """True iff :func:`patterns.find_k4`'s scan finds no 4-clique in ``bits``."""
+    return _first_k4(bits) is None
 
 
 def mask_to_graph(n: int, mask: int, pairs: list[Edge] | None = None) -> Graph:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .graph import Edge, Graph, edge, iter_bits
 
@@ -51,19 +52,29 @@ class PatternWitness:
         return (edge(a, b), edge(c, d))
 
 
-def find_k4(g: Graph) -> PatternWitness | None:
-    """First 4-clique in canonical order, or None if the graph is K4-free."""
-    for a, b in g.edges:
-        common = g.bits[a] & g.bits[b]
-        if not common:
-            continue
-        cands = list(iter_bits(common))
-        for i, c in enumerate(cands):
-            rest = g.bits[c] & common
-            for d in cands[i + 1:]:
-                if rest >> d & 1:
-                    return PatternWitness("k4", tuple(sorted((a, b, c, d))))
+def _first_k4(bits: Sequence[int]) -> tuple[int, ...] | None:
+    """The one 4-clique scan: the first K4 of the adjacency bitmasks, sorted.
+
+    Order: u, then each neighbor v > u, then each common neighbor w, then
+    the least common neighbor x > w that w sees.
+    """
+    for u, bu in enumerate(bits):
+        for v in iter_bits(bu >> (u + 1) << (u + 1)):
+            common = bu & bits[v]
+            if not common:
+                continue
+            for w in iter_bits(common):
+                rest = bits[w] & common >> (w + 1) << (w + 1)
+                if rest:
+                    x = (rest & -rest).bit_length() - 1
+                    return tuple(sorted((u, v, w, x)))
     return None
+
+
+def find_k4(g: Graph) -> PatternWitness | None:
+    """The first 4-clique of :func:`_first_k4` as a witness, or None."""
+    k4 = _first_k4(g.bits)
+    return None if k4 is None else PatternWitness("k4", k4)
 
 
 def find_all_diamonds(g: Graph) -> list[PatternWitness]:

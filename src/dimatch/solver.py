@@ -913,13 +913,10 @@ def _solve_residual(g: Graph, coloring: Coloring, cfg: SolverConfig) -> SolveOut
 def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
     """Algorithm backbone for one connected component with at least one edge.
 
-    The matching is verified once, by :func:`solve`, after all components
-    are merged.
+    The component is K4-free: :func:`solve` rejects a 4-clique in the whole
+    input first.  The matching is verified once, by :func:`solve`, after all
+    components are merged.
     """
-    k4 = patterns.find_k4(g)
-    if k4 is not None:
-        return SolveOutcome(NO_DIM, reason="clique4", trace=("clique4-reject",))
-
     start = time.perf_counter()
     seeds = patterns.forced_edges_initial(g)
     trace: list[str] = []
@@ -1022,10 +1019,13 @@ def solve(
       component needs more than ``EXACT_NODES_PER_VERTEX`` search nodes per
       vertex (plus a small slack), the structural route answers instead,
       so the answer is then exactly the structural route's;
-    * the structural route handles components independently with the
-      anchor pipeline.  ``structural`` selects it outright, and so do
-      ``strict``, which turns on the structural runtime assertions used by
-      the test harness, and ``verify_class``.
+    * the structural route first answers ``no_dim`` with the reason
+      ``clique4`` and the trace ``("clique4-reject",)`` when the whole input
+      holds a 4-clique, whichever component it lies in; otherwise it
+      handles components independently with the anchor pipeline.
+      ``structural`` selects it outright, and so do ``strict``, which turns
+      on the structural runtime assertions used by the test harness, and
+      ``verify_class``.
 
     ``verify_class`` first checks the whole input for the out-of-class
     spider S(1,2,4) and, when it holds one, returns ``class_violation``
@@ -1052,6 +1052,8 @@ def solve(
     if not (structural or strict or verify_class):
         out = _solve_exact(g, cfg)
     if out is None:
+        if patterns.find_k4(g) is not None:
+            return SolveOutcome(NO_DIM, reason="clique4", trace=("clique4-reject",))
         out = _solve_pieces(
             g,
             Coloring.fresh(g.n),

@@ -8,7 +8,13 @@ import os
 import pytest
 
 from dimatch.cli import EXIT_CLASS, EXIT_FOUND, EXIT_NO_DIM, EXIT_USAGE, main
-from dimatch.fileio import parse_edge_list, parse_matching, write_edge_list, write_matching
+from dimatch.fileio import (
+    ParseError,
+    parse_edge_list,
+    parse_matching,
+    write_edge_list,
+    write_matching,
+)
 from dimatch.generate import gadget
 from dimatch.graph import Graph
 from dimatch.solver import CLASS_VIOLATION, SolveOutcome
@@ -87,6 +93,11 @@ class TestFileFormat:
         with pytest.raises(ParseError) as err:
             read_edge_list(str(p))
         assert str(err.value) == f"{p}: line 2: vertex out of range 1..2"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_weight(self, token):
+        with pytest.raises(ParseError, match=r"non-finite weight on \(0, 1\)"):
+            parse_edge_list(f"p edge 2 1\ne 1 2 {token}\n")
 
     def test_parses_an_open_file(self, tmp_path):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)], weights={(1, 2): 3})
@@ -209,6 +220,13 @@ class TestCheckCommand:
         mpath = tmp_path / "m.txt"
         mpath.write_text("m 1 3\n")  # not an edge of the path
         assert main(["check", gpath, str(mpath)]) == EXIT_USAGE
+
+    def test_malformed_matching_names_the_path(self, tmp_path, capsys):
+        gpath = write_gadget(tmp_path, "p3")
+        mpath = tmp_path / "m.txt"
+        mpath.write_text("x 1 2\n")
+        assert main(["check", gpath, str(mpath)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {mpath}: line 1: expected 'm <u> <v>'\n"
 
 
 class TestDetectCommand:

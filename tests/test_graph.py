@@ -35,6 +35,11 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(2, [(0, 1)], weights={(0, 1): -1})
 
+    @pytest.mark.parametrize("wt", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_weight(self, wt):
+        with pytest.raises(GraphError, match=r"non-finite weight on \(0, 1\)"):
+            Graph(2, [(0, 1)], weights={(1, 0): wt})
+
     def test_immutable(self):
         g = path(3)
         with pytest.raises(AttributeError):

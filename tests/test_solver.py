@@ -13,7 +13,7 @@ from dimatch.coloring import BLACK, WHITE, Coloring
 from dimatch.generate import GenSpec, SplitMix64, generate_planted
 from dimatch.graph import Graph, iter_bits
 from dimatch.oracle import enumerate_all_graphs
-from dimatch.patterns import verify_witness
+from dimatch.patterns import find_induced_sijk, find_k4, verify_witness
 from dimatch.solver import (
     CLASS_VIOLATION,
     EXACT_NODES_PER_VERTEX,
@@ -362,6 +362,16 @@ class TestSolveEndToEnd:
         out = solve(gadget("k4"), structural=True)
         assert out.verdict == NO_DIM and out.reason == "clique4"
 
+    @pytest.mark.parametrize("route", [{"structural": True}, {"verify_class": True}])
+    @pytest.mark.parametrize("k4_first", [False, True])
+    def test_k4_rejected_in_either_component_order(self, route, k4_first):
+        # C4 has no DIM either: a check made per component would answer for
+        # the C4 when it is numbered first.
+        parts = (gadget("k4"), cycle(4))
+        g = disjoint_union(*(parts if k4_first else parts[::-1]))
+        out = solve(g, **route)
+        assert (out.verdict, out.reason, out.trace) == (NO_DIM, "clique4", ("clique4-reject",))
+
     def test_gem_no_dim(self):
         for route in ROUTES:
             assert solve(gadget("gem"), **route).verdict == NO_DIM
@@ -428,6 +438,33 @@ class TestForcedScan:
         out = solve(g, structural=True)
         assert out.found and g.is_dim(out.matching)
         assert scanned == [7]
+
+
+class TestCompletions:
+    @pytest.mark.parametrize("route", [{"structural": True}, {"strict": True}])
+    def test_stalled_pool_recurses(self, monkeypatch, route):
+        # An in-class graph (K4-free, S(1,2,4)-free) on which min-weight
+        # completion leaves a pool undecided and recurses on a trial coloring.
+        g = Graph(10, [(0, 4), (0, 6), (1, 5), (1, 8), (1, 9), (2, 7),
+                       (3, 6), (3, 8), (4, 6), (5, 8), (6, 9), (7, 9)])
+        assert find_k4(g) is None and find_induced_sijk(g, 1, 2, 4) is None
+        real = AnchorSolver._completions
+        depth = [0]
+        deepest = [0]
+
+        def spy(self, state, tasks):
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+            try:
+                yield from real(self, state, tasks)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(AnchorSolver, "_completions", spy)
+        out = solve(g, minimize=True, **route)
+        assert deepest[0] >= 2
+        assert out.found and out.weight == 3.0
+        assert out.weight == oracle_solve(g, mode="min_weight").best[1]
 
 
 class TestAnchorLog:
