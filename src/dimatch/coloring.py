@@ -89,33 +89,26 @@ def propagate(
     Callers queue the vertices they colored since the last fixpoint; the
     colored neighborhood of each queued vertex is re-examined as well, since
     its constraints may have tightened.  Mutates ``state`` in place.
+
+    Work order: the work list is a LIFO stack, and a ``pending`` set keeps
+    each vertex on it at most once.  Each queued vertex is pushed, then its
+    colored neighbors; a vertex a rule colors is pushed the same way, at
+    once.  A rule colors only vertices it saw uncolored, so coloring never
+    conflicts.  The pushes are written out inline, with no helper
+    closures, since in this hot loop a call per push costs more than the
+    push.  Lookups in ``excluded`` are skipped when it is empty.
     """
     adj = g.adj
     work: list[int] = []
     pending: set[int] = set()
-
-    def push(v: int) -> None:
+    for v in queue:
         if v not in pending:
             pending.add(v)
             work.append(v)
-
-    for v in queue:
-        push(v)
         for u in adj[v]:
-            if state[u] != UNSET:
-                push(u)
-
-    def assign(v: int, color: int) -> str | None:
-        if state[v] == color:
-            return None
-        if state[v] != UNSET:
-            return R_WHITE_WHITE if color == WHITE else R_TWO_BLACK
-        state[v] = color
-        push(v)
-        for u in adj[v]:
-            if state[u] != UNSET:
-                push(u)
-        return None
+            if state[u] != UNSET and u not in pending:
+                pending.add(u)
+                work.append(u)
 
     while work:
         v = work.pop()
@@ -123,12 +116,18 @@ def propagate(
         c = state[v]
         if c == WHITE:
             for u in adj[v]:
-                if state[u] == WHITE:
+                cu = state[u]
+                if cu == WHITE:
                     return R_WHITE_WHITE
-                if state[u] == UNSET:
-                    bad = assign(u, BLACK)
-                    if bad:
-                        return bad
+                if cu == UNSET:
+                    state[u] = BLACK
+                    if u not in pending:
+                        pending.add(u)
+                        work.append(u)
+                    for t in adj[u]:
+                        if state[t] != UNSET and t not in pending:
+                            pending.add(t)
+                            work.append(t)
         elif c == BLACK:
             mate = -1
             for u in adj[v]:
@@ -137,32 +136,47 @@ def propagate(
                         return R_TWO_BLACK
                     mate = u
             if mate >= 0:
-                if edge(v, mate) in excluded:
+                if excluded and edge(v, mate) in excluded:
                     return R_EXCLUDED_PAIR
                 for u in adj[v]:
                     if u != mate and state[u] == UNSET:
-                        bad = assign(u, WHITE)
-                        if bad:
-                            return bad
+                        state[u] = WHITE
+                        if u not in pending:
+                            pending.add(u)
+                            work.append(u)
+                        for t in adj[u]:
+                            if state[t] != UNSET and t not in pending:
+                                pending.add(t)
+                                work.append(t)
             else:
                 candidate = -1
                 count = 0
                 for u in adj[v]:
                     if state[u] != UNSET:
                         continue
-                    if edge(v, u) in excluded:
-                        bad = assign(u, WHITE)
-                        if bad:
-                            return bad
+                    if excluded and edge(v, u) in excluded:
+                        state[u] = WHITE
+                        if u not in pending:
+                            pending.add(u)
+                            work.append(u)
+                        for t in adj[u]:
+                            if state[t] != UNSET and t not in pending:
+                                pending.add(t)
+                                work.append(t)
                         continue
                     candidate = u
                     count += 1
                 if count == 0:
                     return R_NO_MATE
                 if count == 1:
-                    bad = assign(candidate, BLACK)
-                    if bad:
-                        return bad
+                    state[candidate] = BLACK
+                    if candidate not in pending:
+                        pending.add(candidate)
+                        work.append(candidate)
+                    for t in adj[candidate]:
+                        if state[t] != UNSET and t not in pending:
+                            pending.add(t)
+                            work.append(t)
     return None
 
 

@@ -39,7 +39,8 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
 
     An open text file is read line by line, so an input that declares too
     few edges fails at the first edge line beyond the header's count,
-    without the rest being read.
+    without the rest being read.  Each line is split into tokens once; a
+    line with no tokens, or whose first token starts with ``c``, is skipped.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     n = -1
@@ -47,26 +48,11 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
     edges: list[Edge] = []
     weights: dict[Edge, float] = {}
     for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "c":
             continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n >= 0:
-                raise ParseError(f"line {lineno}: duplicate problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ParseError(f"line {lineno}: expected 'p edge <n> <m>'")
-            try:
-                n, declared_m = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad problem line") from exc
-            if n < 0 or declared_m < 0:
-                raise ParseError(f"line {lineno}: header declares a negative count")
-            if n > MAX_VERTICES:
-                raise ParseError(
-                    f"line {lineno}: header declares {n} vertices, more than {MAX_VERTICES}"
-                )
-        elif parts[0] == "e":
+        tag = parts[0]
+        if tag == "e":
             if n < 0:
                 raise ParseError(f"line {lineno}: edge before problem line")
             if len(edges) == declared_m:
@@ -81,12 +67,27 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
                 raise ParseError(f"line {lineno}: bad vertex token") from exc
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"line {lineno}: vertex out of range 1..{n}")
-            e = (min(u, v) - 1, max(u, v) - 1)
+            e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
             edges.append(e)
             if len(parts) == 4:
                 weights[e] = _parse_weight(parts[3])
+        elif tag == "p":
+            if n >= 0:
+                raise ParseError(f"line {lineno}: duplicate problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ParseError(f"line {lineno}: expected 'p edge <n> <m>'")
+            try:
+                n, declared_m = int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad problem line") from exc
+            if n < 0 or declared_m < 0:
+                raise ParseError(f"line {lineno}: header declares a negative count")
+            if n > MAX_VERTICES:
+                raise ParseError(
+                    f"line {lineno}: header declares {n} vertices, more than {MAX_VERTICES}"
+                )
         else:
-            raise ParseError(f"line {lineno}: unknown line type {parts[0]!r}")
+            raise ParseError(f"line {lineno}: unknown line type {tag!r}")
     if n < 0:
         raise ParseError("missing 'p edge' problem line")
     if declared_m != len(edges):

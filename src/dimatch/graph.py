@@ -37,8 +37,9 @@ class Graph:
 
     ``edges`` is the sorted tuple of canonical edges and ``weights`` maps
     each of them to its weight, finite and non-negative, 1 unless given;
-    edge membership is read from ``weights``, the one edge container.
-    Adjacency is kept as frozensets (``adj``) and as bitmasks (``bits``).
+    the weights must also sum to a finite float.  Edge membership is read
+    from ``weights``, the one edge container.  Adjacency is kept as
+    frozensets (``adj``) and as bitmasks (``bits``).
     An optional ``names`` tuple preserves external vertex labels for
     reporting.
     """
@@ -81,11 +82,16 @@ class Graph:
                 if wt < 0:
                     raise GraphError(f"negative weight on {e}")
                 w[e] = wt
+            # Solvers report weights as floats, so any sum of weights must be one.
+            try:
+                math.fsum(w.values())
+            except OverflowError as exc:
+                raise GraphError("total edge weight exceeds the float range") from exc
         if names is not None and len(names) != n:
             raise GraphError("names tuple must have one entry per vertex")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(w)))
-        object.__setattr__(self, "adj", tuple(frozenset(s) for s in adj))
+        object.__setattr__(self, "adj", tuple(map(frozenset, adj)))
         object.__setattr__(self, "bits", tuple(bits))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "names", names)
@@ -161,7 +167,7 @@ class Graph:
         mate: dict[int, int] = {}
         for e in matching:
             u, v = edge(*e)
-            if e not in self.weights:
+            if (u, v) not in self.weights:
                 raise GraphError(f"matching edge {(u, v)} not in graph")
             if u in mate or v in mate:
                 return None

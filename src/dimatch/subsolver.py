@@ -59,11 +59,16 @@ def solve_precolored(
     ``nodes_per_vertex`` set, a piece of k vertices may use at most
     ``nodes_per_vertex * k + BUDGET_SLACK`` nodes; one that needs more
     raises :class:`SearchBudgetExceeded`.  None leaves the search unbounded.
+
+    The search starts from the coloring closed under :func:`propagate`.
+    A blank coloring, with no vertex colored and no edge excluded, is
+    already closed: every vertex that propagation pops is uncolored, so
+    no rule fires.  That first propagation is skipped then.
     """
     excluded = frozenset(coloring.excluded)
     state = list(coloring.state)
-    reason = propagate(g, state, excluded, range(g.n))
-    if reason:
+    # any(state) tests for a colored vertex: UNSET is 0.
+    if (excluded or any(state)) and propagate(g, state, excluded, range(g.n)):
         return None
     for comp in g.connected_components():
         vertices = sorted(comp)

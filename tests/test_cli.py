@@ -99,6 +99,21 @@ class TestFileFormat:
         with pytest.raises(ParseError, match=r"non-finite weight on \(0, 1\)"):
             parse_edge_list(f"p edge 2 1\ne 1 2 {token}\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p edge 3 2\n   \t \ne 1 2\ne 2 3\n",
+            "p edge 3 2\n   c note\ne 1 2\ne 2 3\n",
+            "cfoo\np edge 3 2\ne 1 2\ncfoo 1 2\ne 2 3\n",
+            "p edge 3 2\ne\t1\t2\ne 2\t3 \t4\n",
+        ],
+        ids=["whitespace-line", "indented-comment", "c-prefixed-word", "tab-separated"],
+    )
+    def test_comment_blank_and_tab_lines(self, text):
+        g = parse_edge_list(text)
+        assert g.n == 3 and g.edges == ((0, 1), (1, 2))
+        assert g.weight((1, 2)) == (4 if "\t4" in text else 1)
+
     def test_parses_an_open_file(self, tmp_path):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)], weights={(1, 2): 3})
         p = tmp_path / "g.col"
@@ -161,6 +176,22 @@ class TestSolveCommand:
 
     def test_missing_file(self):
         assert main(["solve", "/nonexistent/graph.col"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags", [[], ["--min-weight"], ["--structural"]])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p edge 2 1\ne 1 2 " + "9" * 400 + "\n",
+            "p edge 4 2\ne 1 2 1" + "0" * 308 + "\ne 3 4 1" + "0" * 308 + "\n",
+        ],
+        ids=["huge-weight", "weights-sum-overflows"],
+    )
+    def test_weight_beyond_float_range_is_a_parse_error(self, tmp_path, capsys, flags, text):
+        p = tmp_path / "big.col"
+        p.write_text(text)
+        assert main(["solve", str(p), "--json", *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "total edge weight exceeds the float range" in err
 
     def test_all_anchors_reported(self, tmp_path, capsys):
         path = write_gadget(tmp_path, "p5")

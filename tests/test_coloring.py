@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from dimatch import gadget, oracle_solve
 from dimatch.coloring import (
     BLACK,
+    R_EXCLUDED_PAIR,
+    R_NO_MATE,
+    R_TWO_BLACK,
+    R_WHITE_WHITE,
     UNSET,
     WHITE,
     Coloring,
@@ -15,7 +19,8 @@ from dimatch.coloring import (
     forced_edge_closure,
     propagate,
 )
-from dimatch.graph import Graph
+from dimatch.generate import SplitMix64
+from dimatch.graph import Graph, edge
 from dimatch.subsolver import solve_precolored
 
 from conftest import cycle, path, small_graphs
@@ -312,3 +317,117 @@ class TestPropagate:
         assert reason is None
         for v in range(g.n):
             assert state[v] in (UNSET, truth[v])
+
+
+def reference_propagate(g, state, excluded, queue):
+    """The closure-based form of :func:`propagate`, kept as its test reference."""
+    adj = g.adj
+    work: list[int] = []
+    pending: set[int] = set()
+
+    def push(v: int) -> None:
+        if v not in pending:
+            pending.add(v)
+            work.append(v)
+
+    for v in queue:
+        push(v)
+        for u in adj[v]:
+            if state[u] != UNSET:
+                push(u)
+
+    def assign(v: int, color: int) -> str | None:
+        if state[v] == color:
+            return None
+        if state[v] != UNSET:
+            return R_WHITE_WHITE if color == WHITE else R_TWO_BLACK
+        state[v] = color
+        push(v)
+        for u in adj[v]:
+            if state[u] != UNSET:
+                push(u)
+        return None
+
+    while work:
+        v = work.pop()
+        pending.discard(v)
+        c = state[v]
+        if c == WHITE:
+            for u in adj[v]:
+                if state[u] == WHITE:
+                    return R_WHITE_WHITE
+                if state[u] == UNSET:
+                    bad = assign(u, BLACK)
+                    if bad:
+                        return bad
+        elif c == BLACK:
+            mate = -1
+            for u in adj[v]:
+                if state[u] == BLACK:
+                    if mate >= 0:
+                        return R_TWO_BLACK
+                    mate = u
+            if mate >= 0:
+                if edge(v, mate) in excluded:
+                    return R_EXCLUDED_PAIR
+                for u in adj[v]:
+                    if u != mate and state[u] == UNSET:
+                        bad = assign(u, WHITE)
+                        if bad:
+                            return bad
+            else:
+                candidate = -1
+                count = 0
+                for u in adj[v]:
+                    if state[u] != UNSET:
+                        continue
+                    if edge(v, u) in excluded:
+                        bad = assign(u, WHITE)
+                        if bad:
+                            return bad
+                        continue
+                    candidate = u
+                    count += 1
+                if count == 0:
+                    return R_NO_MATE
+                if count == 1:
+                    bad = assign(candidate, BLACK)
+                    if bad:
+                        return bad
+    return None
+
+
+class TestPropagateDifferential:
+    """propagate against its closure-based reference on seeded random inputs."""
+
+    def test_matches_reference(self):
+        rng = SplitMix64(2024)
+        moved = contradictions = 0
+        for trial in range(5000):
+            n = rng.randint(1, 14)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            density = rng.random() * 0.35
+            g = Graph(n, [e for e in pairs if rng.random() < density])
+            state = [UNSET] * n
+            for _ in range(rng.randint(1, 4)):
+                state[rng.randrange(n)] = rng.choice((BLACK, WHITE))
+            # Every third trial keeps the excluded set empty.
+            excluded = (
+                frozenset()
+                if trial % 3 == 0
+                else frozenset(e for e in g.edges if rng.random() < 0.3)
+            )
+            queue = [v for v in range(n) if state[v] != UNSET or rng.random() < 0.2]
+            rng.shuffle(queue)
+            before = list(state)
+            want_state = list(state)
+            want = reference_propagate(g, want_state, excluded, list(queue))
+            got = propagate(g, state, excluded, list(queue))
+            assert got == want, (trial, g.edges, excluded, queue)
+            if want is None:
+                assert state == want_state, (trial, g.edges, excluded, queue)
+                moved += state != before
+            else:
+                contradictions += 1
+        # Both outcomes must be well covered, and fixpoints that color something.
+        assert moved > 300 and contradictions > 1000

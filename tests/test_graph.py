@@ -40,6 +40,24 @@ class TestConstruction:
         with pytest.raises(GraphError, match=r"non-finite weight on \(0, 1\)"):
             Graph(2, [(0, 1)], weights={(1, 0): wt})
 
+    @pytest.mark.parametrize(
+        "n, weights",
+        [
+            (2, {(0, 1): 10**400 - 1}),
+            # Each weight is a finite float, but a matching holding both is not.
+            (4, {(0, 1): 10**308, (2, 3): 10**308}),
+            (4, {(0, 1): 1e308, (2, 3): 1e308}),
+        ],
+        ids=["huge-int", "int-sum", "float-sum"],
+    )
+    def test_rejects_weights_beyond_float_range(self, n, weights):
+        with pytest.raises(GraphError, match="total edge weight exceeds the float range"):
+            Graph(n, list(weights), weights=weights)
+
+    def test_accepts_a_weight_near_the_float_limit(self):
+        g = Graph(3, [(0, 1), (1, 2)], weights={(0, 1): 10**308, (1, 2): 0})
+        assert g.weight((0, 1)) == 10**308
+
     def test_immutable(self):
         g = path(3)
         with pytest.raises(AttributeError):
@@ -168,6 +186,12 @@ class TestIsDim:
     def test_absent_edge_raises(self):
         with pytest.raises(GraphError):
             path(3).is_dim([(0, 2)])
+
+    @pytest.mark.parametrize("e", [(0, 1), (1, 0)])
+    def test_either_edge_order(self, e):
+        g = Graph(2, [(0, 1)])
+        assert g.is_dim([e])
+        assert g.is_induced_matching([e])
 
     @given(small_graphs(min_n=2, max_n=7), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=80)
