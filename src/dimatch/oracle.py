@@ -271,11 +271,13 @@ def oracle_solve_subsets(
     for subset in range(1 << m):
         if subset & barred:
             continue
-        if any(bin(touch_mask[i] & subset).count("1") != 1 for i in range(m)):
-            continue
-        if any(incident_mask[b] & subset == 0 for b in blacks):
-            continue
-        found.append(frozenset(e for i, e in enumerate(g.edges) if subset >> i & 1))
+        for touch in touch_mask:
+            if (touch & subset).bit_count() != 1:
+                break
+        else:
+            # Every edge touches exactly one edge of the subset.
+            if not any(incident_mask[b] & subset == 0 for b in blacks):
+                found.append(frozenset(e for i, e in enumerate(g.edges) if subset >> i & 1))
 
     if not found:
         return OracleResult(False)

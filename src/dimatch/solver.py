@@ -17,10 +17,10 @@ On inputs outside the intended graph class (no induced spider with legs
 solver then reports a class violation with a witness instead of guessing.
 
 :func:`solve` is a dispatcher in front of this pipeline.  By default it
-first runs the exact search under a node budget, which answers in-class
-inputs faster; the structural pipeline is the fallback when the budget
-trips, and the only route in strict, class-verifying or ``structural``
-mode.
+first runs the exact-cover search under a node budget, which answers
+in-class inputs faster; the structural pipeline is the fallback when the
+budget trips, and the only route in strict, class-verifying or
+``structural`` mode.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .coloring import (
     restrict,
 )
 from .graph import Edge, Graph, GraphError, edge, iter_bits
-from .subsolver import SearchBudgetExceeded, solve_precolored
+from .subsolver import SearchBudgetExceeded, solve_cover, solve_precolored
 
 FOUND = "found"
 NO_DIM = "no_dim"
@@ -1012,8 +1012,8 @@ def solve(
     ``minimize`` returns a minimum total-weight matching instead of the
     first one found.  There are two routes to the answer:
 
-    * the exact route (the default) runs the budgeted exact search
-      :func:`solve_precolored` once on the whole input, which searches each
+    * the exact route (the default) runs the budgeted exact-cover search
+      :func:`solve_cover` once on the whole input, which searches each
       component in turn.  Its answer carries the trace ``(TRACE_EXACT,)``;
       a ``no_dim`` carries the reason ``REASON_NO_COMPLETION``.  When any
       component needs more than ``EXACT_NODES_PER_VERTEX`` search nodes per
@@ -1072,12 +1072,15 @@ def solve(
 
 
 def _solve_exact(g: Graph, cfg: SolverConfig) -> SolveOutcome | None:
-    """The exact route's answer, or None when the node budget trips."""
+    """The exact route's answer, or None when the node budget trips.
+
+    The route runs :func:`solve_cover` on the uncolored input; the
+    precolored search :func:`solve_precolored` serves only the structural
+    route's sub-solver slot.
+    """
     start = time.perf_counter()
     try:
-        res = solve_precolored(
-            g, Coloring.fresh(g.n), cfg.minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX
-        )
+        res = solve_cover(g, cfg.minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX)
     except SearchBudgetExceeded:
         return None
     finally:

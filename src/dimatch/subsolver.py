@@ -1,17 +1,21 @@
-"""Exact search for dominating induced matchings under a partial coloring.
+"""Exact searches for dominating induced matchings.
 
-Two callers use it.  :func:`dimatch.solver.solve` first runs it on the
-whole input under a node budget (the exact route), and the structural
-route hands it residual precolored instances through its pluggable
-sub-solver slot (the beyond-level-3 part of an anchor decomposition, plus
-the stray vertices that reductions cut off from the anchor's levels),
-without a budget.  It backtracks over vertex colors with the full
-forcing-rule propagation from :mod:`dimatch.coloring` at every node, which
-keeps it effectively linear on the long sparse residues the solver
-produces while staying correct on anything.  Connected pieces are searched
-in turn, not as one product, and each piece is searched in place: a choice
-point keeps only the piece's own colors to restore, since propagation
-never leaves a connected piece.
+Two engines live here.  :func:`solve_cover` is the exact route of
+:func:`dimatch.solver.solve`: it runs on the whole, uncolored input under a
+node budget and treats a dominating induced matching as an exact cover of
+the edges by closed edge neighbourhoods (Efficient Domination on the line
+graph), searched on integer bitmasks.
+
+:func:`solve_precolored` serves only the structural route's pluggable
+sub-solver slot, which hands it residual precolored instances (the
+beyond-level-3 part of an anchor decomposition, plus the stray vertices
+that reductions cut off from the anchor's levels), without a budget.  It
+backtracks over vertex colors with the full forcing-rule propagation from
+:mod:`dimatch.coloring` at every node, which keeps it effectively linear on
+the long sparse residues the solver produces while staying correct on
+anything.  Connected pieces are searched in turn, not as one product, and
+each piece is searched in place: a choice point keeps only the piece's own
+colors to restore, since propagation never leaves a connected piece.
 
 A sub-solver is any callable ``(graph, coloring, minimize) ->
 (matching, weight) | None``; None means no consistent completion exists.
@@ -23,7 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .coloring import BLACK, UNSET, WHITE, Coloring, propagate
-from .graph import Edge, Graph
+from .graph import Edge, Graph, iter_bits
 
 # Nodes a budgeted search may spend on any piece beyond its per-vertex
 # allowance, so that small pieces never trip the budget.
@@ -39,6 +43,114 @@ def _complete_weight(g: Graph, state: list[int]) -> tuple[frozenset[Edge], float
         e for e in g.edges if state[e[0]] == BLACK and state[e[1]] == BLACK
     )
     return matching, g.matching_weight(matching)
+
+
+def solve_cover(
+    g: Graph,
+    minimize: bool = False,
+    nodes_per_vertex: int | None = None,
+) -> Optional[tuple[frozenset[Edge], float]]:
+    """A dominating induced matching of ``g`` and its weight, or None.
+
+    M is one exactly when every edge lies in the closed line-graph
+    neighbourhood N_L[e] of exactly one e in M, so each connected component
+    is an exact-cover instance whose rows and columns are both its edges,
+    row r covering N_L[r].  The search (Knuth's Algorithm X) keeps the
+    uncovered columns and the live rows, those whose N_L is still wholly
+    uncovered, as bitmasks.  At each node it takes the uncovered column with the fewest live
+    rows, the first such in edge order, and tries those rows in edge order;
+    choosing row r covers N_L[r] and kills every row whose N_L meets it.
+    Edges are numbered per component in (u, v) order.
+
+    With ``minimize`` the first cheapest matching in that search order is
+    returned, and a branch is cut once its weight reaches the best found;
+    otherwise the first one found.  A search node is one row tried.  With
+    ``nodes_per_vertex`` set, a component of k vertices may use at most
+    ``nodes_per_vertex * k + BUDGET_SLACK`` nodes; one that needs more
+    raises :class:`SearchBudgetExceeded`.  None leaves the search unbounded.
+    The search runs on an explicit stack, so the interpreter's recursion
+    limit does not bound the input.
+    """
+    comps = g.connected_components()
+    # One pass over the sorted edges numbers each component's edges in
+    # (u, v) order; inc[v] is the mask of the edges at v.
+    comp_of = [0] * g.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    edges_of: list[list[Edge]] = [[] for _ in comps]
+    inc = [0] * g.n
+    for e in g.edges:
+        u, v = e
+        edges = edges_of[comp_of[u]]
+        bit = 1 << len(edges)
+        edges.append(e)
+        inc[u] |= bit
+        inc[v] |= bit
+    near = [0] * g.n
+    matching: list[Edge] = []
+    for comp, edges in zip(comps, edges_of):
+        if not edges:
+            continue
+        # near[v]: the edges at some neighbour of v.  Rows meeting N_L[(u, v)]
+        # are exactly the edges at a vertex of N(u) | N(v).
+        for v in comp:
+            acc = 0
+            for u in g.adj[v]:
+                acc |= inc[u]
+            near[v] = acc
+        cover = [inc[u] | inc[v] for u, v in edges]
+        kill = [near[u] | near[v] for u, v in edges]
+        # Exists mode reads no weight: zeros keep one search loop for both modes.
+        weight_of = [g.weights[e] for e in edges] if minimize else [0] * len(edges)
+        limit = None
+        if nodes_per_vertex is not None:
+            limit = nodes_per_vertex * len(comp) + BUDGET_SLACK
+        full = (1 << len(edges)) - 1
+        best: int | None = None
+        best_weight = 0.0
+        nodes = -1  # the root tries no row
+        stack = [(full, full, 0, 0)]
+        while stack:
+            uncovered, live, chosen, weight = stack.pop()
+            if best is not None and weight >= best_weight:
+                continue
+            nodes += 1
+            if limit is not None and nodes > limit:
+                raise SearchBudgetExceeded(
+                    f"a component of {len(comp)} vertices needs more than {limit} search nodes"
+                )
+            if not uncovered:
+                best, best_weight = chosen, weight
+                if not minimize:
+                    break
+                continue
+            rows = 0
+            fewest = len(edges) + 1
+            rest = uncovered
+            while rest:
+                low = rest & -rest
+                here = live & cover[low.bit_length() - 1]
+                count = here.bit_count()
+                if count < fewest:
+                    rows, fewest = here, count
+                    if count <= 1:
+                        break
+                rest ^= low
+            tried = []
+            while rows:
+                low = rows & -rows
+                r = low.bit_length() - 1
+                tried.append(
+                    (uncovered & ~cover[r], live & ~kill[r], chosen | low, weight + weight_of[r])
+                )
+                rows ^= low
+            stack.extend(reversed(tried))
+        if best is None:
+            return None
+        matching.extend(edges[r] for r in iter_bits(best))
+    found = frozenset(matching)
+    return found, g.matching_weight(found)
 
 
 def solve_precolored(

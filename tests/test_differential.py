@@ -19,9 +19,10 @@ from dimatch.generate import (
     generate_rejection,
     with_random_weights,
 )
-from dimatch.oracle import enumerate_all_graphs, oracle_solve
+from dimatch.oracle import enumerate_all_graphs, oracle_solve, oracle_solve_subsets
 from dimatch.patterns import find_k4
 from dimatch.solver import TRACE_EXACT, solve
+from dimatch.subsolver import solve_cover
 
 from conftest import ROUTES, cycle, path
 
@@ -117,6 +118,30 @@ class TestExactRoute:
             assert h.is_dim(out.matching)
             if minimize:
                 assert abs(out.weight - ref.weight) < 1e-9
+
+
+class TestCoverSearch:
+    def test_every_connected_graph_to_n6_against_subset_scan(self):
+        # oracle_solve searches the same exact-cover formulation, so only the
+        # subset scan can catch a fault in the formulation itself.  Weights
+        # do not change feasibility: one scan of the weighted copy serves as
+        # the reference of both modes.
+        checked = 0
+        disagreements = []
+        for n in range(2, 7):
+            for g in enumerate_all_graphs(n):
+                weighted = with_random_weights(g, checked)
+                checked += 1
+                ref = oracle_solve_subsets(weighted, mode="min_weight")
+                for h, minimize in ((g, False), (weighted, True)):
+                    res = solve_cover(h, minimize)
+                    if (res is not None) != ref.feasible or (
+                        res is not None
+                        and (not h.is_dim(res[0]) or minimize and res[1] != ref.best[1])
+                    ):
+                        disagreements.append((n, g.edges, minimize))
+        assert checked == 27475
+        assert disagreements == []
 
 
 class TestReportTiming:

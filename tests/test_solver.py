@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from dimatch import gadget, oracle_solve
 from dimatch.coloring import BLACK, WHITE, Coloring
-from dimatch.generate import GenSpec, SplitMix64, generate_planted
+from dimatch.generate import GenSpec, SplitMix64, generate_planted, with_random_weights
 from dimatch.graph import Graph, iter_bits
 from dimatch.oracle import enumerate_all_graphs
 from dimatch.patterns import find_induced_sijk, find_k4, verify_witness
@@ -27,7 +27,7 @@ from dimatch.solver import (
     anchor_edges,
     solve,
 )
-from dimatch.subsolver import SearchBudgetExceeded, solve_precolored
+from dimatch.subsolver import SearchBudgetExceeded, solve_cover, solve_precolored
 
 from conftest import ROUTES, cycle, degree2_block, disjoint_union, path, small_connected_graphs
 
@@ -571,17 +571,31 @@ class TestExactRoute:
 
     @pytest.mark.parametrize("minimize", [False, True])
     def test_budget_trip_returns_the_structural_answer(self, minimize):
-        g = degree2_block(SplitMix64(7), 40, 40)
+        # A degree-2 block with one planted pair edge removed: the cover
+        # search needs more than its budget in both modes.
+        block = degree2_block(SplitMix64(8), 150, 150)
+        g = Graph(block.n, [e for e in block.edges if e != (0, 1)])
         with pytest.raises(SearchBudgetExceeded):
-            solve_precolored(
-                g, Coloring.fresh(g.n), minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX
-            )
+            solve_cover(g, minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX)
         log: list = []
         ref_log: list = []
         out = solve(g, minimize=minimize, anchor_log=log)
         assert out == solve(g, minimize=minimize, anchor_log=ref_log, structural=True)
         assert log == ref_log
         assert TRACE_EXACT not in out.trace
+
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_off_class_block_gets_one_weight_in_both_modes(self, minimize):
+        # The structural route answers class_violation here in min-weight
+        # mode only; the exact route answers within its budget.
+        rng = SplitMix64(21)
+        for _ in range(9):
+            block = degree2_block(rng, 50, 50)
+        g = with_random_weights(block, 8)
+        out = solve(g, minimize=minimize)
+        assert out.found and out.trace == (TRACE_EXACT,)
+        assert out.weight == 258
+        assert g.is_dim(out.matching)
 
     @pytest.mark.parametrize("minimize", [False, True])
     def test_search_leaves_no_reference_cycles(self, minimize):
@@ -597,3 +611,50 @@ class TestExactRoute:
             gc.enable()
         assert res is not None
         assert unreachable == 0
+
+
+class TestCoverSearch:
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_search_leaves_no_reference_cycles(self, minimize):
+        g, _ = generate_planted(GenSpec(n=200, seed=1))
+        gc.collect()
+        gc.disable()
+        try:
+            res = solve_cover(g, minimize)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert res is not None and g.is_dim(res[0])
+        assert unreachable == 0
+
+    def test_recursion_limit_unchanged_after_long_path(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            g = path(1500)
+            res = solve_cover(g)
+            after = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(saved)
+        assert res is not None and g.is_dim(res[0])
+        assert after == 1000
+
+    def test_min_weight_matches_precolored_search_on_blocks(self):
+        rng = SplitMix64(3)
+        for i in range(10):
+            g = with_random_weights(degree2_block(rng, 50, 50), i)
+            res = solve_cover(g, minimize=True)
+            ref = solve_precolored(g, Coloring.fresh(g.n), minimize=True)
+            assert res is not None and ref is not None
+            assert g.is_dim(res[0])
+            assert res[1] == ref[1]
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_min_weight_matches_precolored_search_on_planted(self, seed):
+        g, _ = generate_planted(GenSpec(n=120, seed=seed))
+        g = with_random_weights(g, seed)
+        res = solve_cover(g, minimize=True)
+        ref = solve_precolored(g, Coloring.fresh(g.n), minimize=True)
+        assert res is not None and ref is not None
+        assert g.is_dim(res[0])
+        assert res[1] == ref[1]
