@@ -64,7 +64,7 @@ from .solver import (
     anchor_edges,
     solve,
 )
-from .subsolver import solve_cover, solve_precolored
+from .subsolver import solve_precolored
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

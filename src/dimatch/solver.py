@@ -44,7 +44,7 @@ from .coloring import (
     restrict,
 )
 from .graph import Edge, Graph, GraphError, edge, iter_bits
-from .subsolver import SearchBudgetExceeded, solve_cover, solve_precolored
+from .subsolver import SearchBudgetExceeded, solve_precolored
 
 FOUND = "found"
 NO_DIM = "no_dim"
@@ -1013,12 +1013,13 @@ def solve(
     first one found.  There are two routes to the answer:
 
     * the exact route (the default) runs the budgeted exact-cover search
-      :func:`solve_cover` once on the whole input, which searches each
-      component in turn.  Its answer carries the trace ``(TRACE_EXACT,)``;
-      a ``no_dim`` carries the reason ``REASON_NO_COMPLETION``.  When any
-      component needs more than ``EXACT_NODES_PER_VERTEX`` search nodes per
-      vertex (plus a small slack), the structural route answers instead,
-      so the answer is then exactly the structural route's;
+      :func:`solve_precolored` once on the whole, uncolored input, which
+      searches each component in turn.  Its answer carries the trace
+      ``(TRACE_EXACT,)``; a ``no_dim`` carries the reason
+      ``REASON_NO_COMPLETION``.  When any component needs more than
+      ``EXACT_NODES_PER_VERTEX`` search nodes per vertex (plus a small
+      slack), the structural route answers instead, so the answer is then
+      exactly the structural route's;
     * the structural route first answers ``no_dim`` with the reason
       ``clique4`` and the trace ``("clique4-reject",)`` when the whole input
       holds a 4-clique, whichever component it lies in; otherwise it
@@ -1074,13 +1075,14 @@ def solve(
 def _solve_exact(g: Graph, cfg: SolverConfig) -> SolveOutcome | None:
     """The exact route's answer, or None when the node budget trips.
 
-    The route runs :func:`solve_cover` on the uncolored input; the
-    precolored search :func:`solve_precolored` serves only the structural
-    route's sub-solver slot.
+    The route runs :func:`solve_precolored`, the engine that also fills
+    the structural route's default sub-solver slot, on the uncolored input.
     """
     start = time.perf_counter()
     try:
-        res = solve_cover(g, cfg.minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX)
+        res = solve_precolored(
+            g, Coloring.fresh(g.n), cfg.minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX
+        )
     except SearchBudgetExceeded:
         return None
     finally:

@@ -1,21 +1,18 @@
-"""Exact searches for dominating induced matchings.
+"""The exact search for dominating induced matchings.
 
-Two engines live here.  :func:`solve_cover` is the exact route of
-:func:`dimatch.solver.solve`: it runs on the whole, uncolored input under a
-node budget and treats a dominating induced matching as an exact cover of
-the edges by closed edge neighbourhoods (Efficient Domination on the line
-graph), searched on integer bitmasks.
+:func:`solve_precolored` is the one exact engine.  It serves both routes of
+:func:`dimatch.solver.solve`: the exact route runs it on the whole,
+uncolored input under a node budget, and the structural route's pluggable
+sub-solver slot hands it residual precolored instances (the beyond-level-3
+part of an anchor decomposition, plus the stray vertices that reductions
+cut off from the anchor's levels) without one.
 
-:func:`solve_precolored` serves only the structural route's pluggable
-sub-solver slot, which hands it residual precolored instances (the
-beyond-level-3 part of an anchor decomposition, plus the stray vertices
-that reductions cut off from the anchor's levels), without a budget.  It
-backtracks over vertex colors with the full forcing-rule propagation from
-:mod:`dimatch.coloring` at every node, which keeps it effectively linear on
-the long sparse residues the solver produces while staying correct on
-anything.  Connected pieces are searched in turn, not as one product, and
-each piece is searched in place: a choice point keeps only the piece's own
-colors to restore, since propagation never leaves a connected piece.
+It treats a dominating induced matching as an exact cover of the edges by
+closed edge neighbourhoods (Efficient Domination on the line graph) and
+searches each connected component in turn on integer bitmasks.  A
+precoloring only narrows that instance: a white endpoint or an excluded
+edge removes the edge's row, and a black vertex adds a column that only
+the rows at it cover.
 
 A sub-solver is any callable ``(graph, coloring, minimize) ->
 (matching, weight) | None``; None means no consistent completion exists.
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .coloring import BLACK, UNSET, WHITE, Coloring, propagate
+from .coloring import BLACK, WHITE, Coloring
 from .graph import Edge, Graph, iter_bits
 
 # Nodes a budgeted search may spend on any piece beyond its per-vertex
@@ -38,29 +35,30 @@ class SearchBudgetExceeded(Exception):
     """A piece needed more search nodes than its budget allows."""
 
 
-def _complete_weight(g: Graph, state: list[int]) -> tuple[frozenset[Edge], float]:
-    matching = frozenset(
-        e for e in g.edges if state[e[0]] == BLACK and state[e[1]] == BLACK
-    )
-    return matching, g.matching_weight(matching)
-
-
-def solve_cover(
+def solve_precolored(
     g: Graph,
+    coloring: Coloring,
     minimize: bool = False,
     nodes_per_vertex: int | None = None,
 ) -> Optional[tuple[frozenset[Edge], float]]:
-    """A dominating induced matching of ``g`` and its weight, or None.
+    """Extend the coloring to a full dominating induced matching, or None.
 
-    M is one exactly when every edge lies in the closed line-graph
-    neighbourhood N_L[e] of exactly one e in M, so each connected component
-    is an exact-cover instance whose rows and columns are both its edges,
-    row r covering N_L[r].  The search (Knuth's Algorithm X) keeps the
-    uncovered columns and the live rows, those whose N_L is still wholly
-    uncovered, as bitmasks.  At each node it takes the uncovered column with the fewest live
-    rows, the first such in edge order, and tries those rows in edge order;
-    choosing row r covers N_L[r] and kills every row whose N_L meets it.
-    Edges are numbered per component in (u, v) order.
+    Black vertices must end up matched, white ones unmatched, excluded
+    edges never enter the matching.
+
+    M is a dominating induced matching exactly when every edge lies in the
+    closed line-graph neighbourhood N_L[e] of exactly one e in M, so each
+    connected component is an exact-cover instance whose rows and columns
+    are its edges, row r covering N_L[r].  The coloring removes the rows of
+    edges with a white endpoint and of excluded edges, and adds one column
+    per black vertex, covered by the rows at that vertex; a component with
+    a black vertex and no edge has no completion.  The search (Knuth's
+    Algorithm X) keeps the uncovered columns and the live rows, those
+    whose columns are all still uncovered, as bitmasks.  At each node it
+    takes the uncovered column with the fewest live rows, the first such
+    (edges in (u, v) order, then black vertices in order), and tries those
+    rows in edge order; choosing row r covers its columns and kills every
+    row whose N_L meets N_L[r], which includes every row at r's endpoints.
 
     With ``minimize`` the first cheapest matching in that search order is
     returned, and a branch is cut once its weight reaches the best found;
@@ -71,6 +69,10 @@ def solve_cover(
     The search runs on an explicit stack, so the interpreter's recursion
     limit does not bound the input.
     """
+    state = coloring.state
+    excluded = coloring.excluded
+    # any(state) tests for a colored vertex: UNSET is 0.
+    precolored = bool(excluded) or any(state)
     comps = g.connected_components()
     # One pass over the sorted edges numbers each component's edges in
     # (u, v) order; inc[v] is the mask of the edges at v.
@@ -91,6 +93,8 @@ def solve_cover(
     matching: list[Edge] = []
     for comp, edges in zip(comps, edges_of):
         if not edges:
+            if precolored and any(state[v] == BLACK for v in comp):
+                return None
             continue
         # near[v]: the edges at some neighbour of v.  Rows meeting N_L[(u, v)]
         # are exactly the edges at a vertex of N(u) | N(v).
@@ -101,16 +105,32 @@ def solve_cover(
             near[v] = acc
         cover = [inc[u] | inc[v] for u, v in edges]
         kill = [near[u] | near[v] for u, v in edges]
+        full = (1 << len(edges)) - 1
+        uncovered = live = full
+        # rows_of[c]: the rows covering column c.  An edge column's rows
+        # are its own N_L, so without a precoloring both lists are one.
+        rows_of = cover
+        if precolored:
+            rows_of = cover[:]
+            for r, (u, v) in enumerate(edges):
+                if state[u] == WHITE or state[v] == WHITE or (u, v) in excluded:
+                    live &= ~(1 << r)
+            for v in sorted(comp):
+                if state[v] == BLACK:
+                    bit = 1 << len(rows_of)
+                    rows_of.append(inc[v])
+                    uncovered |= bit
+                    for r in iter_bits(inc[v]):
+                        cover[r] |= bit
         # Exists mode reads no weight: zeros keep one search loop for both modes.
         weight_of = [g.weights[e] for e in edges] if minimize else [0] * len(edges)
         limit = None
         if nodes_per_vertex is not None:
             limit = nodes_per_vertex * len(comp) + BUDGET_SLACK
-        full = (1 << len(edges)) - 1
         best: int | None = None
         best_weight = 0.0
         nodes = -1  # the root tries no row
-        stack = [(full, full, 0, 0)]
+        stack = [(uncovered, live, 0, 0)]
         while stack:
             uncovered, live, chosen, weight = stack.pop()
             if best is not None and weight >= best_weight:
@@ -130,7 +150,7 @@ def solve_cover(
             rest = uncovered
             while rest:
                 low = rest & -rest
-                here = live & cover[low.bit_length() - 1]
+                here = live & rows_of[low.bit_length() - 1]
                 count = here.bit_count()
                 if count < fewest:
                     rows, fewest = here, count
@@ -151,115 +171,3 @@ def solve_cover(
         matching.extend(edges[r] for r in iter_bits(best))
     found = frozenset(matching)
     return found, g.matching_weight(found)
-
-
-def solve_precolored(
-    g: Graph,
-    coloring: Coloring,
-    minimize: bool = False,
-    nodes_per_vertex: int | None = None,
-) -> Optional[tuple[frozenset[Edge], float]]:
-    """Extend the coloring to a full dominating induced matching, or None.
-
-    Black vertices must end up matched, white ones unmatched, excluded
-    edges never enter the matching.  With ``minimize`` the cheapest
-    completion is returned, otherwise the first one found.  Connected
-    pieces are searched in turn, each branching in the order one search
-    over the whole graph would, so both return the same completion.
-
-    A search node is one color tried at a branching vertex.  With
-    ``nodes_per_vertex`` set, a piece of k vertices may use at most
-    ``nodes_per_vertex * k + BUDGET_SLACK`` nodes; one that needs more
-    raises :class:`SearchBudgetExceeded`.  None leaves the search unbounded.
-
-    The search starts from the coloring closed under :func:`propagate`.
-    A blank coloring, with no vertex colored and no edge excluded, is
-    already closed: every vertex that propagation pops is uncolored, so
-    no rule fires.  That first propagation is skipped then.
-    """
-    excluded = frozenset(coloring.excluded)
-    state = list(coloring.state)
-    # any(state) tests for a colored vertex: UNSET is 0.
-    if (excluded or any(state)) and propagate(g, state, excluded, range(g.n)):
-        return None
-    for comp in g.connected_components():
-        vertices = sorted(comp)
-        limit = None
-        if nodes_per_vertex is not None:
-            limit = nodes_per_vertex * len(vertices) + BUDGET_SLACK
-        best = _search_piece(g, vertices, state, excluded, minimize, limit)
-        if best is None:
-            return None
-        for v, color in zip(vertices, best):
-            state[v] = color
-    return _complete_weight(g, state)
-
-
-def _branch_vertex(g: Graph, vertices: list[int], state: list[int]) -> int:
-    """The first uncolored vertex with a colored neighbor, else the first uncolored one, else -1."""
-    fallback = -1
-    for v in vertices:
-        if state[v] != UNSET:
-            continue
-        if fallback == -1:
-            fallback = v
-        for u in g.adj[v]:
-            if state[u] != UNSET:
-                return v
-    return fallback
-
-
-def _search_piece(
-    g: Graph,
-    vertices: list[int],
-    state: list[int],
-    excluded: frozenset[Edge],
-    minimize: bool,
-    limit: int | None,
-) -> Optional[list[int]]:
-    """The first (or first cheapest) completion of one piece, given its sorted vertices.
-
-    Returns the completion as the colors of ``vertices``, in order.  The
-    search runs depth first, WHITE before BLACK, on an explicit stack of
-    choice points, each holding its branching vertex, the piece's colors
-    when it was reached and the next color to try.  It mutates ``state``
-    in place on the piece's vertices and on nothing else.
-    """
-    edges = [(v, u) for v in vertices for u in g.adj[v] if u > v]
-    best: Optional[list[int]] = None
-    best_weight = 0.0
-    nodes = 0
-    stack: list[list] = []
-    v = _branch_vertex(g, vertices, state)
-    while True:
-        if v == -1:
-            weight = g.matching_weight(
-                e for e in edges if state[e[0]] == BLACK and state[e[1]] == BLACK
-            )
-            if best is None or weight < best_weight:
-                best, best_weight = [state[u] for u in vertices], weight
-                if not minimize:
-                    return best
-        else:
-            stack.append([v, [state[u] for u in vertices], 0])
-        while stack:
-            point = stack[-1]
-            u, saved, i = point
-            if i == 2:
-                stack.pop()
-                continue
-            point[2] = i + 1
-            if i:
-                for w, color in zip(vertices, saved):
-                    state[w] = color
-            nodes += 1
-            if limit is not None and nodes > limit:
-                raise SearchBudgetExceeded(
-                    f"a piece of {len(vertices)} vertices needs more than {limit} search nodes"
-                )
-            state[u] = (WHITE, BLACK)[i]
-            if propagate(g, state, excluded, [u]) is None:
-                v = _branch_vertex(g, vertices, state)
-                break
-        else:
-            return best

@@ -4,17 +4,20 @@ Long paths and cycles reach deep distance levels with heavy stray traffic;
 rejection-sampled mid-size class members exercise the full pipeline with
 random weights; planted batches check the generator/solver/oracle triangle.
 The exact route, solve's default, is checked against the oracle and against
-the structural route.
+the structural route, and the exact engine on precolored inputs against the
+oracle and the precolored backtracker it replaced.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from dimatch.coloring import BLACK, UNSET, WHITE, Coloring
 from dimatch.compare import CompareReport, _merge, run_planted
 from dimatch.generate import (
     GenSpec,
     RetryBudgetExceeded,
+    SplitMix64,
     generate_planted,
     generate_rejection,
     with_random_weights,
@@ -22,9 +25,10 @@ from dimatch.generate import (
 from dimatch.oracle import enumerate_all_graphs, oracle_solve, oracle_solve_subsets
 from dimatch.patterns import find_k4
 from dimatch.solver import TRACE_EXACT, solve
-from dimatch.subsolver import solve_cover
+from dimatch.graph import Graph
+from dimatch.subsolver import solve_precolored
 
-from conftest import ROUTES, cycle, path
+from conftest import ROUTES, cycle, path, reference_precolored
 
 
 class TestLongThinGraphs:
@@ -134,7 +138,7 @@ class TestCoverSearch:
                 checked += 1
                 ref = oracle_solve_subsets(weighted, mode="min_weight")
                 for h, minimize in ((g, False), (weighted, True)):
-                    res = solve_cover(h, minimize)
+                    res = solve_precolored(h, Coloring.fresh(h.n), minimize)
                     if (res is not None) != ref.feasible or (
                         res is not None
                         and (not h.is_dim(res[0]) or minimize and res[1] != ref.best[1])
@@ -142,6 +146,52 @@ class TestCoverSearch:
                         disagreements.append((n, g.edges, minimize))
         assert checked == 27475
         assert disagreements == []
+
+
+class TestPrecoloredDifferential:
+    def test_matches_oracle_and_reference(self):
+        # Seeded inputs of up to 12 vertices with 0-3 black or white
+        # vertices and 0-2 excluded edges, unit weights on even trials.
+        rng = SplitMix64(1212)
+        found = narrowed = 0
+        for trial in range(5000):
+            n = rng.randint(1, 12)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            density = rng.random() * 0.4
+            g = Graph(n, [e for e in pairs if rng.random() < density])
+            if trial % 2:
+                g = with_random_weights(g, trial)
+            state = [UNSET] * n
+            for _ in range(rng.randint(0, 3)):
+                state[rng.randrange(n)] = rng.choice((BLACK, WHITE))
+            excluded = {rng.choice(g.edges) for _ in range(rng.randint(0, 2)) if g.edges}
+            col = Coloring(state, excluded)
+            for minimize, mode in ((False, "exists"), (True, "min_weight")):
+                case = (trial, g.edges, state, excluded, mode)
+                want = oracle_solve(g, col, mode)
+                res = solve_precolored(g, col, minimize)
+                ref = reference_precolored(g, col, minimize)
+                assert (res is not None) == want.feasible == (ref is not None), case
+                if minimize:
+                    fresh = oracle_solve(g, mode=mode)
+                    narrowed += fresh.feasible and (
+                        not want.feasible or want.best[1] != fresh.best[1]
+                    )
+                if res is None:
+                    continue
+                found += 1
+                matching, weight = res
+                matched = {v for e in matching for v in e}
+                assert g.is_dim(matching), case
+                assert weight == g.matching_weight(matching), case
+                assert all(v in matched for v in range(n) if state[v] == BLACK), case
+                assert not any(v in matched for v in range(n) if state[v] == WHITE), case
+                assert not matching & excluded, case
+                if minimize:
+                    assert weight == want.best[1] == ref[1], case
+        # Both verdicts must be well covered, and so must precolorings that
+        # change the answer of the uncolored input.
+        assert found > 2000 and narrowed > 500
 
 
 class TestReportTiming:

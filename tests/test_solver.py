@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from dimatch import gadget, oracle_solve
-from dimatch.coloring import BLACK, WHITE, Coloring
+from dimatch.coloring import BLACK, UNSET, WHITE, Coloring
 from dimatch.generate import GenSpec, SplitMix64, generate_planted, with_random_weights
 from dimatch.graph import Graph, iter_bits
 from dimatch.oracle import enumerate_all_graphs
@@ -27,9 +27,17 @@ from dimatch.solver import (
     anchor_edges,
     solve,
 )
-from dimatch.subsolver import SearchBudgetExceeded, solve_cover, solve_precolored
+from dimatch.subsolver import SearchBudgetExceeded, solve_precolored
 
-from conftest import ROUTES, cycle, degree2_block, disjoint_union, path, small_connected_graphs
+from conftest import (
+    ROUTES,
+    cycle,
+    degree2_block,
+    disjoint_union,
+    path,
+    reference_precolored,
+    small_connected_graphs,
+)
 
 
 def spine(extra_edges, n, weights=None):
@@ -503,20 +511,17 @@ class TestNoWholeGraphCopies:
 class TestRecursionLimit:
     def test_limit_unchanged_after_long_path(self):
         saved = sys.getrecursionlimit()
-        # A limit below the path's length: the sub-solver searches on an
-        # explicit stack, so neither it nor solve needs or sets a higher one.
+        # A limit below the path's length: solve neither needs nor sets a
+        # higher one on either route.
         sys.setrecursionlimit(1000)
         try:
             g = path(1500)
-            res = solve_precolored(g, Coloring.fresh(g.n))
-            after_sub = sys.getrecursionlimit()
             outs = [solve(g, **route) for route in ROUTES]
-            after_solve = sys.getrecursionlimit()
+            after = sys.getrecursionlimit()
         finally:
             sys.setrecursionlimit(saved)
-        assert res is not None and g.is_dim(res[0])
         assert all(out.found for out in outs)
-        assert after_sub == 1000 and after_solve == 1000
+        assert after == 1000
 
 
 class TestStrictOffClass:
@@ -531,23 +536,26 @@ class TestStrictOffClass:
 
 
 class TestPrecoloredPieces:
-    def test_disjoint_cycles_searched_in_turn(self, monkeypatch):
-        import dimatch.subsolver
+    # Eight disjoint 6-cycles under a budget of 0 nodes per vertex: each
+    # cycle, searched on its own, gets the 64 slack nodes and needs fewer;
+    # one search over all 48 vertices as a single piece needs more.
+    EIGHT_C6 = Graph(48, [(6 * k + i, 6 * k + (i + 1) % 6) for k in range(8) for i in range(6)])
 
-        real = dimatch.subsolver.propagate
-        calls: list[int] = []
-
-        def counting(g, state, excluded, queue):
-            calls.append(1)
-            return real(g, state, excluded, queue)
-
-        monkeypatch.setattr(dimatch.subsolver, "propagate", counting)
-        g = Graph(48, [(6 * k + i, 6 * k + (i + 1) % 6) for k in range(8) for i in range(6)])
-        res = solve_precolored(g, Coloring.fresh(g.n), minimize=True)
+    def test_disjoint_cycles_searched_in_turn(self):
+        g = self.EIGHT_C6
+        res = solve_precolored(g, Coloring.fresh(g.n), minimize=True, nodes_per_vertex=0)
         assert res is not None and g.is_dim(res[0])
         assert res[1] == 16
-        # One product search over the eight cycles makes 13,121 calls.
-        assert len(calls) < 100
+
+    def test_precolored_cycles_searched_in_turn(self):
+        g = self.EIGHT_C6
+        # One black vertex per cycle, a different position in each.
+        col = Coloring([BLACK if v % 6 == v // 6 % 6 else UNSET for v in range(g.n)])
+        res = solve_precolored(g, col, minimize=True, nodes_per_vertex=0)
+        assert res is not None and g.is_dim(res[0])
+        assert res[1] == 16
+        matched = {v for e in res[0] for v in e}
+        assert all(v in matched for v in range(g.n) if col.state[v] == BLACK)
 
 
 class TestExactRoute:
@@ -576,7 +584,9 @@ class TestExactRoute:
         block = degree2_block(SplitMix64(8), 150, 150)
         g = Graph(block.n, [e for e in block.edges if e != (0, 1)])
         with pytest.raises(SearchBudgetExceeded):
-            solve_cover(g, minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX)
+            solve_precolored(
+                g, Coloring.fresh(g.n), minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX
+            )
         log: list = []
         ref_log: list = []
         out = solve(g, minimize=minimize, anchor_log=log)
@@ -597,6 +607,8 @@ class TestExactRoute:
         assert out.weight == 258
         assert g.is_dim(out.matching)
 
+
+class TestCoverSearch:
     @pytest.mark.parametrize("minimize", [False, True])
     def test_search_leaves_no_reference_cycles(self, minimize):
         # A cycle would keep every searched graph alive until the cyclic
@@ -609,21 +621,6 @@ class TestExactRoute:
             unreachable = gc.collect()
         finally:
             gc.enable()
-        assert res is not None
-        assert unreachable == 0
-
-
-class TestCoverSearch:
-    @pytest.mark.parametrize("minimize", [False, True])
-    def test_search_leaves_no_reference_cycles(self, minimize):
-        g, _ = generate_planted(GenSpec(n=200, seed=1))
-        gc.collect()
-        gc.disable()
-        try:
-            res = solve_cover(g, minimize)
-            unreachable = gc.collect()
-        finally:
-            gc.enable()
         assert res is not None and g.is_dim(res[0])
         assert unreachable == 0
 
@@ -632,19 +629,21 @@ class TestCoverSearch:
         sys.setrecursionlimit(1000)
         try:
             g = path(1500)
-            res = solve_cover(g)
+            res = solve_precolored(g, Coloring.fresh(g.n))
             after = sys.getrecursionlimit()
         finally:
             sys.setrecursionlimit(saved)
         assert res is not None and g.is_dim(res[0])
         assert after == 1000
 
+    # The precolored backtracker is the reference here: the oracle needs
+    # minutes for these blocks.
     def test_min_weight_matches_precolored_search_on_blocks(self):
         rng = SplitMix64(3)
         for i in range(10):
             g = with_random_weights(degree2_block(rng, 50, 50), i)
-            res = solve_cover(g, minimize=True)
-            ref = solve_precolored(g, Coloring.fresh(g.n), minimize=True)
+            res = solve_precolored(g, Coloring.fresh(g.n), minimize=True)
+            ref = reference_precolored(g, Coloring.fresh(g.n), minimize=True)
             assert res is not None and ref is not None
             assert g.is_dim(res[0])
             assert res[1] == ref[1]
@@ -653,8 +652,8 @@ class TestCoverSearch:
     def test_min_weight_matches_precolored_search_on_planted(self, seed):
         g, _ = generate_planted(GenSpec(n=120, seed=seed))
         g = with_random_weights(g, seed)
-        res = solve_cover(g, minimize=True)
-        ref = solve_precolored(g, Coloring.fresh(g.n), minimize=True)
+        res = solve_precolored(g, Coloring.fresh(g.n), minimize=True)
+        ref = reference_precolored(g, Coloring.fresh(g.n), minimize=True)
         assert res is not None and ref is not None
         assert g.is_dim(res[0])
         assert res[1] == ref[1]
