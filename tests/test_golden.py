@@ -35,13 +35,18 @@ GADGETS = (
 BLOCKS = ((1, 6, 6), (1, 10, 8), (1, 25, 25), (11, 25, 25), (1, 50, 40), (2, 50, 40), (2, 60, 40))
 
 # Solve kwargs per mode.  Strict mode asserts in-class structure, so the
-# off-class blocks run min-weight without it.
+# off-class blocks run min-weight without it.  The exact modes take solve's
+# default route: the cover search, or the structural answer when it trips
+# its node budget.
 MODES = {
     "exists": {"structural": True},
     "minw": {"minimize": True, "strict": True},
     "min": {"minimize": True, "structural": True},
     "verify": {"verify_class": True},
+    "exact": {},
+    "exact-min": {"minimize": True},
 }
+EXACT = ("exact", "exact-min")
 
 
 def corpus():
@@ -54,13 +59,17 @@ def corpus():
     for seed in range(1, 6):
         g, _ = generate_planted(GenSpec(n=120, seed=seed))
         yield f"planted/{seed}/exists", g, MODES["exists"]
-        yield f"planted/{seed}/minw", with_random_weights(g, seed), MODES["minw"]
+        weighted = with_random_weights(g, seed)
+        yield f"planted/{seed}/minw", weighted, MODES["minw"]
+        for mode in EXACT:
+            yield f"planted/{seed}/{mode}", g, MODES[mode]
+            yield f"planted/{seed}/weighted/{mode}", weighted, MODES[mode]
     for name in GADGETS:
-        for mode in ("exists", "minw", "verify"):
+        for mode in ("exists", "minw", "verify") + EXACT:
             yield f"gadget/{name}/{mode}", gadget(name), MODES[mode]
     for seed, pairs, whites in BLOCKS:
         g = degree2_block(SplitMix64(seed), pairs, whites)
-        for mode in ("exists", "min"):
+        for mode in ("exists", "min") + EXACT:
             yield f"block2/{seed}/{pairs}x{whites}/{mode}", g, MODES[mode]
 
 

@@ -636,6 +636,32 @@ class TestCoverSearch:
         assert res is not None and g.is_dim(res[0])
         assert after == 1000
 
+    # Recorded on the search before forced rows were followed in place: a
+    # budget trips at the same node, so the same blocks trip it.
+    BLOCK_TRIPS = {
+        False: (),
+        True: (3, 6, 7, 9, 10, 11, 12, 13, 16, 17, 18, 19, 20, 21, 24, 28, 31, 32, 34, 35, 37, 39),
+    }
+
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_budget_trips_on_the_same_blocks(self, minimize):
+        rng = SplitMix64(11)
+        tripped = []
+        weights = set()
+        for i in range(40):
+            g = degree2_block(rng, 100, 100)
+            try:
+                res = solve_precolored(
+                    g, Coloring.fresh(g.n), minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX
+                )
+            except SearchBudgetExceeded:
+                tripped.append(i)
+                continue
+            assert res is not None and g.is_dim(res[0])
+            weights.add(res[1])
+        assert tuple(tripped) == self.BLOCK_TRIPS[minimize]
+        assert weights == {100}
+
     # The precolored backtracker is the reference here: the oracle needs
     # minutes for these blocks.
     def test_min_weight_matches_precolored_search_on_blocks(self):
