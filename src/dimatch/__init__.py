@@ -24,7 +24,6 @@ from .generate import (
     RetryBudgetExceeded,
     SplitMix64,
     gadget,
-    generate,
     generate_planted,
     generate_rejection,
     with_random_weights,

@@ -9,7 +9,6 @@ set algebra for the pattern searches and the solver hot paths).
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterable, Iterator, Mapping
 
 Edge = tuple[int, int]
@@ -139,21 +138,20 @@ class Graph:
 
     def connected_components(self) -> tuple[frozenset[int], ...]:
         """Partition of the vertex set into maximal connected pieces."""
+        adj = self.adj
         seen = [False] * self.n
         out: list[frozenset[int]] = []
         for start in range(self.n):
             if seen[start]:
                 continue
-            comp = {start}
             seen[start] = True
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for u in self.adj[v]:
+            # The loop also visits the vertices appended while it runs.
+            comp = [start]
+            for v in comp:
+                for u in adj[v]:
                     if not seen[u]:
                         seen[u] = True
-                        comp.add(u)
-                        queue.append(u)
+                        comp.append(u)
             out.append(frozenset(comp))
         return tuple(out)
 
@@ -191,11 +189,15 @@ class Graph:
         mate = self._mate_map(matching)
         if mate is None:
             return False
+        matched = [False] * self.n
+        for v in mate:
+            matched[v] = True
+        # An edge with both ends matched must itself be a matching edge.
         for u, v in self.edges:
-            hits = (u in mate) + (v in mate)
-            if mate.get(u) == v:
-                hits -= 1
-            if hits != 1:
+            if matched[u]:
+                if matched[v] and mate[u] != v:
+                    return False
+            elif not matched[v]:
                 return False
         return True
 

@@ -62,7 +62,9 @@ def solve_precolored(
 
     With ``minimize`` the first cheapest matching in that search order is
     returned, and a branch is cut once its weight reaches the best found;
-    otherwise the first one found.  A search node is one row tried.  With
+    otherwise the first one found.  A search node is one row tried.  A
+    column with a single live row forces that row: the search applies it in
+    place, without a stack entry, and it still counts as one node.  With
     ``nodes_per_vertex`` set, a component of k vertices may use at most
     ``nodes_per_vertex * k + BUDGET_SLACK`` nodes; one that needs more
     raises :class:`SearchBudgetExceeded`.  None leaves the search unbounded.
@@ -89,20 +91,18 @@ def solve_precolored(
         edges.append(e)
         inc[u] |= bit
         inc[v] |= bit
+    # near[v]: the edges at some neighbour of v.  Rows meeting N_L[(u, v)]
+    # are exactly the edges at a vertex of N(u) | N(v).
     near = [0] * g.n
+    for u, v in g.edges:
+        near[u] |= inc[v]
+        near[v] |= inc[u]
     matching: list[Edge] = []
     for comp, edges in zip(comps, edges_of):
         if not edges:
             if precolored and any(state[v] == BLACK for v in comp):
                 return None
             continue
-        # near[v]: the edges at some neighbour of v.  Rows meeting N_L[(u, v)]
-        # are exactly the edges at a vertex of N(u) | N(v).
-        for v in comp:
-            acc = 0
-            for u in g.adj[v]:
-                acc |= inc[u]
-            near[v] = acc
         cover = [inc[u] | inc[v] for u, v in edges]
         kill = [near[u] | near[v] for u, v in edges]
         full = (1 << len(edges)) - 1
@@ -131,43 +131,53 @@ def solve_precolored(
         best_weight = 0.0
         nodes = -1  # the root tries no row
         stack = [(uncovered, live, 0, 0)]
+        push = stack.append
         while stack:
             uncovered, live, chosen, weight = stack.pop()
-            if best is not None and weight >= best_weight:
-                continue
-            nodes += 1
-            if limit is not None and nodes > limit:
-                raise SearchBudgetExceeded(
-                    f"a component of {len(comp)} vertices needs more than {limit} search nodes"
-                )
-            if not uncovered:
-                best, best_weight = chosen, weight
-                if not minimize:
+            # Each pass is one node; a forced row is taken here, in place.
+            while best is None or weight < best_weight:
+                nodes += 1
+                if limit is not None and nodes > limit:
+                    raise SearchBudgetExceeded(
+                        f"a component of {len(comp)} vertices needs more than {limit} search nodes"
+                    )
+                if not uncovered:
+                    best, best_weight = chosen, weight
+                    if not minimize:
+                        stack.clear()
                     break
-                continue
-            rows = 0
-            fewest = len(edges) + 1
-            rest = uncovered
-            while rest:
-                low = rest & -rest
-                here = live & rows_of[low.bit_length() - 1]
-                count = here.bit_count()
-                if count < fewest:
-                    rows, fewest = here, count
-                    if count <= 1:
-                        break
-                rest ^= low
-            tried = []
-            while rows:
-                low = rows & -rows
-                r = low.bit_length() - 1
-                tried.append(
-                    (uncovered & ~cover[r], live & ~kill[r], chosen | low, weight + weight_of[r])
-                )
-                rows ^= low
-            stack.extend(reversed(tried))
+                rows = 0
+                fewest = len(edges) + 1
+                rest = uncovered
+                while rest:
+                    low = rest & -rest
+                    here = live & rows_of[low.bit_length() - 1]
+                    count = here.bit_count()
+                    if count < fewest:
+                        rows, fewest = here, count
+                        if count <= 1:
+                            break
+                    rest ^= low
+                if fewest != 1:
+                    # Highest row first, so the lowest is tried first.
+                    while rows:
+                        r = rows.bit_length() - 1
+                        low = 1 << r
+                        push(
+                            (uncovered & ~cover[r], live & ~kill[r], chosen | low, weight + weight_of[r])
+                        )
+                        rows ^= low
+                    break
+                r = rows.bit_length() - 1
+                uncovered &= ~cover[r]
+                live &= ~kill[r]
+                chosen |= rows
+                weight += weight_of[r]
         if best is None:
             return None
-        matching.extend(edges[r] for r in iter_bits(best))
+        while best:
+            low = best & -best
+            matching.append(edges[low.bit_length() - 1])
+            best ^= low
     found = frozenset(matching)
     return found, g.matching_weight(found)

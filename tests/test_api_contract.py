@@ -8,19 +8,18 @@ from ``perfbench/``: the list below is the contract.
 
 from __future__ import annotations
 
-import importlib
 import inspect
+import sys
 
 import pytest
 
+import dimatch
+from dimatch import coloring, fileio, generate, graph, oracle, patterns, solver, subsolver
 from dimatch.graph import Graph
 
-# The package re-exports the function generate(), which shadows the module.
 modules = {
-    name: importlib.import_module(f"dimatch.{name}")
-    for name in (
-        "coloring", "fileio", "generate", "graph", "oracle", "patterns", "solver", "subsolver"
-    )
+    module.__name__.rpartition(".")[2]: module
+    for module in (coloring, fileio, generate, graph, oracle, patterns, solver, subsolver)
 }
 
 # (module, dotted attribute, parameter names it must accept, in order).
@@ -87,3 +86,8 @@ def test_structural_solve_fills_the_timing_keys():
     out = modules["solver"].solve(Graph(17, edges), timings=timings, structural=True)
     assert out.found
     assert {"forcing", "closure", "deep_solve", "verify"} <= set(timings)
+
+
+def test_package_attribute_generate_is_the_module():
+    assert dimatch.generate is sys.modules["dimatch.generate"]
+    assert dimatch.generate.GenSpec(n=10).n == 10

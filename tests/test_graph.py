@@ -202,6 +202,32 @@ class TestIsDim:
         if g.is_dim(subset):
             assert g.is_induced_matching(subset)
 
+    @given(small_graphs(min_n=1, max_n=8), st.data())
+    @settings(max_examples=200)
+    def test_matches_the_definition(self, g: Graph, data):
+        # Any edge subset, matching or not, each edge in either vertex order.
+        chosen = data.draw(st.lists(st.sampled_from(g.edges), unique=True)) if g.edges else []
+        given_edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in chosen]
+        ends = [v for e in chosen for v in e]
+        is_matching = len(ends) == len(set(ends))
+        touched_once = all(
+            sum(bool(set(e) & set(f)) for f in chosen) == 1 for e in g.edges
+        )
+        assert g.is_dim(given_edges) == (is_matching and touched_once)
+
+    @given(small_graphs(min_n=2, max_n=8), st.data())
+    @settings(max_examples=50)
+    def test_absent_edge_raises_among_present_ones(self, g: Graph, data):
+        absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.weights]
+        if not absent:
+            return
+        u, v = data.draw(st.sampled_from(absent))
+        present = data.draw(st.lists(st.sampled_from(g.edges), unique=True)) if g.edges else []
+        # The absent edge comes first: a shared vertex among the rest
+        # rejects the matching only once it is reached.
+        with pytest.raises(GraphError, match="not in graph"):
+            g.is_dim([(v, u)] + present)
+
 
 class TestComponents:
     def test_two_pieces(self):
@@ -214,6 +240,23 @@ class TestComponents:
     def test_p3_plus_isolated(self):
         g = Graph(4, [(0, 1), (1, 2)])
         assert sorted(len(c) for c in g.connected_components()) == [1, 3]
+
+    @given(small_graphs(min_n=0, max_n=9))
+    @settings(max_examples=150)
+    def test_matches_breadth_first_reference(self, g: Graph):
+        seen: set[int] = set()
+        ref = []
+        for start in range(g.n):
+            if start in seen:
+                continue
+            comp = {start}
+            frontier = [start]
+            while frontier:
+                frontier = [u for v in frontier for u in g.adj[v] if u not in comp]
+                comp.update(frontier)
+            seen |= comp
+            ref.append(frozenset(comp))
+        assert g.connected_components() == tuple(ref)
 
 
 class TestInducedSubgraph:
