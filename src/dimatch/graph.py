@@ -23,8 +23,25 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+# The set bit positions of every mask below 2**8, in increasing order.
+_SMALL_BITS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(i for i in range(8) if mask >> i & 1) for mask in range(256)
+)
+
+
+def iter_bits(mask: int) -> Iterable[int]:
+    """The set bit positions of ``mask`` in increasing order.
+
+    A mask in ``range(256)`` is answered with a tuple from a precomputed
+    table; any other mask gets a generator that peels off the lowest set
+    bit.  Callers iterate the result once or copy it.
+    """
+    if 0 <= mask < 256:
+        return _SMALL_BITS[mask]
+    return _iter_low_bits(mask)
+
+
+def _iter_low_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -229,93 +229,122 @@ class AnchorSolver:
     def decompose(self) -> None:
         """Recompute the level state on the alive graph and validate the
         level-1/level-2 structure, whitening level 1 and blackening the
-        level-2 vertices that survive."""
-        g = self.g
+        level-2 vertices that survive.
+
+        One breadth-first pass from the anchor over the alive graph fills
+        both ``level_masks`` and ``lev``; vertices it does not reach keep
+        level -1.  Every mask is walked lowest bit first, and every level
+        mask past level 0 lies inside the alive set."""
+        bits = self.g.bits
+        alive = self.alive
+        state = self.state
         x, y = self.anchor
         if self.anchor in self.excluded:
             self._fail("anchor-excluded")
         for v in (x, y):
-            if self.state[v] == WHITE:
+            if state[v] == WHITE:
                 self._fail("anchor-endpoint-white")
-            self.state[v] = BLACK
+            state[v] = BLACK
 
+        lev = [-1] * self.g.n
         masks: list[int] = []
         seen = (1 << x) | (1 << y)
         frontier = seen
         while frontier:
+            level = len(masks)
             masks.append(frontier)
             nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self._adj(v)
-            frontier = nxt & ~seen
+            while frontier:
+                low = frontier & -frontier
+                v = low.bit_length() - 1
+                lev[v] = level
+                nxt |= bits[v]
+                frontier ^= low
+            frontier = nxt & alive & ~seen
             seen |= frontier
-        lev = [-1] * g.n
-        for i, mask in enumerate(masks):
-            for v in iter_bits(mask):
-                lev[v] = i
         self.lev = lev
         self.level_masks = masks
-        self.n3_mask = masks[3] if len(masks) > 3 else 0
-        self.deep_mask = 0
+        depth = len(masks)
+        n1 = masks[1] if depth > 1 else 0
+        n2 = masks[2] if depth > 2 else 0
+        n3 = masks[3] if depth > 3 else 0
+        self.n3_mask = n3
+        deep = 0
         for mask in masks[4:]:
-            self.deep_mask |= mask
+            deep |= mask
+        self.deep_mask = deep
 
         white_mask = 0
-        for v in iter_bits(self.alive):
-            if self.state[v] == WHITE:
-                white_mask |= 1 << v
+        rest = alive
+        while rest:
+            low = rest & -rest
+            if state[low.bit_length() - 1] == WHITE:
+                white_mask |= low
+            rest ^= low
 
-        n1 = masks[1] if len(masks) > 1 else 0
-        for v in iter_bits(n1):
-            if self.state[v] == BLACK:
+        rest = n1
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if state[v] == BLACK:
                 self._fail("level1-black")
-            if self._adj(v) & n1:
+            if bits[v] & n1:
                 self._fail("level1-not-independent")
-            self.state[v] = WHITE
-            white_mask |= 1 << v
+            state[v] = WHITE
+            white_mask |= low
+            rest ^= low
 
-        for v in iter_bits(white_mask):
-            if self._adj(v) & white_mask:
+        rest = white_mask
+        while rest:
+            low = rest & -rest
+            if bits[low.bit_length() - 1] & white_mask:
                 self._fail(R_WHITE_WHITE)
+            rest ^= low
 
-        n2 = masks[2] if len(masks) > 2 else 0
         pairs: list[Edge] = []
         singles: list[int] = []
-        for v in iter_bits(n2):
-            inner = self._adj(v) & n2
-            count = bin(inner).count("1")
-            if count > 1:
-                self._fail("level2-structure")
-            if count == 1:
-                partner = (inner & -inner).bit_length() - 1
-                if partner > v:
-                    pairs.append((v, partner))
+        rest = n2
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            inner = bits[v] & n2
+            if inner:
+                if inner & (inner - 1):
+                    self._fail("level2-structure")
+                if inner > low:
+                    pairs.append((v, inner.bit_length() - 1))
             else:
-                if self.state[v] == WHITE:
+                if state[v] == WHITE:
                     self._fail("level2-white")
-                self.state[v] = BLACK
+                state[v] = BLACK
                 singles.append(v)
+            rest ^= low
 
-        if self.n3_mask and not self._bipartite(self.n3_mask):
+        if n3 and not self._bipartite(n3):
             self._fail("level3-odd-cycle")
 
         self.pairs = tuple(pairs)
         self.singles = tuple(singles)
-        self.pools = {}
-        self.pool_owner = {}
-        self.shared3 = set()
+        pool_owner: dict[int, int] = {}
+        shared3: set[int] = set()
+        acc: dict[int, list[int]] = {}
         if not pairs:
-            acc: dict[int, list[int]] = {u: [] for u in singles}
-            for t in iter_bits(self.n3_mask):
-                parents = self._adj(t) & n2
-                count = bin(parents).count("1")
-                if count == 1:
-                    owner = (parents & -parents).bit_length() - 1
-                    self.pool_owner[t] = owner
+            acc = {u: [] for u in singles}
+            rest = n3
+            while rest:
+                low = rest & -rest
+                t = low.bit_length() - 1
+                parents = bits[t] & n2
+                if parents and not parents & (parents - 1):
+                    owner = parents.bit_length() - 1
+                    pool_owner[t] = owner
                     acc[owner].append(t)
                 else:
-                    self.shared3.add(t)
-            self.pools = {u: tuple(ts) for u, ts in acc.items()}
+                    shared3.add(t)
+                rest ^= low
+        self.pools = {u: tuple(ts) for u, ts in acc.items()}
+        self.pool_owner = pool_owner
+        self.shared3 = shared3
 
     def _bipartite(self, mask: int) -> bool:
         color: dict[int, int] = {}
@@ -444,7 +473,7 @@ class AnchorSolver:
             pool = [t for t in self.pools[u] if self.alive >> t & 1]
             if not pool:
                 self._fail("pool-empty")
-            nb = sorted(iter_bits(self._adj(u)))
+            nb = list(iter_bits(self._adj(u)))
             closed = self._adj(u) | (1 << u)
             for i, a in enumerate(nb):
                 for b in nb[i + 1:]:

@@ -6,9 +6,10 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
-from dimatch.coloring import BLACK, UNSET, WHITE, Coloring, propagate
+from dimatch.coloring import BLACK, R_WHITE_WHITE, UNSET, WHITE, Coloring, propagate
 from dimatch.generate import SplitMix64
-from dimatch.graph import Edge, Graph
+from dimatch.graph import Edge, Graph, iter_bits
+from dimatch.solver import AnchorSolver
 
 
 def path(k: int) -> Graph:
@@ -157,3 +158,97 @@ def _search_piece(
                 break
         else:
             return best
+
+
+def reference_decompose(self: AnchorSolver) -> None:
+    """:meth:`AnchorSolver.decompose` as it was before its one-pass level
+    BFS, kept as the test reference of the live method.  Called with an
+    anchor solver as ``self``, it recomputes the level state on the alive
+    graph and validates the level-1/level-2 structure, whitening level 1
+    and blackening the level-2 vertices that survive."""
+    g = self.g
+    x, y = self.anchor
+    if self.anchor in self.excluded:
+        self._fail("anchor-excluded")
+    for v in (x, y):
+        if self.state[v] == WHITE:
+            self._fail("anchor-endpoint-white")
+        self.state[v] = BLACK
+
+    masks: list[int] = []
+    seen = (1 << x) | (1 << y)
+    frontier = seen
+    while frontier:
+        masks.append(frontier)
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= self._adj(v)
+        frontier = nxt & ~seen
+        seen |= frontier
+    lev = [-1] * g.n
+    for i, mask in enumerate(masks):
+        for v in iter_bits(mask):
+            lev[v] = i
+    self.lev = lev
+    self.level_masks = masks
+    self.n3_mask = masks[3] if len(masks) > 3 else 0
+    self.deep_mask = 0
+    for mask in masks[4:]:
+        self.deep_mask |= mask
+
+    white_mask = 0
+    for v in iter_bits(self.alive):
+        if self.state[v] == WHITE:
+            white_mask |= 1 << v
+
+    n1 = masks[1] if len(masks) > 1 else 0
+    for v in iter_bits(n1):
+        if self.state[v] == BLACK:
+            self._fail("level1-black")
+        if self._adj(v) & n1:
+            self._fail("level1-not-independent")
+        self.state[v] = WHITE
+        white_mask |= 1 << v
+
+    for v in iter_bits(white_mask):
+        if self._adj(v) & white_mask:
+            self._fail(R_WHITE_WHITE)
+
+    n2 = masks[2] if len(masks) > 2 else 0
+    pairs: list[Edge] = []
+    singles: list[int] = []
+    for v in iter_bits(n2):
+        inner = self._adj(v) & n2
+        count = bin(inner).count("1")
+        if count > 1:
+            self._fail("level2-structure")
+        if count == 1:
+            partner = (inner & -inner).bit_length() - 1
+            if partner > v:
+                pairs.append((v, partner))
+        else:
+            if self.state[v] == WHITE:
+                self._fail("level2-white")
+            self.state[v] = BLACK
+            singles.append(v)
+
+    if self.n3_mask and not self._bipartite(self.n3_mask):
+        self._fail("level3-odd-cycle")
+
+    self.pairs = tuple(pairs)
+    self.singles = tuple(singles)
+    self.pools = {}
+    self.pool_owner = {}
+    self.shared3 = set()
+    if not pairs:
+        acc: dict[int, list[int]] = {u: [] for u in singles}
+        for t in iter_bits(self.n3_mask):
+            parents = self._adj(t) & n2
+            count = bin(parents).count("1")
+            if count == 1:
+                owner = (parents & -parents).bit_length() - 1
+                self.pool_owner[t] = owner
+                acc[owner].append(t)
+            else:
+                self.shared3.add(t)
+        self.pools = {u: tuple(ts) for u, ts in acc.items()}

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +69,27 @@ class TestConstruction:
     def test_default_weights(self):
         g = path(4)
         assert all(g.weight(e) == 1 for e in g.edges)
+
+
+def bit_positions(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class TestIterBits:
+    def test_every_mask_below_2_to_12(self):
+        # Crosses the boundary between the table and the generator at 2**8.
+        for mask in range(1 << 12):
+            assert list(iter_bits(mask)) == bit_positions(mask), mask
+
+    def test_random_masks_up_to_2_to_1200(self):
+        rng = random.Random(1200)
+        for _ in range(500):
+            mask = rng.getrandbits(rng.randrange(1, 1201))
+            assert list(iter_bits(mask)) == bit_positions(mask)
+
+    def test_negative_mask_skips_the_table(self):
+        # -4 has bits 2, 3, 4, ... set; the table entry at index -4 (252) stops at 7.
+        assert list(islice(iter_bits(-4), 10)) == list(range(2, 12))
 
 
 class TestNeighbors:

@@ -35,6 +35,7 @@ from conftest import (
     degree2_block,
     disjoint_union,
     path,
+    reference_decompose,
     reference_precolored,
     small_connected_graphs,
 )
@@ -106,6 +107,77 @@ class TestDecompose:
         with pytest.raises(AnchorContradiction) as err:
             decomposed(g, (0, 1))
         assert err.value.reason == "level3-odd-cycle"
+
+
+# The level state that decompose writes, compared field by field.
+LEVEL_STATE = (
+    "lev", "level_masks", "n3_mask", "deep_mask", "pairs", "singles",
+    "pools", "pool_owner", "shared3", "state",
+)
+
+
+def level_snapshot(solver, decompose):
+    """Run ``decompose(solver)``; the contradiction reason (or None) and the
+    level state, with ``pools`` and ``pool_owner`` as item lists so that
+    their order counts too."""
+    try:
+        decompose(solver)
+        reason = None
+    except AnchorContradiction as err:
+        reason = err.reason
+    snapshot = {name: getattr(solver, name) for name in LEVEL_STATE}
+    for name in ("pools", "pool_owner"):
+        snapshot[name] = list(snapshot[name].items())
+    return reason, snapshot
+
+
+def after_one_round(g, anchor):
+    """An anchor solver after one round of run_forcing (one decompose, then
+    the forcing stages until one changes something), or None when that
+    round rules the anchor out."""
+    solver = AnchorSolver(g, anchor)
+    try:
+        solver.decompose()
+        (
+            solver.force_level2_and_triangles()
+            or solver.sweep_colored_boundary()
+            or solver.force_contact_edges()
+            or solver.prune_pools()
+            or solver.force_isolated_deep()
+        )
+    except AnchorContradiction:
+        return None
+    return solver
+
+
+class TestDecomposeDifferential:
+    def test_matches_reference_on_every_anchor_to_n6(self):
+        """The one-pass decompose leaves the same level state and raises the
+        same reason as the reference, on every anchor of every connected
+        graph with n <= 6: fresh, and after one forcing round."""
+        rounds = shrunk = raised = 0
+        for n in range(2, 7):
+            full = (1 << n) - 1
+            for g in enumerate_all_graphs(n):
+                for anchor in anchor_edges(g):
+                    live, ref = AnchorSolver(g, anchor), AnchorSolver(g, anchor)
+                    got = level_snapshot(live, AnchorSolver.decompose)
+                    assert got == level_snapshot(ref, reference_decompose), (g.edges, anchor)
+                    if got[0] is not None:
+                        # The forcing round's own decompose would raise the same.
+                        raised += 1
+                        continue
+                    live = after_one_round(g, anchor)
+                    if live is None:
+                        continue
+                    ref = after_one_round(g, anchor)
+                    got = level_snapshot(live, AnchorSolver.decompose)
+                    assert got == level_snapshot(ref, reference_decompose), (g.edges, anchor)
+                    rounds += 1
+                    shrunk += live.alive != full
+                    raised += got[0] is not None
+        # Shrunk and full alive masks, and contradictions, each occur often.
+        assert shrunk > 1000 and rounds - shrunk > 1000 and raised > 1000
 
 
 class TestForcingStages:
