@@ -2,8 +2,9 @@
 
 Vertices are dense integers ``0..n-1``.  An edge is always the sorted pair
 ``(u, v)`` with ``u < v``; use :func:`edge` to normalise.  Adjacency is kept
-twice: as frozensets (convenient iteration) and as integer bitmasks (fast
-set algebra for the pattern searches and the solver hot paths).
+as frozensets (convenient iteration) and, once first read, as integer
+bitmasks (fast set algebra for the pattern searches and the structural
+route; a solve that never reads them never builds them).
 """
 
 from __future__ import annotations
@@ -55,12 +56,13 @@ class Graph:
     each of them to its weight, finite and non-negative, 1 unless given;
     the weights must also sum to a finite float.  Edge membership is read
     from ``weights``, the one edge container.  Adjacency is kept as
-    frozensets (``adj``) and as bitmasks (``bits``).
+    frozensets (``adj``); its bitmask form ``bits`` is built on first read
+    and the same tuple is returned on every later one.
     An optional ``names`` tuple preserves external vertex labels for
     reporting.
     """
 
-    __slots__ = ("n", "edges", "adj", "bits", "weights", "names")
+    __slots__ = ("n", "edges", "adj", "_bits", "weights", "names")
 
     def __init__(
         self,
@@ -72,7 +74,6 @@ class Graph:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
-        bits = [0] * n
         w: dict[Edge, float] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -85,8 +86,6 @@ class Graph:
             w[e] = 1
             adj[u].add(v)
             adj[v].add(u)
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
         if weights:
             for e, wt in weights.items():
                 e = edge(*e)
@@ -108,12 +107,25 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(w)))
         object.__setattr__(self, "adj", tuple(map(frozenset, adj)))
-        object.__setattr__(self, "bits", tuple(bits))
+        object.__setattr__(self, "_bits", None)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "names", names)
 
     def __setattr__(self, key, value):  # pragma: no cover - guard rail
         raise AttributeError("Graph is immutable")
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """Adjacency as bitmasks: bit ``u`` of ``bits[v]`` is set iff ``uv`` is an edge."""
+        bits = self._bits
+        if bits is None:
+            masks = [0] * self.n
+            for u, v in self.edges:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            bits = tuple(masks)
+            object.__setattr__(self, "_bits", bits)
+        return bits
 
     # -- basic queries ---------------------------------------------------
 
@@ -180,8 +192,9 @@ class Graph:
     def _mate_map(self, matching: Iterable[Edge]) -> dict[int, int] | None:
         """Vertex-to-partner map for a matching; None if edges share vertices."""
         mate: dict[int, int] = {}
-        for e in matching:
-            u, v = edge(*e)
+        for u, v in matching:
+            if u > v:
+                u, v = v, u
             if (u, v) not in self.weights:
                 raise GraphError(f"matching edge {(u, v)} not in graph")
             if u in mate or v in mate:

@@ -346,8 +346,15 @@ def bits_k4_free(bits: list[int]) -> bool:
 
 
 def mask_to_graph(n: int, mask: int, pairs: list[Edge] | None = None) -> Graph:
+    """The graph on n vertices holding the edges ``pairs[i]`` for the set bits i of mask.
+
+    Its ``bits`` are built here, with the graph: nearly every enumerated
+    graph goes on to a 4-clique scan or the structural route, which read them.
+    """
     pairs = pairs or _pair_table(n)
-    return Graph(n, [pairs[i] for i in iter_bits(mask)])
+    g = Graph(n, [pairs[i] for i in iter_bits(mask)])
+    g.bits  # the first read builds them
+    return g
 
 
 def enumerate_all_graphs(

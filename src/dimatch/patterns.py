@@ -83,31 +83,33 @@ def find_all_diamonds(g: Graph) -> list[PatternWitness]:
     Each diamond is reported through its unique degree-3 pair, so occurrences
     are distinct by construction.
     """
+    bits = g.bits
     out: list[PatternWitness] = []
     for p, q in g.edges:
-        common = g.bits[p] & g.bits[q]
+        common = bits[p] & bits[q]
         if not common:
             continue
         cands = list(iter_bits(common))
         for i, a in enumerate(cands):
             for b in cands[i + 1:]:
-                if not g.bits[a] >> b & 1:
+                if not bits[a] >> b & 1:
                     out.append(PatternWitness("diamond", (a, p, b, q)))
     return out
 
 
 def find_all_butterflies(g: Graph) -> list[PatternWitness]:
     """Every induced butterfly, one witness per 5-vertex occurrence."""
+    bits = g.bits
     out: list[PatternWitness] = []
     for u in range(g.n):
         nb = sorted(g.adj[u])
         if len(nb) < 4:
             continue
-        wings = [(a, b) for a, b in combinations(nb, 2) if g.bits[a] >> b & 1]
+        wings = [(a, b) for a, b in combinations(nb, 2) if bits[a] >> b & 1]
         for (a, b), (c, d) in combinations(wings, 2):
             if len({a, b, c, d}) < 4:
                 continue
-            cross = (g.bits[a] | g.bits[b]) & ((1 << c) | (1 << d))
+            cross = (bits[a] | bits[b]) & ((1 << c) | (1 << d))
             if cross:
                 continue
             out.append(PatternWitness("butterfly", (a, b, c, d, u)))
@@ -116,24 +118,25 @@ def find_all_butterflies(g: Graph) -> list[PatternWitness]:
 
 def find_gem(g: Graph) -> PatternWitness | None:
     """First induced gem (a 4-vertex path plus a vertex seeing all of it)."""
+    bits = g.bits
     for u in range(g.n):
         nb = sorted(g.adj[u])
         if len(nb) < 4:
             continue
         nb_set = g.adj[u]
         for p2, p3 in combinations(nb, 2):
-            if not g.bits[p2] >> p3 & 1:
+            if not bits[p2] >> p3 & 1:
                 continue
             for p1 in nb:
-                if p1 in (p2, p3) or not g.bits[p1] >> p2 & 1 or g.bits[p1] >> p3 & 1:
+                if p1 in (p2, p3) or not bits[p1] >> p2 & 1 or bits[p1] >> p3 & 1:
                     continue
                 for p4 in nb_set:
                     if p4 in (p1, p2, p3):
                         continue
                     if (
-                        g.bits[p4] >> p3 & 1
-                        and not g.bits[p4] >> p2 & 1
-                        and not g.bits[p4] >> p1 & 1
+                        bits[p4] >> p3 & 1
+                        and not bits[p4] >> p2 & 1
+                        and not bits[p4] >> p1 & 1
                     ):
                         return PatternWitness("gem", (p1, p2, p3, p4, u))
     return None
@@ -141,18 +144,19 @@ def find_gem(g: Graph) -> PatternWitness | None:
 
 def c4_edges(g: Graph) -> frozenset[Edge]:
     """All edges lying on at least one chordless 4-cycle."""
+    bits = g.bits
     out: set[Edge] = set()
     for a in range(g.n):
         for c in range(a + 1, g.n):
-            if g.bits[a] >> c & 1:
+            if bits[a] >> c & 1:
                 continue
-            common = g.bits[a] & g.bits[c]
+            common = bits[a] & bits[c]
             if not common:
                 continue
             cands = list(iter_bits(common))
             for i, b in enumerate(cands):
                 for d in cands[i + 1:]:
-                    if g.bits[b] >> d & 1:
+                    if bits[b] >> d & 1:
                         continue
                     out.update((edge(a, b), edge(b, c), edge(c, d), edge(d, a)))
     return frozenset(out)
@@ -187,6 +191,7 @@ def find_induced_sijk(g: Graph, i: int, j: int, k: int) -> PatternWitness | None
 
     if lengths[0] == 0:
         return PatternWitness("spider", (0,)) if g.n else None
+    bits = g.bits
 
     def grow(center: int, chosen_mask: int, legs: list[list[int]], leg_idx: int) -> list[list[int]] | None:
         if leg_idx == len(lengths) or lengths[leg_idx] == 0:
@@ -203,7 +208,7 @@ def find_induced_sijk(g: Graph, i: int, j: int, k: int) -> PatternWitness | None
             for w in sorted(g.adj[tip]):
                 if mask >> w & 1:
                     continue
-                if g.bits[w] & mask != 1 << tip:
+                if bits[w] & mask != 1 << tip:
                     continue
                 result = extend(w, path + [w], mask | 1 << w)
                 if result is not None:
@@ -213,7 +218,7 @@ def find_induced_sijk(g: Graph, i: int, j: int, k: int) -> PatternWitness | None
         for first in sorted(g.adj[center]):
             if first <= floor or chosen_mask >> first & 1:
                 continue
-            if g.bits[first] & chosen_mask != 1 << center:
+            if bits[first] & chosen_mask != 1 << center:
                 continue
             result = extend(first, [first], chosen_mask | 1 << first)
             if result is not None:

@@ -121,9 +121,8 @@ class SolverConfig:
 
 def anchor_edges(g: Graph) -> list[Edge]:
     """Edges lying on a 3-vertex induced path."""
-    return [
-        (u, v) for u, v in g.edges if (g.bits[u] ^ g.bits[v]) & ~(1 << u) & ~(1 << v)
-    ]
+    bits = g.bits
+    return [(u, v) for u, v in g.edges if (bits[u] ^ bits[v]) & ~(1 << u) & ~(1 << v)]
 
 
 class AliveAdjacency:
@@ -145,9 +144,10 @@ class AliveAdjacency:
 class AnchorSolver:
     """Searches for a dominating induced matching containing one anchor edge.
 
-    Holds the shrinking working state: an alive-vertex mask over the fixed
-    base graph, per-vertex colors, excluded edges, and the committed pairs
-    (whose endpoints have left the alive set).
+    Holds the base graph's bitmasks ``bits`` and the shrinking working
+    state: an alive-vertex mask over the fixed base graph, per-vertex
+    colors, excluded edges, and the committed pairs (whose endpoints have
+    left the alive set).
 
     The level state of the last :meth:`decompose` lives here too, and only
     here: the bitmasks ``level_masks``, ``n3_mask`` and ``deep_mask``, the
@@ -171,11 +171,12 @@ class AnchorSolver:
         config: SolverConfig | None = None,
     ) -> None:
         self.g = g
+        self.bits = bits = g.bits
         self.anchor = edge(*anchor)
         if not g.has_edge_canon(self.anchor):
             raise GraphError(f"anchor edge {self.anchor} not in graph")
         x, y = self.anchor
-        if not (g.bits[x] ^ g.bits[y]) & ~(1 << x) & ~(1 << y):
+        if not (bits[x] ^ bits[y]) & ~(1 << x) & ~(1 << y):
             raise GraphError(f"anchor edge {self.anchor} is not on a 3-vertex path")
         self.cfg = config or SolverConfig()
         self.state = list(coloring.state) if coloring is not None else [UNSET] * g.n
@@ -203,7 +204,7 @@ class AnchorSolver:
         raise AnchorContradiction(reason)
 
     def _adj(self, v: int) -> int:
-        return self.g.bits[v] & self.alive
+        return self.bits[v] & self.alive
 
     def _tag(self, label: str) -> None:
         self.trace.append(label)
@@ -220,9 +221,11 @@ class AnchorSolver:
 
     def _commit_all(self, edges, tag: str) -> bool:
         """Commit the distinct ``edges`` in sorted order; whether there were any."""
+        if not edges:
+            return False
         for vw in sorted(set(edges)):
             self._commit(vw, tag)
-        return bool(edges)
+        return True
 
     # -- decomposition -----------------------------------------------------
 
@@ -235,7 +238,7 @@ class AnchorSolver:
         both ``level_masks`` and ``lev``; vertices it does not reach keep
         level -1.  Every mask is walked lowest bit first, and every level
         mask past level 0 lies inside the alive set."""
-        bits = self.g.bits
+        bits = self.bits
         alive = self.alive
         state = self.state
         x, y = self.anchor
@@ -377,7 +380,7 @@ class AnchorSolver:
                 continue
             cands = list(iter_bits(nb_deep))
             for i, b in enumerate(cands):
-                inner = self.g.bits[b] & nb_deep
+                inner = self.bits[b] & nb_deep
                 for c in cands[i + 1:]:
                     if inner >> c & 1:
                         forced.add((b, c))
@@ -466,6 +469,7 @@ class AnchorSolver:
         """Whiten pool vertices on 4-cycles through their owner, prune
         redundant pendant pool vertices, and commit pools forced to a
         single candidate."""
+        bits = self.bits
         changed = False
         commits: list[Edge] = []
         removals: list[int] = []
@@ -477,9 +481,9 @@ class AnchorSolver:
             closed = self._adj(u) | (1 << u)
             for i, a in enumerate(nb):
                 for b in nb[i + 1:]:
-                    if self.g.bits[a] >> b & 1:
+                    if bits[a] >> b & 1:
                         continue
-                    if self.g.bits[a] & self.g.bits[b] & self.alive & ~closed:
+                    if bits[a] & bits[b] & self.alive & ~closed:
                         for t in (a, b):
                             if self.pool_owner.get(t) == u and self.state[t] == UNSET:
                                 self.state[t] = WHITE
@@ -779,7 +783,7 @@ class AnchorSolver:
                 (a, b)
                 for a in self.pools[u]
                 for b in self.pools[u]
-                if a < b and self.g.bits[a] >> b & 1
+                if a < b and self.bits[a] >> b & 1
             ]
             if len(inner) > 1:
                 self._check_failed(f"pool of {u} holds more than one edge")
@@ -800,7 +804,7 @@ class AnchorSolver:
                 for u in iter_bits(self._adj(tail)):
                     if u in path or self.lev[u] >= self.lev[v]:
                         continue
-                    if any(self.g.bits[u] >> p & 1 for p in path[:-1]):
+                    if any(self.bits[u] >> p & 1 for p in path[:-1]):
                         continue
                     if extend(path + [u]):
                         return True
@@ -905,7 +909,7 @@ def _solve_residual(g: Graph, coloring: Coloring, cfg: SolverConfig) -> SolveOut
     for u, v in g.edges:
         if (u, v) in coloring.excluded or u in whites or v in whites:
             continue
-        if g.degree(u) + g.degree(v) - 1 == g.m:
+        if len(g.adj[u]) + len(g.adj[v]) - 1 == g.m:
             singles.append((g.weights[(u, v)], (u, v)))
             if not cfg.minimize:
                 break

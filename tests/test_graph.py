@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimatch.coloring import UNSET, commit_pair
+from dimatch.generate import GenSpec, generate_planted
 from dimatch.graph import Graph, GraphError, iter_bits
+from dimatch.oracle import enumerate_all_graphs
 from dimatch.solver import AnchorContradiction, AnchorSolver, anchor_edges
 
 from conftest import cycle, path, small_graphs
@@ -69,6 +71,42 @@ class TestConstruction:
     def test_default_weights(self):
         g = path(4)
         assert all(g.weight(e) == 1 for e in g.edges)
+
+
+def adjacency_masks(g: Graph) -> tuple[int, ...]:
+    return tuple(sum(1 << u for u in g.adj[v]) for v in range(g.n))
+
+
+class TestBits:
+    """``bits`` is the bitmask form of ``adj``, built once, on first read."""
+
+    def assert_bits_match_adj(self, g: Graph) -> None:
+        first = g.bits
+        assert first == adjacency_masks(g)
+        assert g.bits is first
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_graph_up_to_five_vertices(self, n):
+        for g in enumerate_all_graphs(n):
+            self.assert_bits_match_adj(g)
+            # A graph built directly reads its bits lazily.
+            fresh = Graph(g.n, g.edges)
+            assert fresh._bits is None
+            self.assert_bits_match_adj(fresh)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_graphs(self, seed):
+        g, _ = generate_planted(GenSpec(n=300, seed=seed))
+        assert g._bits is None
+        self.assert_bits_match_adj(g)
+
+    def test_read_only(self):
+        g = path(3)
+        with pytest.raises(AttributeError):
+            g.bits = (0, 0, 0)
+        with pytest.raises(AttributeError):
+            g._bits = (0, 0, 0)
+        assert g.bits == (0b010, 0b101, 0b010)
 
 
 def bit_positions(mask: int) -> list[int]:

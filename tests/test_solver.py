@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from dimatch import gadget, oracle_solve
 from dimatch.coloring import BLACK, UNSET, WHITE, Coloring
+from dimatch.fileio import parse_edge_list, write_edge_list
 from dimatch.generate import GenSpec, SplitMix64, generate_planted, with_random_weights
 from dimatch.graph import Graph, iter_bits
 from dimatch.oracle import enumerate_all_graphs
@@ -678,6 +679,15 @@ class TestExactRoute:
         assert out.found and out.trace == (TRACE_EXACT,)
         assert out.weight == 258
         assert g.is_dim(out.matching)
+
+    def test_default_route_never_builds_bits(self):
+        text = write_edge_list(generate_planted(GenSpec(n=1000, seed=5))[0])
+        g = parse_edge_list(text)
+        out = solve(g)
+        assert out.found and out.trace == (TRACE_EXACT,)
+        assert g._bits is None
+        assert solve(g, structural=True).found
+        assert g._bits is not None
 
 
 class TestCoverSearch:
