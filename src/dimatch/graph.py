@@ -114,6 +114,11 @@ class Graph:
     def __setattr__(self, key, value):  # pragma: no cover - guard rail
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the graph through __init__: restoring the
+        # slots one by one would run into the guard above.
+        return type(self), (self.n, self.edges, self.weights, self.names)
+
     @property
     def bits(self) -> tuple[int, ...]:
         """Adjacency as bitmasks: bit ``u`` of ``bits[v]`` is set iff ``uv`` is an edge."""

@@ -1,10 +1,13 @@
 """Exact ground truth for dominating induced matchings.
 
-Two independent strategies live here: a backtracker that branches on the
-lowest-index undominated edge, and a plain subset scan kept as a
-cross-check for small graphs.  Both support a partial precoloring (black =
-must be matched, white = must stay unmatched, plus excluded edges) so they
-double as the reference answer for reduced instances.
+A matching M is a DIM exactly when B = V(M) induces a perfect matching (each
+vertex of B has exactly one neighbour in B) and V - B is independent.
+:func:`oracle_solve` searches that vertex formulation, which shares nothing
+with the edge-cover formulation of the exact engine it checks; the subset
+scan :func:`oracle_solve_subsets` restates the definition over edge sets
+and checks the search on small graphs.  Both support a partial precoloring
+(black = must be matched, white = must stay unmatched, plus excluded edges)
+so they double as the reference answer for reduced instances.
 
 Also home to the exhaustive small-graph enumerator used by the
 differential-testing harness.
@@ -12,7 +15,7 @@ differential-testing harness.
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -41,141 +44,114 @@ class OracleResult:
 
 _MODES = ("exists", "min_weight", "enumerate")
 
-
-class _ComponentSearch:
-    """Backtracking search over one connected piece of the instance."""
-
-    def __init__(
-        self,
-        g: Graph,
-        vertices: list[int],
-        state: list[int],
-        excluded: set[Edge],
-        mode: str,
-        cap: int,
-    ) -> None:
-        self.mode = mode
-        self.cap = cap
-        vset = set(vertices)
-        self.edges = [e for e in g.edges if e[0] in vset and e[1] in vset]
-        self.m = len(self.edges)
-        self.weights = [g.weights[e] for e in self.edges]
-        self.incident: dict[int, list[int]] = {v: [] for v in vertices}
-        for i, (u, v) in enumerate(self.edges):
-            self.incident[u].append(i)
-            self.incident[v].append(i)
-        self.touch = [
-            sorted(set(self.incident[u]) | set(self.incident[v]))
-            for (u, v) in self.edges
-        ]
-        self.white = {v for v in vertices if state[v] == WHITE}
-        self.black = {v for v in vertices if state[v] == BLACK}
-        self.barred = {
-            i for i, e in enumerate(self.edges) if e in excluded
-        } | {
-            i
-            for i, (u, v) in enumerate(self.edges)
-            if u in self.white or v in self.white
-        }
-        self.dom = [0] * self.m
-        self.matched: set[int] = set()
-        self.chosen: list[int] = []
-        self.weight = 0.0
-        self.best: tuple[float, list[int]] | None = None
-        self.solutions: list[frozenset[Edge]] = []
-        self.done = False
-
-    def infeasible_upfront(self) -> bool:
-        for u, v in self.edges:
-            if u in self.white and v in self.white:
-                return True
-        for b in self.black:
-            if all(i in self.barred for i in self.incident[b]):
-                return True
-        return False
-
-    def run(self) -> None:
-        # _search() recurses once per chosen edge, so long pieces need
-        # headroom; the caller's limit is restored afterwards.
-        limit = sys.getrecursionlimit()
-        if limit < self.m + 2000:
-            sys.setrecursionlimit(self.m + 2000)
-        try:
-            if not self.infeasible_upfront():
-                self._search()
-        finally:
-            sys.setrecursionlimit(limit)
-
-    def _viable(self, i: int) -> bool:
-        if i in self.barred:
-            return False
-        u, v = self.edges[i]
-        if u in self.matched or v in self.matched:
-            return False
-        return all(self.dom[t] == 0 for t in self.touch[i])
-
-    def _choose(self, i: int) -> None:
-        u, v = self.edges[i]
-        self.matched.add(u)
-        self.matched.add(v)
-        for t in self.touch[i]:
-            self.dom[t] += 1
-        self.chosen.append(i)
-        self.weight += self.weights[i]
-
-    def _unchoose(self, i: int) -> None:
-        u, v = self.edges[i]
-        self.matched.discard(u)
-        self.matched.discard(v)
-        for t in self.touch[i]:
-            self.dom[t] -= 1
-        self.chosen.pop()
-        self.weight -= self.weights[i]
-
-    def _record(self) -> None:
-        if any(b not in self.matched for b in self.black):
-            return
-        if self.mode == "exists":
-            self.best = (self.weight, list(self.chosen))
-            self.done = True
-        elif self.mode == "min_weight":
-            if self.best is None or self.weight < self.best[0]:
-                self.best = (self.weight, list(self.chosen))
-        else:
-            if len(self.solutions) >= self.cap:
-                raise EnumerationCapExceeded(
-                    f"more than {self.cap} dominating induced matchings"
-                )
-            self.solutions.append(frozenset(self.edges[i] for i in self.chosen))
-
-    def _search(self) -> None:
-        if self.done:
-            return
-        if (
-            self.mode == "min_weight"
-            and self.best is not None
-            and self.weight >= self.best[0]
-        ):
-            return
-        target = -1
-        for i in range(self.m):
-            if self.dom[i] == 0:
-                target = i
-                break
-        if target == -1:
-            self._record()
-            return
-        for i in self.touch[target]:
-            if self._viable(i):
-                self._choose(i)
-                self._search()
-                self._unchoose(i)
-                if self.done:
-                    return
+# The memberships a vertex may take, in the order they are tried: OUT of B, then IN.
+_FREE = (False, True)
+_OPTIONS = {BLACK: (True,), WHITE: (False,)}
 
 
-def _split(g: Graph) -> list[list[int]]:
-    return [sorted(c) for c in g.connected_components()]
+def _search_piece(
+    g: Graph,
+    order: list[int],
+    state: list[int] | None,
+    excluded: set[Edge],
+    mode: str,
+    cap: int,
+) -> list[frozenset[Edge]]:
+    """The DIMs of one connected piece whose vertices are listed in ``order``.
+
+    The vertices are decided in that order, each OUT of B, then IN.  A
+    branch dies when two OUT vertices are adjacent, when an IN vertex gets
+    a second IN neighbour, when two IN neighbours share an excluded edge,
+    and when a vertex whose closed neighbourhood is decided is IN with no
+    IN neighbour.  Returns the first DIM found in exists mode, the first of
+    least weight in min-weight mode (a branch stops once its weight
+    reaches the best found) and every DIM in enumerate mode.  The search
+    runs on an explicit stack: position ``i`` holds ``order[i]`` and
+    ``tried[i]`` counts the memberships tried there.
+    """
+    k = len(order)
+    rank = {v: i for i, v in enumerate(order)}
+    adj = g.adj
+    weights = g.weights
+    # Sets of positions are bitmasks.  back[i]: the positions before i of
+    # order[i]'s neighbours; closes[i]: the positions whose closed
+    # neighbourhood is decided once position i is.
+    back = []
+    closes = [0] * k
+    options = []
+    for i, v in enumerate(order):
+        mask = 0
+        last = i
+        for u in adj[v]:
+            j = rank[u]
+            if j < i:
+                mask |= 1 << j
+            elif j > last:
+                last = j
+        back.append(mask)
+        closes[last] |= 1 << i
+        options.append(_OPTIONS.get(state[v], _FREE) if state else _FREE)
+
+    # inside[i], paired[i] and acc[i] describe positions < i: those IN, those
+    # IN with an IN neighbour, and the weight of the edges they span.  Each
+    # choice writes the next entry, so stepping back undoes nothing.
+    inside = [0] * (k + 1)
+    paired = [0] * (k + 1)
+    acc = [0.0] * (k + 1)
+    partner = [-1] * k  # the earlier IN neighbour of an IN position, else -1
+    tried = [0] * k
+    best = math.inf
+    found: list[frozenset[Edge]] = []
+    i = 0
+    while i >= 0:
+        if i == k:
+            matching = frozenset(
+                (order[j], v) if order[j] < v else (v, order[j])
+                for v, j in zip(order, partner)
+                if j >= 0
+            )
+            if mode == "exists":
+                return [matching]
+            if mode == "min_weight":
+                found = [matching]
+                best = acc[k]
+            else:
+                if len(found) >= cap:
+                    raise EnumerationCapExceeded(
+                        f"more than {cap} dominating induced matchings"
+                    )
+                found.append(matching)
+            i = k - 1
+            continue
+        t = tried[i]
+        if t == len(options[i]):
+            tried[i] = 0
+            i -= 1
+            continue
+        tried[i] = t + 1
+        ins, pair, weight = inside[i], paired[i], acc[i]
+        partner[i] = -1
+        if options[i][t]:
+            mates = back[i] & ins
+            if mates:
+                if mates & (mates - 1) or mates & pair:
+                    continue
+                j = mates.bit_length() - 1
+                u, v = order[j], order[i]
+                e = (u, v) if u < v else (v, u)
+                if e in excluded:
+                    continue
+                weight += weights[e]
+                pair |= mates | 1 << i
+                partner[i] = j
+            ins |= 1 << i
+        elif back[i] & ~ins:
+            continue
+        if weight >= best or closes[i] & ins & ~pair:
+            continue
+        i += 1
+        inside[i], paired[i], acc[i] = ins, pair, weight
+    return found
 
 
 def oracle_solve(
@@ -186,58 +162,62 @@ def oracle_solve(
 ) -> OracleResult:
     """Exact answer restricted to matchings consistent with the precoloring.
 
-    Components are solved independently; in enumerate mode the per-component
-    solution lists are combined as a cartesian product (still capped).
+    Searches the vertex formulation: which vertices lie in B = V(M).  Black
+    vertices lie in B, white ones outside it, and no excluded edge has both
+    ends in B.  Each connected piece is searched on its own, the pieces in
+    order of their least vertex.  A piece's vertices are decided in BFS
+    order from its least vertex, neighbours taken in increasing order, and
+    each is tried OUT of B before IN.  That order decides the matching
+    exists mode reports (the first found) and the one min-weight mode
+    reports among equal weights (the first of them found).  In enumerate
+    mode the per-piece DIM lists are combined as a cartesian product (still
+    capped) and ``best`` is the least weight, then the least sorted edge
+    list.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    state = precoloring.state if precoloring is not None else [0] * g.n
-    excluded = set(precoloring.excluded) if precoloring is not None else set()
+    state = precoloring.state if precoloring is not None else None
+    excluded = precoloring.excluded if precoloring is not None else set()
 
-    chosen_edges: set[Edge] = set()
-    total_weight = 0.0
-    per_comp_solutions: list[list[frozenset[Edge]]] = []
-
-    for comp in _split(g):
-        if len(comp) == 1:
-            if state[comp[0]] == BLACK:
-                return OracleResult(False)
-            if mode == "enumerate":
-                per_comp_solutions.append([frozenset()])
+    adj = g.adj
+    seen = [False] * g.n
+    pieces: list[list[frozenset[Edge]]] = []
+    for start in range(g.n):
+        if seen[start]:
             continue
-        search = _ComponentSearch(g, comp, state, excluded, mode, cap)
-        search.run()
-        if mode == "enumerate":
-            if not search.solutions:
-                return OracleResult(False)
-            per_comp_solutions.append(sorted(search.solutions, key=sorted))
-        else:
-            if search.best is None:
-                return OracleResult(False)
-            total_weight += search.best[0]
-            chosen_edges.update(search.edges[i] for i in search.best[1])
+        seen[start] = True
+        # The loop also visits the vertices appended while it runs.
+        order = [start]
+        for v in order:
+            for u in sorted(adj[v]):
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+        found = _search_piece(g, order, state, excluded, mode, cap)
+        if not found:
+            return OracleResult(False)
+        pieces.append(found)
 
-    if mode == "enumerate":
-        combos: list[frozenset[Edge]] = [frozenset()]
-        for sols in per_comp_solutions:
-            merged = []
-            for base in combos:
-                for extra in sols:
-                    merged.append(base | extra)
-                    if len(merged) > cap:
-                        raise EnumerationCapExceeded(
-                            f"more than {cap} dominating induced matchings"
-                        )
-            combos = merged
-        combos.sort(key=sorted)
-        best = None
-        if combos:
-            weights = [g.matching_weight(mm) for mm in combos]
-            i = min(range(len(combos)), key=lambda t: (weights[t], sorted(combos[t])))
-            best = (combos[i], weights[i])
-        return OracleResult(True, best, tuple(combos))
+    if mode != "enumerate":
+        matching = frozenset().union(*(sols[0] for sols in pieces))
+        weight = float(sum(map(g.weights.__getitem__, matching)))
+        return OracleResult(True, (matching, weight), None)
 
-    return OracleResult(True, (frozenset(chosen_edges), total_weight), None)
+    combos: list[frozenset[Edge]] = [frozenset()]
+    for sols in pieces:
+        merged = []
+        for base in combos:
+            for extra in sols:
+                merged.append(base | extra)
+                if len(merged) > cap:
+                    raise EnumerationCapExceeded(
+                        f"more than {cap} dominating induced matchings"
+                    )
+        combos = merged
+    combos.sort(key=sorted)
+    weights = [g.matching_weight(mm) for mm in combos]
+    i = min(range(len(combos)), key=lambda t: (weights[t], sorted(combos[t])))
+    return OracleResult(True, (combos[i], weights[i]), tuple(combos))
 
 
 def oracle_solve_subsets(

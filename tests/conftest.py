@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from hypothesis import strategies as st
 
-from dimatch.coloring import BLACK, R_WHITE_WHITE, UNSET, WHITE, Coloring, propagate
+from dimatch.coloring import BLACK, R_WHITE_WHITE, WHITE
 from dimatch.generate import SplitMix64
 from dimatch.graph import Edge, Graph, iter_bits
 from dimatch.solver import AnchorSolver
@@ -64,100 +62,6 @@ def small_connected_graphs(draw, min_n: int = 2, max_n: int = 8) -> Graph:
     g = draw(small_graphs(min_n=min_n, max_n=max_n))
     assume(g.is_connected())
     return g
-
-
-def reference_precolored(
-    g: Graph,
-    coloring: Coloring,
-    minimize: bool = False,
-) -> Optional[tuple[frozenset[Edge], float]]:
-    """Vertex backtracking with :func:`propagate` at every node, kept as the
-    test reference of :func:`dimatch.subsolver.solve_precolored`.
-
-    Same contract and result: black vertices end up matched, white ones
-    unmatched, excluded edges stay out; with ``minimize`` the cheapest
-    completion.  Connected pieces are searched in turn, each depth first,
-    WHITE before BLACK, branching on the first uncolored vertex with a
-    colored neighbor.
-    """
-    excluded = frozenset(coloring.excluded)
-    state = list(coloring.state)
-    # any(state) tests for a colored vertex: UNSET is 0.
-    if (excluded or any(state)) and propagate(g, state, excluded, range(g.n)):
-        return None
-    for comp in g.connected_components():
-        vertices = sorted(comp)
-        best = _search_piece(g, vertices, state, excluded, minimize)
-        if best is None:
-            return None
-        for v, color in zip(vertices, best):
-            state[v] = color
-    matching = frozenset(
-        e for e in g.edges if state[e[0]] == BLACK and state[e[1]] == BLACK
-    )
-    return matching, g.matching_weight(matching)
-
-
-def _branch_vertex(g: Graph, vertices: list[int], state: list[int]) -> int:
-    """The first uncolored vertex with a colored neighbor, else the first uncolored one, else -1."""
-    fallback = -1
-    for v in vertices:
-        if state[v] != UNSET:
-            continue
-        if fallback == -1:
-            fallback = v
-        for u in g.adj[v]:
-            if state[u] != UNSET:
-                return v
-    return fallback
-
-
-def _search_piece(
-    g: Graph,
-    vertices: list[int],
-    state: list[int],
-    excluded: frozenset[Edge],
-    minimize: bool,
-) -> Optional[list[int]]:
-    """The first (or first cheapest) completion of one piece, given its sorted vertices.
-
-    Returns the completion as the colors of ``vertices``, in order.  The
-    search runs on an explicit stack of choice points, each holding its
-    branching vertex, the piece's colors when it was reached and the next
-    color to try.  It mutates ``state`` on the piece's vertices only.
-    """
-    edges = [(v, u) for v in vertices for u in g.adj[v] if u > v]
-    best: Optional[list[int]] = None
-    best_weight = 0.0
-    stack: list[list] = []
-    v = _branch_vertex(g, vertices, state)
-    while True:
-        if v == -1:
-            weight = g.matching_weight(
-                e for e in edges if state[e[0]] == BLACK and state[e[1]] == BLACK
-            )
-            if best is None or weight < best_weight:
-                best, best_weight = [state[u] for u in vertices], weight
-                if not minimize:
-                    return best
-        else:
-            stack.append([v, [state[u] for u in vertices], 0])
-        while stack:
-            point = stack[-1]
-            u, saved, i = point
-            if i == 2:
-                stack.pop()
-                continue
-            point[2] = i + 1
-            if i:
-                for w, color in zip(vertices, saved):
-                    state[w] = color
-            state[u] = (WHITE, BLACK)[i]
-            if propagate(g, state, excluded, [u]) is None:
-                v = _branch_vertex(g, vertices, state)
-                break
-        else:
-            return best
 
 
 def reference_decompose(self: AnchorSolver) -> None:

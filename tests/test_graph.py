@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from itertools import islice
 
@@ -71,6 +73,23 @@ class TestConstruction:
     def test_default_weights(self):
         g = path(4)
         assert all(g.weight(e) == 1 for e in g.edges)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trip(self, clone):
+        g = Graph(3, [(0, 1), (1, 2)], {(1, 2): 2.5}, ("a", "b", "c"))
+        g.bits  # a built cache is rebuilt on first read, not carried over
+        h = clone(g)
+        assert h is not g and type(h) is Graph
+        assert (h.n, h.edges, h.weights, h.names, h.adj) == (
+            g.n, g.edges, g.weights, g.names, g.adj
+        )
+        assert h._bits is None and h.bits == g.bits
+        with pytest.raises(AttributeError):
+            h.n = 5
 
 
 def adjacency_masks(g: Graph) -> tuple[int, ...]:

@@ -140,7 +140,10 @@ class TestSubsetCrossCheck:
                 max_size=g.n,
             )
         )
-        col = Coloring(colors)
+        excluded = (
+            data.draw(st.lists(st.sampled_from(g.edges), max_size=2)) if g.edges else []
+        )
+        col = Coloring(colors, excluded)
         a = oracle_solve(g, col, mode="enumerate")
         b = oracle_solve_subsets(g, col, mode="enumerate")
         assert a.feasible == b.feasible
@@ -195,7 +198,8 @@ class TestEnumeration:
 class TestRecursionLimit:
     def test_limit_unchanged_after_long_path(self):
         saved = sys.getrecursionlimit()
-        # Below the m + 2000 headroom the search asks for on this path.
+        # A limit below the path's length: the search runs on an explicit
+        # stack, so it neither needs nor sets a higher one.
         sys.setrecursionlimit(1000)
         try:
             g = path(1500)

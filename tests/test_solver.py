@@ -37,7 +37,6 @@ from conftest import (
     disjoint_union,
     path,
     reference_decompose,
-    reference_precolored,
     small_connected_graphs,
 )
 
@@ -744,24 +743,26 @@ class TestCoverSearch:
         assert tuple(tripped) == self.BLOCK_TRIPS[minimize]
         assert weights == {100}
 
-    # The precolored backtracker is the reference here: the oracle needs
-    # minutes for these blocks.
+    # The oracle searches the vertex formulation, which the cover engine
+    # does not share.
     def test_min_weight_matches_precolored_search_on_blocks(self):
         rng = SplitMix64(3)
         for i in range(10):
             g = with_random_weights(degree2_block(rng, 50, 50), i)
-            res = solve_precolored(g, Coloring.fresh(g.n), minimize=True)
-            ref = reference_precolored(g, Coloring.fresh(g.n), minimize=True)
-            assert res is not None and ref is not None
+            col = Coloring.fresh(g.n)
+            res = solve_precolored(g, col, minimize=True)
+            ref = oracle_solve(g, col, "min_weight")
+            assert res is not None and ref.feasible
             assert g.is_dim(res[0])
-            assert res[1] == ref[1]
+            assert res[1] == ref.best[1]
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_min_weight_matches_precolored_search_on_planted(self, seed):
         g, _ = generate_planted(GenSpec(n=120, seed=seed))
         g = with_random_weights(g, seed)
-        res = solve_precolored(g, Coloring.fresh(g.n), minimize=True)
-        ref = reference_precolored(g, Coloring.fresh(g.n), minimize=True)
-        assert res is not None and ref is not None
+        col = Coloring.fresh(g.n)
+        res = solve_precolored(g, col, minimize=True)
+        ref = oracle_solve(g, col, "min_weight")
+        assert res is not None and ref.feasible
         assert g.is_dim(res[0])
-        assert res[1] == ref[1]
+        assert res[1] == ref.best[1]
