@@ -2,8 +2,9 @@
 
 Each case is recorded as verdict, sorted matching, weight, trace, reason,
 witness and the anchor-log entries, serialised canonically and hashed; the
-hashes live in ``golden_solve.json``.  Refactors of the solve path must keep
-every hash.  To re-record after a deliberate behaviour change, run
+hashes live in ``golden_solve.json``.  A family case pins a whole graph
+family with one hash over the records of its graphs, in enumeration order.
+Refactors of the solve path must keep every hash.  To re-record after a deliberate behaviour change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in the changelog.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import Iterable
 
 from dimatch.generate import GenSpec, SplitMix64, gadget, generate_planted, with_random_weights
 from dimatch.graph import Graph
@@ -73,6 +75,14 @@ def corpus():
             yield f"block2/{seed}/{pairs}x{whites}/{mode}", g, MODES[mode]
 
 
+def families():
+    """Yield (case id, graphs, solve kwargs) for every pinned graph family:
+    all connected K4-free graphs on 6 vertices, in two structural modes."""
+    for mode in ("exists", "minw"):
+        graphs = enumerate_all_graphs(6, predicate=lambda g: find_k4(g) is None)
+        yield f"small/n6/{mode}", graphs, MODES[mode]
+
+
 def record(g: Graph, kwargs: dict) -> dict:
     log: list = []
     out = solve(g, anchor_log=log, **kwargs)
@@ -88,9 +98,20 @@ def record(g: Graph, kwargs: dict) -> dict:
     }
 
 
+def canonical(rec: dict) -> bytes:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+
+
 def digest(rec: dict) -> str:
-    blob = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return hashlib.sha256(canonical(rec)).hexdigest()[:16]
+
+
+def family_digest(graphs: Iterable[Graph], kwargs: dict) -> str:
+    """One hash over the records of ``graphs``, one line per graph."""
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(canonical(record(g, kwargs)) + b"\n")
+    return h.hexdigest()[:16]
 
 
 def test_solve_outputs_match_golden():
@@ -102,11 +123,16 @@ def test_solve_outputs_match_golden():
         rec = record(g, kwargs)
         if golden.get(case) != digest(rec):
             mismatched.append((case, rec))
+    for case, graphs, kwargs in families():
+        seen.add(case)
+        if golden.get(case) != family_digest(graphs, kwargs):
+            mismatched.append((case, None))
     assert not mismatched, f"{len(mismatched)} outputs changed, first: {mismatched[0]}"
     assert seen == set(golden), "corpus and golden file list different cases"
 
 
 if __name__ == "__main__":
     table = {case: digest(record(g, kwargs)) for case, g, kwargs in corpus()}
+    table.update((case, family_digest(graphs, kwargs)) for case, graphs, kwargs in families())
     GOLDEN.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
     print(f"recorded {len(table)} cases in {GOLDEN}")
