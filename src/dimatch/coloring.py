@@ -9,8 +9,10 @@ matching.
 
 `propagate` is the shared worklist closure over those semantics.
 `commit_pair` is the one implementation of committing a matched pair: it
-whitens the pair's alive neighbors and excludes their edges.  The anchor
-solver and `forced_edge_closure` both commit through it.
+whitens the pair's alive neighbors, which rules out every edge at distance 1
+from the pair, since a white vertex never changes color.  The anchor solver
+and `forced_edge_closure` both commit through it, and each keeps a bitmask
+of the vertices its commits whitened.
 """
 
 from __future__ import annotations
@@ -30,12 +32,16 @@ R_DISTANCE_ONE = "distance-1"
 R_WHITE_WHITE = "white-adjacent-white"
 R_TWO_BLACK = "black-two-black-neighbors"
 R_NO_MATE = "black-no-mate"
-R_EXCLUDED_PAIR = "excluded-black-pair"
 R_WHITE_COMMITTED = "white-endpoint-committed"
 
 
 class Coloring:
-    """Per-vertex color state plus the edges excluded from the matching."""
+    """Per-vertex color state plus the edges excluded from the matching.
+
+    The structural route colors vertices only; ``excluded`` is the
+    precoloring input of the exact searches (:func:`solve_precolored`,
+    :func:`oracle_solve`).
+    """
 
     __slots__ = ("state", "excluded")
 
@@ -52,9 +58,11 @@ class Coloring:
 class ReductionOutcome:
     """Result of the forced-edge closure: a smaller (graph, coloring) pair or a contradiction.
 
-    ``committed`` lists the committed pairs in the input graph's vertex ids,
-    in commit order; ``provenance`` maps the new graph's vertex ids back to
-    the input graph's.  On contradiction only ``reason`` is populated.
+    The coloring holds the residual's vertex colors, whose whites are the
+    vertices the commits whitened, and no excluded edges.  ``committed``
+    lists the committed pairs in the input graph's vertex ids, in commit
+    order; ``provenance`` maps the new graph's vertex ids back to the input
+    graph's.  On contradiction only ``reason`` is populated.
     """
 
     ok: bool
@@ -69,23 +77,16 @@ class ReductionOutcome:
         return cls(ok=False, reason=reason)
 
 
-def propagate(
-    g: Graph,
-    state: list[int],
-    excluded: set[Edge] | frozenset[Edge],
-    queue: Iterable[int],
-) -> str | None:
+def propagate(g: Graph, state: list[int], queue: Iterable[int]) -> str | None:
     """Close a partial coloring under the forcing rules; return a reason on contradiction.
 
     Rules applied to fixpoint, each a direct consequence of the complete
     feasible coloring semantics:
       * a white vertex forces all its neighbors black;
       * two adjacent black vertices are mates, so their other neighbors
-        turn white, and the mate edge must not be excluded;
-      * a black vertex with no black neighbor and a single viable mate
-        candidate forces that candidate black;
-      * an edge excluded from the matching whitens the far endpoint once
-        the near one is black.
+        turn white;
+      * a black vertex with no black neighbor and a single uncolored
+        neighbor forces that neighbor black.
     Callers queue the vertices they colored since the last fixpoint; the
     colored neighborhood of each queued vertex is re-examined as well, since
     its constraints may have tightened.  Mutates ``state`` in place.
@@ -96,7 +97,7 @@ def propagate(
     once.  A rule colors only vertices it saw uncolored, so coloring never
     conflicts.  The pushes are written out inline, with no helper
     closures, since in this hot loop a call per push costs more than the
-    push.  Lookups in ``excluded`` are skipped when it is empty.
+    push.
     """
     adj = g.adj
     work: list[int] = []
@@ -136,8 +137,6 @@ def propagate(
                         return R_TWO_BLACK
                     mate = u
             if mate >= 0:
-                if excluded and edge(v, mate) in excluded:
-                    return R_EXCLUDED_PAIR
                 for u in adj[v]:
                     if u != mate and state[u] == UNSET:
                         state[u] = WHITE
@@ -152,20 +151,9 @@ def propagate(
                 candidate = -1
                 count = 0
                 for u in adj[v]:
-                    if state[u] != UNSET:
-                        continue
-                    if excluded and edge(v, u) in excluded:
-                        state[u] = WHITE
-                        if u not in pending:
-                            pending.add(u)
-                            work.append(u)
-                        for t in adj[u]:
-                            if state[t] != UNSET and t not in pending:
-                                pending.add(t)
-                                work.append(t)
-                        continue
-                    candidate = u
-                    count += 1
+                    if state[u] == UNSET:
+                        candidate = u
+                        count += 1
                 if count == 0:
                     return R_NO_MATE
                 if count == 1:
@@ -181,78 +169,61 @@ def propagate(
 
 
 def restrict(
-    g: Graph,
-    vertices: Collection[int],
-    state: Sequence[int],
-    excluded: Iterable[Edge],
+    g: Graph, vertices: Collection[int], state: Sequence[int]
 ) -> tuple[Graph, Coloring, tuple[int, ...]]:
     """The piece of a colored graph induced by a vertex set, relabeled densely.
 
     Returns the piece, its coloring and the new->old vertex map.  The
-    coloring carries the states of the kept vertices and the excluded edges
-    inside the piece, in the piece's ids.  ``vertices`` must hold distinct
-    vertices of ``g``; when it holds all of them, ``g`` itself is returned
-    rather than a copy.
+    coloring carries the states of the kept vertices, in the piece's ids.
+    ``vertices`` must hold distinct vertices of ``g``; when it holds all of
+    them, ``g`` itself is returned rather than a copy.
     """
     if len(vertices) == g.n:
-        return g, Coloring(state, excluded), tuple(range(g.n))
+        return g, Coloring(state), tuple(range(g.n))
     sub, old_of_new = g.induced_subgraph(vertices)
-    new_of_old = {v: i for i, v in enumerate(old_of_new)}
-    sub_excluded = [
-        (new_of_old[a], new_of_old[b])
-        for a, b in excluded
-        if a in new_of_old and b in new_of_old
-    ]
-    col = Coloring([state[v] for v in old_of_new], sub_excluded)
-    return sub, col, old_of_new
+    return sub, Coloring([state[v] for v in old_of_new]), old_of_new
 
 
-def commit_pair(
-    g: Graph,
-    alive: int,
-    state: list[int],
-    excluded: set[Edge],
-    vw: Edge,
-) -> str | None:
+def commit_pair(g: Graph, alive: int, state: list[int], mask: int, vw: Edge) -> str | None:
     """Commit the canonical edge ``vw`` as a matched pair; return a reason on contradiction.
 
-    ``alive`` is a bitmask of the vertices still in the working graph.  The
-    alive neighbors of the pair turn white, and every alive edge at distance
-    1 from the pair is excluded from the matching; then both endpoints turn
-    black.  The caller removes the endpoints from ``alive``.  Mutates
-    ``state`` and ``excluded`` in place, also when it fails partway.
+    ``alive`` is a bitmask of the vertices still in the working graph, and
+    ``mask`` one of the vertices earlier commits whitened.  The alive
+    neighbors of the pair turn white, then both endpoints turn black; every
+    alive edge at distance 1 from the pair now has a white endpoint, so it
+    can never be matched.  An endpoint in ``mask`` means ``vw`` lies at
+    distance 1 from an earlier commit (``distance-1``); any other white
+    endpoint was whitened by another rule (``white-endpoint-committed``).
+    The caller removes the endpoints from ``alive`` and adds their alive
+    neighbors to ``mask``.  Mutates ``state`` in place, also when it fails
+    partway.
     """
     v, w = vw
     if not (alive >> v & 1 and alive >> w & 1):
         return R_SHARED_VERTEX
-    if vw in excluded:
+    if (mask >> v | mask >> w) & 1:
         return R_DISTANCE_ONE
     if state[v] == WHITE or state[w] == WHITE:
         return R_WHITE_COMMITTED
     bits = g.bits
-    rest = alive & ~(1 << v) & ~(1 << w)
-    for z in iter_bits((bits[v] | bits[w]) & rest):
+    for z in iter_bits((bits[v] | bits[w]) & alive & ~(1 << v) & ~(1 << w)):
         if state[z] == BLACK:
             return R_TWO_BLACK
         state[z] = WHITE
-        for t in iter_bits(bits[z] & rest):
-            excluded.add(edge(z, t))
     state[v] = BLACK
     state[w] = BLACK
     return None
 
 
-def forced_edge_closure(
-    g: Graph,
-    seeds: Iterable[Edge],
-    coloring: Coloring | None = None,
-) -> ReductionOutcome:
+def forced_edge_closure(g: Graph, seeds: Iterable[Edge]) -> ReductionOutcome:
     """Commit a set of forced edges in one pass; return the residual or a contradiction.
 
-    Commits the seeds in the given order (callers wanting determinism pass
-    a sorted sequence) through :func:`commit_pair`, skipping repeats, and
-    fails when a newly white vertex has an alive white neighbor.  The
-    residual is the subgraph induced by the vertices left uncommitted.
+    Starts from the uncolored graph and commits the seeds in the given
+    order (callers wanting determinism pass a sorted sequence) through
+    :func:`commit_pair`, skipping repeats, and fails when a newly white
+    vertex has an alive white neighbor.  The residual is the subgraph
+    induced by the vertices left uncommitted; its white vertices are
+    exactly those the commits whitened.
 
     The residual is diamond- and butterfly-free when the seeds hold every
     forced edge of ``g`` (every diamond mid edge and butterfly wing edge,
@@ -261,21 +232,22 @@ def forced_edge_closure(
     one of ``g`` whose forced edges were seeds, but committing a seed
     removes its endpoints.
     """
-    col = coloring if coloring is not None else Coloring.fresh(g.n)
-    state = list(col.state)
-    excluded = set(col.excluded)
+    state = [UNSET] * g.n
     bits = g.bits
     alive = (1 << g.n) - 1
+    mask = 0
     committed: list[Edge] = []
     for vw in dict.fromkeys(edge(*e) for e in seeds):
-        reason = commit_pair(g, alive, state, excluded, vw)
+        reason = commit_pair(g, alive, state, mask, vw)
         if reason:
             return ReductionOutcome.contradiction(reason)
         v, w = vw
         alive &= ~(1 << v) & ~(1 << w)
-        for z in iter_bits((bits[v] | bits[w]) & alive):
-            if any(state[t] == WHITE for t in iter_bits(bits[z] & alive)):
+        whitened = (bits[v] | bits[w]) & alive
+        mask |= whitened
+        for z in iter_bits(whitened):
+            if bits[z] & mask & alive:
                 return ReductionOutcome.contradiction(R_WHITE_WHITE)
         committed.append(vw)
-    residual, residual_col, old_of_new = restrict(g, list(iter_bits(alive)), state, excluded)
+    residual, residual_col, old_of_new = restrict(g, list(iter_bits(alive)), state)
     return ReductionOutcome(True, None, residual, residual_col, old_of_new, committed)

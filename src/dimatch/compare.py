@@ -65,6 +65,8 @@ class CompareReport:
     errors: list = field(default_factory=list)
     times: array = field(default_factory=lambda: array("d"))
     wall: float = 0.0
+    # The arguments of the run_* call that made the report, workers aside.
+    options: dict = field(default_factory=dict)
 
     @property
     def agreement(self) -> bool:
@@ -97,6 +99,7 @@ class CompareReport:
             "errors": self.errors,
             "timing": self.timing_percentiles(),
             "wall_seconds": self.wall,
+            "options": self.options,
         }
 
 
@@ -173,10 +176,10 @@ def _merge(into: CompareReport, part: CompareReport) -> None:
     into.times.extend(part.times)
 
 
-def _fan_out(worker, tasks: list, workers: int) -> CompareReport:
+def _fan_out(worker, tasks: list, workers: int, options: dict) -> CompareReport:
     """Run ``worker`` on every task, serially or over a process pool of at
     most one process per task, and fold the parts into one report with its
-    disagreements sorted."""
+    disagreements sorted and the run's ``options``."""
     started = time.perf_counter()
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -184,7 +187,7 @@ def _fan_out(worker, tasks: list, workers: int) -> CompareReport:
     else:
         with Pool(workers) as pool:
             parts = pool.map(worker, tasks, chunksize=1)
-    report = CompareReport()
+    report = CompareReport(options=options)
     for part in parts:
         _merge(report, part)
     report.disagreements.sort(key=lambda d: d["instance"])
@@ -251,7 +254,8 @@ def run_exhaustive(
         step = max(1, top // _MASK_CHUNKS)
         for lo in range(0, top, step):
             tasks.append((_mask_graphs, (n, lo, min(top, lo + step)), options))
-    return _fan_out(_check_batch, tasks, workers or worker_count())
+    run = dict(n_max=n_max, minimize=minimize, strict=strict)
+    return _fan_out(_check_batch, tasks, workers or worker_count(), run)
 
 
 def run_samples(
@@ -269,7 +273,8 @@ def run_samples(
         (_sampled_graphs, (n, seeds, density), (minimize, strict))
         for seeds in _seed_chunks(seed, count, workers * 8)
     ]
-    return _fan_out(_check_batch, tasks, workers)
+    run = dict(n=n, count=count, seed=seed, density=density, minimize=minimize, strict=strict)
+    return _fan_out(_check_batch, tasks, workers, run)
 
 
 def run_planted(
@@ -295,14 +300,17 @@ def run_planted(
         (_planted_graphs, (n, seeds), options)
         for seeds in _seed_chunks(seed, count, workers * 4)
     ]
-    return _fan_out(_check_batch, tasks, workers)
+    run = dict(n=n, count=count, seed=seed, minimize=minimize, strict=strict)
+    run.update(structural=structural, use_oracle=use_oracle)
+    return _fan_out(_check_batch, tasks, workers, run)
 
 
 def run_directory(path: str, minimize: bool = False, strict: bool = False) -> CompareReport:
     """Compare solver and oracle on every edge-list file in a directory, in
     name order and in this process.  A file that cannot be read or parsed
     raises with its path in the message."""
-    return _fan_out(_check_batch, [(_directory_graphs, (path,), (minimize, strict))], 1)
+    run = dict(path=path, minimize=minimize, strict=strict)
+    return _fan_out(_check_batch, [(_directory_graphs, (path,), (minimize, strict))], 1, run)
 
 
 def dump_reproducer(report: CompareReport, directory: str) -> list[str]:

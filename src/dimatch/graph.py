@@ -142,15 +142,6 @@ class Graph:
         if not (0 <= v < self.n):
             raise GraphError(f"unknown vertex {v}")
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        """Open neighborhood of ``v``."""
-        self.check_vertex(v)
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.weights
 

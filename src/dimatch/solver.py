@@ -146,8 +146,11 @@ class AnchorSolver:
 
     Holds the base graph's bitmasks ``bits`` and the shrinking working
     state: an alive-vertex mask over the fixed base graph, per-vertex
-    colors, excluded edges, and the committed pairs (whose endpoints have
-    left the alive set).
+    colors, the committed pairs (whose endpoints have left the alive set)
+    and ``whitened``, the mask of the vertices commits turned white.  It
+    starts as the incoming white vertices, which the forced-edge closure
+    whitened through commits; a white vertex never changes color, so no
+    edge at one of them can ever be matched.
 
     The level state of the last :meth:`decompose` lives here too, and only
     here: the bitmasks ``level_masks``, ``n3_mask`` and ``deep_mask``, the
@@ -167,7 +170,7 @@ class AnchorSolver:
         self,
         g: Graph,
         anchor: Edge,
-        coloring: Coloring | None = None,
+        state: Sequence[int] | None = None,
         config: SolverConfig | None = None,
     ) -> None:
         self.g = g
@@ -179,8 +182,8 @@ class AnchorSolver:
         if not (bits[x] ^ bits[y]) & ~(1 << x) & ~(1 << y):
             raise GraphError(f"anchor edge {self.anchor} is not on a 3-vertex path")
         self.cfg = config or SolverConfig()
-        self.state = list(coloring.state) if coloring is not None else [UNSET] * g.n
-        self.excluded = set(coloring.excluded) if coloring is not None else set()
+        self.state = list(state) if state is not None else [UNSET] * g.n
+        self.whitened = sum(1 << v for v, c in enumerate(self.state) if c == WHITE)
         self.committed: list[Edge] = []
         self.alive = (1 << g.n) - 1
         self.trace: list[str] = []
@@ -211,11 +214,12 @@ class AnchorSolver:
 
     def _commit(self, vw: Edge, tag: str) -> None:
         """Commit a matched pair through :func:`commit_pair` and delete its endpoints."""
-        vw = edge(*vw)
-        reason = commit_pair(self.g, self.alive, self.state, self.excluded, vw)
+        v, w = vw = edge(*vw)
+        reason = commit_pair(self.g, self.alive, self.state, self.whitened, vw)
         if reason:
             self._fail(reason)
-        self.alive &= ~(1 << vw[0]) & ~(1 << vw[1])
+        self.alive &= ~(1 << v) & ~(1 << w)
+        self.whitened |= (self.bits[v] | self.bits[w]) & self.alive
         self.committed.append(vw)
         self._tag(tag)
 
@@ -242,8 +246,6 @@ class AnchorSolver:
         alive = self.alive
         state = self.state
         x, y = self.anchor
-        if self.anchor in self.excluded:
-            self._fail("anchor-excluded")
         for v in (x, y):
             if state[v] == WHITE:
                 self._fail("anchor-endpoint-white")
@@ -623,7 +625,7 @@ class AnchorSolver:
         for t in cands:
             trial = list(state)
             trial[t] = BLACK
-            if propagate(self.g_alive_view(), trial, self.excluded, [t]) is None:
+            if propagate(self.g_alive_view(), trial, [t]) is None:
                 yield from self._completions(trial, tasks)
                 if inert:
                     return
@@ -646,7 +648,7 @@ class AnchorSolver:
             return None
         trial = list(self.state)
         trial[seed] = BLACK
-        if propagate(self.g_alive_view(), trial, self.excluded, [seed]) is not None:
+        if propagate(self.g_alive_view(), trial, [seed]) is not None:
             return None
         return next(self._completions(trial, [task]), None)
 
@@ -682,7 +684,7 @@ class AnchorSolver:
         """
         if not coupled:
             state = list(self.state)
-            if propagate(self.g_alive_view(), state, self.excluded, list(iter_bits(self.alive))) is None:
+            if propagate(self.g_alive_view(), state, list(iter_bits(self.alive))) is None:
                 yield state
             return
         for combo in product(*[task.seeds for task in coupled]):
@@ -695,7 +697,7 @@ class AnchorSolver:
                 state[seed] = BLACK
             if not ok:
                 continue
-            if propagate(self.g_alive_view(), state, self.excluded, list(combo)) is not None:
+            if propagate(self.g_alive_view(), state, list(combo)) is not None:
                 continue
             yield from self._completions(state, coupled)
 
@@ -713,9 +715,7 @@ class AnchorSolver:
         stray_mask = self.alive & ~level_union
         if not stray_mask:
             return frozenset(), 0.0
-        sub, col, old_of_new = restrict(
-            self.g, list(iter_bits(stray_mask)), self.state, self.excluded
-        )
+        sub, col, old_of_new = restrict(self.g, list(iter_bits(stray_mask)), self.state)
         res = self.cfg.sub_solver(sub, col, minimize=self.cfg.minimize)
         if res is None:
             return None
@@ -733,9 +733,7 @@ class AnchorSolver:
         deep_matching: frozenset[Edge] = frozenset()
         deep_weight = 0.0
         if deep_alive:
-            sub, col, old_of_new = restrict(
-                self.g, list(iter_bits(deep_alive)), state, self.excluded
-            )
+            sub, col, old_of_new = restrict(self.g, list(iter_bits(deep_alive)), state)
             if self.cfg.strict:
                 self._strict_deep_checks(sub)
             start = time.perf_counter()
@@ -888,8 +886,8 @@ class AnchorSolver:
                 self._check_failed("matched pair between level 3 and deeper")
 
     def _found(self, matching: frozenset[Edge], weight: float) -> SolveOutcome:
-        if any(e in self.excluded for e in matching):
-            raise StructuralCheckError("matching uses an excluded edge")
+        if any((self.whitened >> u | self.whitened >> v) & 1 for u, v in matching):
+            raise StructuralCheckError("matching uses an edge at a whitened vertex")
         return SolveOutcome(
             FOUND,
             matching=matching,
@@ -907,7 +905,7 @@ def _solve_residual(g: Graph, coloring: Coloring, cfg: SolverConfig) -> SolveOut
     whites = {v for v, c in enumerate(coloring.state) if c == WHITE}
     singles: list[tuple[float, Edge]] = []
     for u, v in g.edges:
-        if (u, v) in coloring.excluded or u in whites or v in whites:
+        if u in whites or v in whites:
             continue
         if len(g.adj[u]) + len(g.adj[v]) - 1 == g.m:
             singles.append((g.weights[(u, v)], (u, v)))
@@ -921,9 +919,9 @@ def _solve_residual(g: Graph, coloring: Coloring, cfg: SolverConfig) -> SolveOut
     best: SolveOutcome | None = None
     last: SolveOutcome | None = None
     for anchor in anchor_edges(g):
-        if anchor in coloring.excluded or anchor[0] in whites or anchor[1] in whites:
+        if anchor[0] in whites or anchor[1] in whites:
             continue
-        out = AnchorSolver(g, anchor, coloring, cfg).run()
+        out = AnchorSolver(g, anchor, coloring.state, cfg).run()
         if cfg.anchor_log is not None:
             cfg.anchor_log.append(
                 (g.vertex_name(anchor[0]), g.vertex_name(anchor[1]), out.verdict, out.reason)
@@ -1010,7 +1008,7 @@ def _solve_pieces(
     for comp in sorted(g.connected_components(), key=min):
         if len(comp) == 1:
             continue
-        sub, col, sub_ids = restrict(g, comp, coloring.state, coloring.excluded)
+        sub, col, sub_ids = restrict(g, comp, coloring.state)
         out = solve_piece(sub, col)
         if not out.found:
             witness = out.witness

@@ -72,8 +72,6 @@ def reference_decompose(self: AnchorSolver) -> None:
     and blackening the level-2 vertices that survive."""
     g = self.g
     x, y = self.anchor
-    if self.anchor in self.excluded:
-        self._fail("anchor-excluded")
     for v in (x, y):
         if self.state[v] == WHITE:
             self._fail("anchor-endpoint-white")

@@ -424,6 +424,15 @@ class TestCompareCommand:
         assert payload["disagreements"] == []
         assert payload["total"] > 0
 
+    def test_report_records_its_options(self, capsys):
+        payloads = []
+        for extra in ([], ["--min-weight", "--strict"]):
+            main(["compare", "--exhaustive", "4", "--json", "--threads", "1"] + extra)
+            payloads.append(json.loads(capsys.readouterr().out))
+        exists, minw = (p["options"] for p in payloads)
+        assert exists == {"n_max": 4, "minimize": False, "strict": False}
+        assert minw == {"n_max": 4, "minimize": True, "strict": True}
+
     def test_planted_batch(self, capsys):
         code = main(["compare", "--planted", "5x60", "--threads", "1", "--json"])
         payload = json.loads(capsys.readouterr().out)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimatch import gadget, oracle_solve
 from dimatch.coloring import (
     BLACK,
-    R_EXCLUDED_PAIR,
     R_NO_MATE,
     R_TWO_BLACK,
     R_WHITE_WHITE,
@@ -20,7 +20,8 @@ from dimatch.coloring import (
     propagate,
 )
 from dimatch.generate import SplitMix64
-from dimatch.graph import Graph, edge
+from dimatch.graph import Graph
+from dimatch.solver import AnchorContradiction, AnchorSolver
 from dimatch.subsolver import solve_precolored
 
 from conftest import cycle, path, small_graphs
@@ -33,12 +34,12 @@ class TestFeasibility:
         g = cycle(3)
         state = [WHITE, WHITE, UNSET]
         # queueing 2 re-examines its colored neighbors, which clash
-        assert propagate(g, state, frozenset(), [2]) == "white-adjacent-white"
+        assert propagate(g, state, [2]) == "white-adjacent-white"
 
     def test_partial_black_neighbor_cap(self):
         g = gadget("claw")
         state = [BLACK, BLACK, BLACK, UNSET]  # the center sees two black leaves
-        assert propagate(g, state, frozenset(), [0]) == "black-two-black-neighbors"
+        assert propagate(g, state, [0]) == "black-two-black-neighbors"
 
     def test_complete_requires_exactly_one(self):
         g = path(4)
@@ -54,37 +55,30 @@ class TestFeasibility:
 class TestReductionStep:
     def test_p5_middle_edge(self):
         g = path(5)
-        out = forced_edge_closure(g, [(1, 2)], Coloring.fresh(5))
+        out = forced_edge_closure(g, [(1, 2)])
         assert out.ok
         assert out.graph.n == 3 and out.graph.m == 1
         assert out.committed == [(1, 2)]
-        # surviving edge between old 3 and 4 is at distance 1: excluded
+        # surviving edge between old 3 and 4 is at distance 1: old 3 is white
         old = out.provenance
         assert old == (0, 3, 4)
-        assert out.coloring.excluded == {(1, 2)}  # new ids of (3, 4)
+        assert out.coloring.state == [WHITE, WHITE, UNSET]
+        assert out.coloring.excluded == set()
 
     def test_shared_vertex_contradiction(self):
         g = path(3)
-        out = forced_edge_closure(g, [(0, 1), (1, 2)], Coloring.fresh(3))
+        out = forced_edge_closure(g, [(0, 1), (1, 2)])
         assert not out.ok and out.reason == "shared-vertex"
 
     def test_distance_one_contradiction(self):
         g = path(4)
-        out = forced_edge_closure(g, [(0, 1), (2, 3)], Coloring.fresh(4))
+        out = forced_edge_closure(g, [(0, 1), (2, 3)])
         assert not out.ok and out.reason == "distance-1"
 
     def test_white_endpoint_contradiction(self):
         g = path(3)
-        col = Coloring([WHITE, UNSET, UNSET])
-        out = forced_edge_closure(g, [(0, 1)], col)
-        assert not out.ok and out.reason == "white-endpoint-committed"
-
-    def test_excluded_edge_contradiction(self):
-        g = path(3)
-        col = Coloring.fresh(3)
-        col.excluded.add((1, 2))
-        out = forced_edge_closure(g, [(1, 2)], col)
-        assert not out.ok and out.reason == "distance-1"
+        state = [WHITE, UNSET, UNSET]
+        assert commit_pair(g, 0b111, state, 0, (0, 1)) == "white-endpoint-committed"
 
 
 class TestVertexCReduction:
@@ -94,33 +88,32 @@ class TestVertexCReduction:
         g = gadget("claw")
         state = [WHITE, UNSET, UNSET, UNSET]
         # three leaves forced matched with no mate left: no completion exists
-        assert propagate(g, state, frozenset(), [0]) == "black-no-mate"
+        assert propagate(g, state, [0]) == "black-no-mate"
         assert not oracle_solve(g, Coloring([WHITE, UNSET, UNSET, UNSET])).feasible
 
     def test_c4_whites_collide(self):
         g = cycle(4)
         col = Coloring([WHITE, UNSET, WHITE, UNSET])
         # neighbors 1 and 3 blacken, but both of their neighbors are white
-        assert propagate(g, list(col.state), frozenset(), [0, 2]) is not None
+        assert propagate(g, list(col.state), [0, 2]) is not None
         assert not oracle_solve(g, col).feasible
 
     def test_white_neighbor_contradiction(self):
         g = path(3)
         state = [WHITE, WHITE, UNSET]
-        assert propagate(g, state, frozenset(), [0]) == "white-adjacent-white"
+        assert propagate(g, state, [0]) == "white-adjacent-white"
 
     def test_requires_white(self):
         g = path(3)
         state = [UNSET, UNSET, UNSET]
-        assert propagate(g, state, frozenset(), [0]) is None
+        assert propagate(g, state, [0]) is None
         assert state == [UNSET, UNSET, UNSET]
 
 
 class TestEdgeCReduction:
     def test_p4_middle(self):
         g = path(4)
-        col = Coloring([UNSET, BLACK, BLACK, UNSET])
-        out = forced_edge_closure(g, [(1, 2)], col)
+        out = forced_edge_closure(g, [(1, 2)])
         assert out.ok
         assert out.graph.n == 2 and out.graph.m == 0
         assert out.coloring.state == [WHITE, WHITE]
@@ -128,21 +121,19 @@ class TestEdgeCReduction:
 
     def test_diamond_mid_edge(self):
         g = gadget("diamond")
-        out = forced_edge_closure(g, [(1, 3)], Coloring.fresh(4))
+        out = forced_edge_closure(g, [(1, 3)])
         assert out.ok
         assert out.coloring.state == [WHITE, WHITE]
         assert out.graph.m == 0  # outer pair 0, 2 is non-adjacent
 
     def test_triangle_third_black(self):
         g = cycle(3)
-        col = Coloring([BLACK, BLACK, BLACK])
-        out = forced_edge_closure(g, [(0, 1)], col)
-        assert not out.ok and out.reason == "black-two-black-neighbors"
+        state = [BLACK, BLACK, BLACK]
+        assert commit_pair(g, 0b111, state, 0, (0, 1)) == "black-two-black-neighbors"
 
     def test_adjacent_whites_detected(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
-        col = Coloring([BLACK, BLACK, UNSET, UNSET])
-        out = forced_edge_closure(g, [(0, 1)], col)
+        out = forced_edge_closure(g, [(0, 1)])
         assert not out.ok and out.reason == "white-adjacent-white"  # 2 and 3 whiten
 
 
@@ -150,15 +141,33 @@ class TestCommitPair:
     def test_alive_mask_bounds_the_surgery(self):
         g = path(5)
         state = [UNSET] * 5
-        excluded: set = set()
         alive = 0b11110  # vertex 0 already deleted
-        assert commit_pair(g, alive, state, excluded, (2, 3)) is None
+        assert commit_pair(g, alive, state, 0, (2, 3)) is None
         assert state == [UNSET, WHITE, BLACK, BLACK, WHITE]
-        assert excluded == set()  # neither white vertex has an alive edge left
 
     def test_endpoint_not_alive(self):
         g = path(3)
-        assert commit_pair(g, 0b011, [UNSET] * 3, set(), (1, 2)) == "shared-vertex"
+        assert commit_pair(g, 0b011, [UNSET] * 3, 0, (1, 2)) == "shared-vertex"
+
+    def test_mask_decides_the_reason_for_a_white_endpoint(self):
+        g = path(4)
+        state = [UNSET, WHITE, UNSET, UNSET]
+        # the same white endpoint 1, whitened by an earlier commit or not
+        assert commit_pair(g, 0b1111, state, 0b0010, (1, 2)) == "distance-1"
+        assert commit_pair(g, 0b1111, state, 0, (1, 2)) == "white-endpoint-committed"
+
+    def test_anchor_solver_tells_the_two_whites_apart(self):
+        # path 0-1-2-3-4 with anchor (1, 2): level 1 is {0, 3}.
+        solver = AnchorSolver(path(5), (1, 2))
+        solver._commit((1, 2), "commit")  # whitens 0 and 3 through a commit
+        with pytest.raises(AnchorContradiction) as fail:
+            solver._commit((3, 4), "commit")
+        assert fail.value.reason == "distance-1"
+        solver = AnchorSolver(path(5), (1, 2))
+        solver.decompose()  # whitens level 1, 0 and 3, without a commit
+        with pytest.raises(AnchorContradiction) as fail:
+            solver._commit((3, 4), "commit")
+        assert fail.value.reason == "white-endpoint-committed"
 
 
 class TestClosure:
@@ -240,8 +249,8 @@ class TestReductionSoundness:
     @given(small_graphs(min_n=2, max_n=6), st.data())
     @settings(max_examples=60, deadline=None)
     def test_commit_preserves_solution_count(self, g: Graph, data):
-        """Matchings through a chosen edge correspond exactly to residual
-        matchings avoiding the excluded edges."""
+        """Matchings through a chosen edge correspond exactly to the
+        residual's matchings under its coloring, whites alone."""
         if not g.edges:
             return
         e = data.draw(st.sampled_from(g.edges))
@@ -250,7 +259,7 @@ class TestReductionSoundness:
             for m in (oracle_solve(g, mode="enumerate").all_dims or ())
             if e in m
         ]
-        out = forced_edge_closure(g, [e], Coloring.fresh(g.n))
+        out = forced_edge_closure(g, [e])
         if not out.ok:
             assert not with_e
             return
@@ -260,10 +269,10 @@ class TestReductionSoundness:
 
     def test_feasibility_holds_after_ok(self):
         g = cycle(6)
-        out = forced_edge_closure(g, [(0, 1)], Coloring.fresh(6))
+        out = forced_edge_closure(g, [(0, 1)])
         assert out.ok
         state = list(out.coloring.state)
-        assert propagate(out.graph, state, out.coloring.excluded, range(out.graph.n)) is None
+        assert propagate(out.graph, state, range(out.graph.n)) is None
         assert oracle_solve(out.graph, out.coloring).feasible
 
 
@@ -271,34 +280,24 @@ class TestPropagate:
     def test_white_forces_black_neighbors(self):
         g = path(3)
         state = [WHITE, UNSET, UNSET]
-        assert propagate(g, state, frozenset(), [0]) is None
+        assert propagate(g, state, [0]) is None
         assert state == [WHITE, BLACK, BLACK]  # 1 must match, only 2 remains
 
     def test_black_pair_seals(self):
         g = path(4)
         state = [UNSET, BLACK, BLACK, UNSET]
-        assert propagate(g, state, frozenset(), [1, 2]) is None
+        assert propagate(g, state, [1, 2]) is None
         assert state == [WHITE, BLACK, BLACK, WHITE]
 
     def test_two_black_neighbors_contradict(self):
         g = path(3)
         state = [BLACK, BLACK, BLACK]
-        assert propagate(g, state, frozenset(), [1]) == "black-two-black-neighbors"
-
-    def test_excluded_pair_contradicts(self):
-        g = path(2)
-        state = [BLACK, BLACK]
-        assert propagate(g, state, {(0, 1)}, [0]) == "excluded-black-pair"
-
-    def test_excluded_edge_whitens_candidate(self):
-        g = path(3)
-        state = [BLACK, UNSET, UNSET]
-        assert propagate(g, state, {(0, 1)}, [0]) == "black-no-mate"
+        assert propagate(g, state, [1]) == "black-two-black-neighbors"
 
     def test_lone_candidate_forced(self):
         g = gadget("claw")
         state = [BLACK, WHITE, WHITE, UNSET]
-        assert propagate(g, state, frozenset(), [0, 1, 2]) is None
+        assert propagate(g, state, [0, 1, 2]) is None
         assert state[3] == BLACK
 
     @given(small_graphs(min_n=2, max_n=7), st.data())
@@ -313,13 +312,13 @@ class TestPropagate:
         truth = [BLACK if v in matched else WHITE for v in range(g.n)]
         keep = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
         state = [truth[v] if v in keep else UNSET for v in range(g.n)]
-        reason = propagate(g, state, frozenset(), list(keep))
+        reason = propagate(g, state, list(keep))
         assert reason is None
         for v in range(g.n):
             assert state[v] in (UNSET, truth[v])
 
 
-def reference_propagate(g, state, excluded, queue):
+def reference_propagate(g, state, queue):
     """The closure-based form of :func:`propagate`, kept as its test reference."""
     adj = g.adj
     work: list[int] = []
@@ -368,8 +367,6 @@ def reference_propagate(g, state, excluded, queue):
                         return R_TWO_BLACK
                     mate = u
             if mate >= 0:
-                if edge(v, mate) in excluded:
-                    return R_EXCLUDED_PAIR
                 for u in adj[v]:
                     if u != mate and state[u] == UNSET:
                         bad = assign(u, WHITE)
@@ -379,15 +376,9 @@ def reference_propagate(g, state, excluded, queue):
                 candidate = -1
                 count = 0
                 for u in adj[v]:
-                    if state[u] != UNSET:
-                        continue
-                    if edge(v, u) in excluded:
-                        bad = assign(u, WHITE)
-                        if bad:
-                            return bad
-                        continue
-                    candidate = u
-                    count += 1
+                    if state[u] == UNSET:
+                        candidate = u
+                        count += 1
                 if count == 0:
                     return R_NO_MATE
                 if count == 1:
@@ -411,21 +402,15 @@ class TestPropagateDifferential:
             state = [UNSET] * n
             for _ in range(rng.randint(1, 4)):
                 state[rng.randrange(n)] = rng.choice((BLACK, WHITE))
-            # Every third trial keeps the excluded set empty.
-            excluded = (
-                frozenset()
-                if trial % 3 == 0
-                else frozenset(e for e in g.edges if rng.random() < 0.3)
-            )
             queue = [v for v in range(n) if state[v] != UNSET or rng.random() < 0.2]
             rng.shuffle(queue)
             before = list(state)
             want_state = list(state)
-            want = reference_propagate(g, want_state, excluded, list(queue))
-            got = propagate(g, state, excluded, list(queue))
-            assert got == want, (trial, g.edges, excluded, queue)
+            want = reference_propagate(g, want_state, list(queue))
+            got = propagate(g, state, list(queue))
+            assert got == want, (trial, g.edges, queue)
             if want is None:
-                assert state == want_state, (trial, g.edges, excluded, queue)
+                assert state == want_state, (trial, g.edges, queue)
                 moved += state != before
             else:
                 contradictions += 1

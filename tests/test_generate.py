@@ -64,7 +64,7 @@ class TestGadgets:
     def test_spider_124(self):
         g = gadget("s_1_2_4")
         assert (g.n, g.m) == (8, 7)
-        assert g.degree(0) == 3
+        assert len(g.adj[0]) == 3
 
     def test_c6(self):
         g = gadget("c6")

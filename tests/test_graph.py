@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimatch.coloring import UNSET, commit_pair
+from dimatch.coloring import UNSET, WHITE, commit_pair
 from dimatch.generate import GenSpec, generate_planted
 from dimatch.graph import Graph, GraphError, iter_bits
 from dimatch.oracle import enumerate_all_graphs
@@ -152,25 +152,27 @@ class TestIterBits:
 class TestNeighbors:
     def test_c4_neighbors(self):
         g = cycle(4)
-        assert g.neighbors(0) == {1, 3}
+        assert g.adj[0] == {1, 3}
 
     def test_isolated_vertex(self):
         g = Graph(1, [])
-        assert g.neighbors(0) == frozenset()
+        assert g.adj[0] == frozenset()
 
     def test_diamond_apex_sees_path(self):
-        assert diamond().neighbors(3) == {0, 1, 2}
+        assert diamond().adj[3] == {0, 1, 2}
 
     def test_unknown_vertex(self):
         with pytest.raises(GraphError):
-            path(3).neighbors(7)
+            path(3).check_vertex(7)
 
 
 def committed_exclusions(g: Graph, e) -> set:
-    """Edges that committing ``e`` on a fresh coloring of g excludes."""
-    excluded: set = set()
-    assert commit_pair(g, (1 << g.n) - 1, [UNSET] * g.n, excluded, e) is None
-    return excluded
+    """Edges that committing ``e`` on a fresh coloring of g rules out: the
+    edges left alive at the vertices the commit whitens."""
+    state = [UNSET] * g.n
+    assert commit_pair(g, (1 << g.n) - 1, state, 0, e) is None
+    rest = set(range(g.n)) - set(e)
+    return {(a, b) for a, b in g.edges if {a, b} <= rest and WHITE in (state[a], state[b])}
 
 
 def anchor_levels(g: Graph, anchor) -> list[frozenset]:
@@ -184,7 +186,7 @@ def anchor_levels(g: Graph, anchor) -> list[frozenset]:
 
 
 class TestEdgeDistance:
-    """Committing a pair excludes exactly the edges at distance 1 from it."""
+    """Committing a pair rules out exactly the edges at distance 1 from it."""
 
     def test_p4_end_edges(self):
         assert committed_exclusions(path(4), (0, 1)) == {(2, 3)}
