@@ -41,8 +41,84 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
     few edges fails at the first edge line beyond the header's count,
     without the rest being read.  Each line is split into tokens once; a
     line with no tokens, or whose first token starts with ``c``, is skipped.
+    A string in the plain form that :func:`write_edge_list` gives an
+    unweighted graph is parsed in bulk, to the same graph.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    plain = _parse_plain(source) if isinstance(source, str) else None
+    if plain is None:
+        lines = source.splitlines() if isinstance(source, str) else source
+        n, edges, weights = _parse_lines(lines)
+    else:
+        n, edges = plain
+        weights = {}
+    try:
+        return Graph(n, edges, weights)
+    except GraphError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+# The characters of a plain header line and of a plain body.
+_HEADER_DROP = b"pedg0123456789 \t"
+_BODY_DROP = b"e0123456789 \t\n"
+
+
+def _parse_plain(text: str) -> tuple[int, list[Edge]] | None:
+    """The vertex count and edges of a plain text, or None for any other text.
+
+    Plain means a first line ``p edge <n> <m>``, then exactly ``m`` lines
+    ``e <u> <v>`` with ``1 <= u, v <= n``, each starting with its ``e`` and
+    ending in a newline, in ASCII digits, spaces and tabs.  The body is
+    split into tokens once.  Anything else, errors included, is left to
+    :func:`_parse_lines`, the one source of error messages.  The character
+    check also keeps out every line break but ``\\n`` (``\\r``, ``\\v``,
+    ``\\x85``, ...), at which ``str.splitlines`` would break a line.
+    """
+    header, newline, body = text.partition("\n")
+    head = header.split()
+    if not newline or len(head) != 4 or head[0] != "p" or head[1] != "edge":
+        return None
+    try:
+        if header.encode("ascii").translate(None, _HEADER_DROP):
+            return None
+        if body.encode("ascii").translate(None, _BODY_DROP):
+            return None
+    except UnicodeEncodeError:
+        return None
+    if not (head[2].isdigit() and head[3].isdigit()):
+        return None
+    try:
+        n, m = int(head[2]), int(head[3])
+    except ValueError:  # more digits than int() converts
+        return None
+    if n > MAX_VERTICES:
+        return None
+    if m == 0:
+        return (n, []) if not body else None
+    # m lines, each starting with an "e".  The tokens are m triples whose
+    # first is "e" and whose other two are integers, so those m "e" tokens
+    # start the lines, and each line is one triple.
+    if not (
+        body.startswith("e")
+        and body.endswith("\n")
+        and body.count("\n") == m
+        and body.count("\ne") == m - 1
+    ):
+        return None
+    tokens = body.split()
+    if len(tokens) != 3 * m or tokens[0::3].count("e") != m:
+        return None
+    try:
+        us = list(map(int, tokens[1::3]))
+        vs = list(map(int, tokens[2::3]))
+    except ValueError:  # an "e" off its place, or more digits than int() converts
+        return None
+    if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n:
+        return None
+    return n, [(u - 1, v - 1) if u < v else (v - 1, u - 1) for u, v in zip(us, vs)]
+
+
+def _parse_lines(lines: Iterable[str]) -> tuple[int, list[Edge], dict[Edge, float]]:
+    """The vertex count, edges and given weights of an edge list, line by line."""
     n = -1
     declared_m = -1
     edges: list[Edge] = []
@@ -92,10 +168,7 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
         raise ParseError("missing 'p edge' problem line")
     if declared_m != len(edges):
         raise ParseError(f"header declares {declared_m} edges, found {len(edges)}")
-    try:
-        return Graph(n, edges, weights)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from exc
+    return n, edges, weights
 
 
 def read_edge_list(path: str) -> Graph:

@@ -1,10 +1,12 @@
 """Immutable simple undirected graphs and the handful of queries everything else needs.
 
 Vertices are dense integers ``0..n-1``.  An edge is always the sorted pair
-``(u, v)`` with ``u < v``; use :func:`edge` to normalise.  Adjacency is kept
-as frozensets (convenient iteration) and, once first read, as integer
-bitmasks (fast set algebra for the pattern searches and the structural
-route; a solve that never reads them never builds them).
+``(u, v)`` with ``u < v``; use :func:`edge` to normalise.  A graph is stored
+as its sorted edge tuple and its weight map.  Both adjacency forms, integer
+bitmasks (``bits``, fast set algebra for the solve paths, the oracle and the
+pattern searches) and frozensets (``adj``, for callers that want sets), are
+built on first read: a solve that never reads one never builds it.  The
+exact route reads neither.
 """
 
 from __future__ import annotations
@@ -55,14 +57,18 @@ class Graph:
     ``edges`` is the sorted tuple of canonical edges and ``weights`` maps
     each of them to its weight, finite and non-negative, 1 unless given;
     the weights must also sum to a finite float.  Edge membership is read
-    from ``weights``, the one edge container.  Adjacency is kept as
-    frozensets (``adj``); its bitmask form ``bits`` is built on first read
-    and the same tuple is returned on every later one.
+    from ``weights``, the one edge container.  The adjacency forms ``bits``
+    (bitmasks, which the solve and oracle paths read) and ``adj``
+    (frozensets) are each built on first read, from ``edges``, and the
+    same tuple is returned on every later read.
     An optional ``names`` tuple preserves external vertex labels for
     reporting.
     """
 
-    __slots__ = ("n", "edges", "adj", "_bits", "weights", "names")
+    # ``adj`` and ``bits`` stay unset until read; __getattr__ fills them.
+    __slots__ = ("n", "edges", "weights", "names", "adj", "bits")
+    adj: tuple[frozenset[int], ...]
+    bits: tuple[int, ...]
 
     def __init__(
         self,
@@ -73,7 +79,6 @@ class Graph:
     ) -> None:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
         w: dict[Edge, float] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -84,8 +89,6 @@ class Graph:
             if e in w:
                 raise GraphError(f"duplicate edge {e}")
             w[e] = 1
-            adj[u].add(v)
-            adj[v].add(u)
         if weights:
             for e, wt in weights.items():
                 e = edge(*e)
@@ -106,10 +109,30 @@ class Graph:
             raise GraphError("names tuple must have one entry per vertex")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(w)))
-        object.__setattr__(self, "adj", tuple(map(frozenset, adj)))
-        object.__setattr__(self, "_bits", None)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "names", names)
+
+    def __getattr__(self, name: str):
+        # Called only when normal lookup fails, so for ``adj`` and ``bits``
+        # only on their first read; every later read is a plain slot read.
+        if name == "bits":
+            # Bit u of bits[v] is set iff uv is an edge.
+            masks = [0] * self.n
+            for u, v in self.edges:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            value = tuple(masks)
+        elif name == "adj":
+            # The edges are sorted, so each list fills in increasing order.
+            nbrs: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            value = tuple(map(frozenset, nbrs))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, key, value):  # pragma: no cover - guard rail
         raise AttributeError("Graph is immutable")
@@ -118,19 +141,6 @@ class Graph:
         # pickle and copy rebuild the graph through __init__: restoring the
         # slots one by one would run into the guard above.
         return type(self), (self.n, self.edges, self.weights, self.names)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """Adjacency as bitmasks: bit ``u`` of ``bits[v]`` is set iff ``uv`` is an edge."""
-        bits = self._bits
-        if bits is None:
-            masks = [0] * self.n
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            bits = tuple(masks)
-            object.__setattr__(self, "_bits", bits)
-        return bits
 
     # -- basic queries ---------------------------------------------------
 
@@ -162,23 +172,32 @@ class Graph:
     # -- components --------------------------------------------------------
 
     def connected_components(self) -> tuple[frozenset[int], ...]:
-        """Partition of the vertex set into maximal connected pieces."""
-        adj = self.adj
-        seen = [False] * self.n
-        out: list[frozenset[int]] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            # The loop also visits the vertices appended while it runs.
-            comp = [start]
-            for v in comp:
-                for u in adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        comp.append(u)
-            out.append(frozenset(comp))
-        return tuple(out)
+        """Partition of the vertex set into maximal connected pieces, by least vertex.
+
+        One union-find pass over ``edges``; every root is the least vertex
+        of its piece.
+        """
+        parent = list(range(self.n))
+        for u, v in self.edges:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u < v:
+                parent[v] = u
+            elif v < u:
+                parent[u] = v
+        pieces: dict[int, list[int]] = {}
+        for v, root in enumerate(parent):
+            while parent[root] != root:
+                root = parent[root]
+            parent[v] = root
+            # A root is the least vertex of its piece, so it is met first.
+            if root == v:
+                pieces[v] = [v]
+            else:
+                pieces[root].append(v)
+        return tuple(map(frozenset, pieces.values()))
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1
@@ -204,11 +223,11 @@ class Graph:
         mate = self._mate_map(matching)
         if mate is None:
             return False
-        for v, partner in mate.items():
-            for u in self.adj[v]:
-                if u in mate and u != partner:
-                    return False
-        return True
+        matched = 0
+        for v in mate:
+            matched |= 1 << v
+        bits = self.bits
+        return all(not bits[v] & matched & ~(1 << partner) for v, partner in mate.items())
 
     def is_dim(self, matching: Iterable[Edge]) -> bool:
         """True iff every edge of the graph touches exactly one matching member."""
@@ -237,13 +256,16 @@ class Graph:
         index = {v: i for i, v in enumerate(old)}
         sub_edges: list[Edge] = []
         sub_weights: dict[Edge, float] = {}
+        keep = 0
+        for v in old:
+            keep |= 1 << v
+        bits = self.bits
         for v in old:
             iv = index[v]
-            for u in self.adj[v]:
-                if u > v and u in index:
-                    e = (iv, index[u])
-                    sub_edges.append(e)
-                    sub_weights[e] = self.weights[(v, u)]
+            for u in iter_bits(bits[v] & keep >> (v + 1) << (v + 1)):
+                e = (iv, index[u])
+                sub_edges.append(e)
+                sub_weights[e] = self.weights[(v, u)]
         names = tuple(self.vertex_name(v) for v in old)
         return Graph(len(old), sub_edges, sub_weights, names), tuple(old)
 

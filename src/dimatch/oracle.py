@@ -71,7 +71,7 @@ def _search_piece(
     """
     k = len(order)
     rank = {v: i for i, v in enumerate(order)}
-    adj = g.adj
+    bits = g.bits
     weights = g.weights
     # Sets of positions are bitmasks.  back[i]: the positions before i of
     # order[i]'s neighbours; closes[i]: the positions whose closed
@@ -82,7 +82,7 @@ def _search_piece(
     for i, v in enumerate(order):
         mask = 0
         last = i
-        for u in adj[v]:
+        for u in iter_bits(bits[v]):
             j = rank[u]
             if j < i:
                 mask |= 1 << j
@@ -179,7 +179,7 @@ def oracle_solve(
     state = precoloring.state if precoloring is not None else None
     excluded = precoloring.excluded if precoloring is not None else set()
 
-    adj = g.adj
+    bits = g.bits
     seen = [False] * g.n
     pieces: list[list[frozenset[Edge]]] = []
     for start in range(g.n):
@@ -189,7 +189,7 @@ def oracle_solve(
         # The loop also visits the vertices appended while it runs.
         order = [start]
         for v in order:
-            for u in sorted(adj[v]):
+            for u in iter_bits(bits[v]):
                 if not seen[u]:
                     seen[u] = True
                     order.append(u)

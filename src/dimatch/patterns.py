@@ -101,10 +101,10 @@ def find_all_butterflies(g: Graph) -> list[PatternWitness]:
     """Every induced butterfly, one witness per 5-vertex occurrence."""
     bits = g.bits
     out: list[PatternWitness] = []
-    for u in range(g.n):
-        nb = sorted(g.adj[u])
-        if len(nb) < 4:
+    for u, bu in enumerate(bits):
+        if bu.bit_count() < 4:
             continue
+        nb = list(iter_bits(bu))
         wings = [(a, b) for a, b in combinations(nb, 2) if bits[a] >> b & 1]
         for (a, b), (c, d) in combinations(wings, 2):
             if len({a, b, c, d}) < 4:
@@ -119,18 +119,17 @@ def find_all_butterflies(g: Graph) -> list[PatternWitness]:
 def find_gem(g: Graph) -> PatternWitness | None:
     """First induced gem (a 4-vertex path plus a vertex seeing all of it)."""
     bits = g.bits
-    for u in range(g.n):
-        nb = sorted(g.adj[u])
-        if len(nb) < 4:
+    for u, bu in enumerate(bits):
+        if bu.bit_count() < 4:
             continue
-        nb_set = g.adj[u]
+        nb = list(iter_bits(bu))
         for p2, p3 in combinations(nb, 2):
             if not bits[p2] >> p3 & 1:
                 continue
             for p1 in nb:
                 if p1 in (p2, p3) or not bits[p1] >> p2 & 1 or bits[p1] >> p3 & 1:
                     continue
-                for p4 in nb_set:
+                for p4 in nb:
                     if p4 in (p1, p2, p3):
                         continue
                     if (
@@ -205,7 +204,7 @@ def find_induced_sijk(g: Graph, i: int, j: int, k: int) -> PatternWitness | None
             if len(path) == want:
                 result = grow(center, mask, legs + [path], leg_idx + 1)
                 return result
-            for w in sorted(g.adj[tip]):
+            for w in iter_bits(bits[tip]):
                 if mask >> w & 1:
                     continue
                 if bits[w] & mask != 1 << tip:
@@ -215,7 +214,7 @@ def find_induced_sijk(g: Graph, i: int, j: int, k: int) -> PatternWitness | None
                     return result
             return None
 
-        for first in sorted(g.adj[center]):
+        for first in iter_bits(bits[center]):
             if first <= floor or chosen_mask >> first & 1:
                 continue
             if bits[first] & chosen_mask != 1 << center:
@@ -227,7 +226,7 @@ def find_induced_sijk(g: Graph, i: int, j: int, k: int) -> PatternWitness | None
 
     min_degree = sum(1 for t in lengths if t > 0)
     for center in range(g.n):
-        if len(g.adj[center]) < min_degree:
+        if bits[center].bit_count() < min_degree:
             continue
         legs = grow(center, 1 << center, [], 0)
         if legs is not None:

@@ -161,9 +161,8 @@ class AnchorSolver:
     stages and the component coloring read it from the solver; candidate
     colorings travel as plain state lists.
 
-    Propagation reads the base graph until a vertex leaves the alive set,
-    and from then on an :class:`AliveAdjacency`, built once per alive mask
-    and cached.
+    Propagation reads an :class:`AliveAdjacency`, built once per alive mask
+    and cached, never the base graph's ``adj``.
     """
 
     def __init__(
@@ -198,7 +197,7 @@ class AnchorSolver:
         self.pool_owner: dict[int, int] = {}
         self.shared3: set[int] = set()
         self._s114_free: bool | None = None
-        self._view: Graph | AliveAdjacency = g
+        self._view: AliveAdjacency | None = None
         self._view_alive: int = self.alive
 
     # -- small helpers -----------------------------------------------------
@@ -630,9 +629,9 @@ class AnchorSolver:
                 if inert:
                     return
 
-    def g_alive_view(self) -> Graph | AliveAdjacency:
+    def g_alive_view(self) -> AliveAdjacency:
         """Adjacency of the alive graph in base vertex ids, for :func:`propagate`."""
-        if self._view_alive != self.alive:
+        if self._view is None or self._view_alive != self.alive:
             self._view = AliveAdjacency(self.g, self.alive)
             self._view_alive = self.alive
         return self._view
@@ -838,7 +837,7 @@ class AnchorSolver:
             colorings = self._iter_core_colorings(coupled)
             if self.cfg.strict and coupled:
                 bound = max(
-                    (len(self.g.adj[u]) for t in coupled for u in t.singles),
+                    (self.bits[u].bit_count() for t in coupled for u in t.singles),
                     default=1,
                 )
                 limit = max(bound, 1) ** 3
@@ -903,11 +902,12 @@ def _solve_residual(g: Graph, coloring: Coloring, cfg: SolverConfig) -> SolveOut
     connected pieces with two or more vertices.
     """
     whites = {v for v, c in enumerate(coloring.state) if c == WHITE}
+    bits = g.bits
     singles: list[tuple[float, Edge]] = []
     for u, v in g.edges:
         if u in whites or v in whites:
             continue
-        if len(g.adj[u]) + len(g.adj[v]) - 1 == g.m:
+        if bits[u].bit_count() + bits[v].bit_count() - 1 == g.m:
             singles.append((g.weights[(u, v)], (u, v)))
             if not cfg.minimize:
                 break

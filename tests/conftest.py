@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 from hypothesis import strategies as st
 
 from dimatch.coloring import BLACK, R_WHITE_WHITE, WHITE
@@ -21,6 +23,18 @@ def cycle(k: int) -> Graph:
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     shifted = {(u + a.n, v + a.n): w for (u, v), w in b.weights.items()}
     return Graph(a.n + b.n, list(a.edges) + list(shifted), {**a.weights, **shifted})
+
+
+def held_before_read(g: Graph, name: str) -> bool:
+    """Whether ``g`` held its adjacency form ``name`` (``adj`` or ``bits``)
+    before this read, which builds it if it was not.
+
+    A graph references what it holds, whatever the attribute is stored in.
+    Needs ``g.n >= 1``: with no vertex a form is the shared empty tuple.
+    """
+    held = gc.get_referents(g)
+    form = getattr(g, name)
+    return any(obj is form for obj in held)
 
 
 # solve() keyword sets for its two routes: the structural pipeline, and the

@@ -68,6 +68,10 @@ def test_names_the_benchmark_also_reads():
     # The tracer wraps these Graph methods through the class's own dict.
     methods = ("__init__", "connected_components", "induced_subgraph", "is_dim", "is_connected")
     assert all(method in vars(Graph) for method in methods)
+    # Its tests read a graph's adjacency as sets; bits is the other form.
+    g = Graph(3, [(0, 1), (1, 2)])
+    assert g.adj == ({1}, {0, 2}, {1})
+    assert g.bits == (0b010, 0b101, 0b010)
     gen = modules["generate"]
     for method in ("next_u64", "shuffle", "randrange"):
         assert callable(getattr(gen.SplitMix64, method))

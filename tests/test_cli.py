@@ -6,7 +6,10 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dimatch import fileio
 from dimatch.cli import EXIT_CLASS, EXIT_FOUND, EXIT_NO_DIM, EXIT_USAGE, main
 from dimatch.fileio import (
     ParseError,
@@ -19,7 +22,7 @@ from dimatch.generate import gadget
 from dimatch.graph import Graph
 from dimatch.solver import CLASS_VIOLATION, SolveOutcome
 
-from conftest import disjoint_union
+from conftest import disjoint_union, small_graphs
 
 
 def write_gadget(tmp_path, name, fname="g.col"):
@@ -133,6 +136,62 @@ class TestFileFormat:
         g = Graph(4, [(0, 1)])
         with pytest.raises(ParseError):
             parse_matching("m 3 4\n", g)
+
+
+# Pieces of edge-list text, with the characters str.splitlines breaks at
+# besides "\n" ("\r", "\v", "\x85").
+TEXT_PIECES = ["p", "edge", "e", "c", " ", "\t", "\n", "\r", "\v", "\x85", *"0123456789"]
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge-list text: pieces at random, or write_edge_list output, mutated."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(TEXT_PIECES), max_size=40)))
+    g = draw(small_graphs(min_n=2, max_n=7))
+    text = write_edge_list(g)
+    # Each mutation replaces up to two characters with a piece, or with
+    # nothing; whitespace pieces move tokens across lines.
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        piece = draw(st.sampled_from(TEXT_PIECES + ["", " \n", "\n "]))
+        text = text[:at] + piece + text[at + cut:]
+    return text
+
+
+def parse_outcome(source):
+    """The parsed graph's n, edges and weights, or the ParseError message."""
+    try:
+        g = parse_edge_list(source)
+    except ParseError as exc:
+        return str(exc)
+    return g.n, g.edges, g.weights
+
+
+class TestBulkParse:
+    """A plain string is parsed in bulk; lines always go through the line loop."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(edge_list_texts())
+    @example("p edge 3\v1\ne 1 2\n")
+    @example("p edge 3 1\ne 1 2\x85\n")
+    @example("p edge 3 1\r\ne 1 2\r\n")
+    @example("p edge 3 2\ne 1 2 e\n2 3\n")
+    @example("p edge 4 2\ne 1\n2\ne 3 4\n")
+    @example("p edge 4 2\n \ne 1 2 e 3 4\n")
+    @example("p edge 4 2\ne 1 2\ne 3\n4")
+    @example("p edge 3 1\ne 1 " + "9" * 5000 + "\n")
+    def test_string_and_lines_agree(self, text):
+        assert parse_outcome(text) == parse_outcome(text.splitlines())
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(min_n=1, max_n=12))
+    def test_written_unweighted_graphs_take_the_bulk_path(self, g):
+        text = write_edge_list(g)
+        assert fileio._parse_plain(text) is not None
+        back = parse_edge_list(text)
+        assert (back.n, back.edges, back.weights) == (g.n, g.edges, g.weights)
 
 
 class TestSolveCommand:

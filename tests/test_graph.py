@@ -17,7 +17,7 @@ from dimatch.graph import Graph, GraphError, iter_bits
 from dimatch.oracle import enumerate_all_graphs
 from dimatch.solver import AnchorContradiction, AnchorSolver, anchor_edges
 
-from conftest import cycle, path, small_graphs
+from conftest import cycle, held_before_read, path, small_graphs
 
 
 def diamond() -> Graph:
@@ -81,13 +81,13 @@ class TestConstruction:
     )
     def test_round_trip(self, clone):
         g = Graph(3, [(0, 1), (1, 2)], {(1, 2): 2.5}, ("a", "b", "c"))
-        g.bits  # a built cache is rebuilt on first read, not carried over
+        g.bits, g.adj  # a built form is rebuilt on first read, not carried over
         h = clone(g)
         assert h is not g and type(h) is Graph
-        assert (h.n, h.edges, h.weights, h.names, h.adj) == (
-            g.n, g.edges, g.weights, g.names, g.adj
+        assert not held_before_read(h, "bits") and not held_before_read(h, "adj")
+        assert (h.n, h.edges, h.weights, h.names, h.adj, h.bits) == (
+            g.n, g.edges, g.weights, g.names, g.adj, g.bits
         )
-        assert h._bits is None and h.bits == g.bits
         with pytest.raises(AttributeError):
             h.n = 5
 
@@ -96,36 +96,49 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
     return tuple(sum(1 << u for u in g.adj[v]) for v in range(g.n))
 
 
-class TestBits:
-    """``bits`` is the bitmask form of ``adj``, built once, on first read."""
+def neighbour_sets(g: Graph) -> tuple[frozenset[int], ...]:
+    return tuple(
+        frozenset(u for e in g.edges if v in e for u in e if u != v) for v in range(g.n)
+    )
 
-    def assert_bits_match_adj(self, g: Graph) -> None:
-        first = g.bits
-        assert first == adjacency_masks(g)
-        assert g.bits is first
+
+class TestBits:
+    """``adj`` and ``bits`` hold the edges' adjacency; each is built once, on first read."""
+
+    def assert_forms_match_edges(self, g: Graph) -> None:
+        adj, bits = g.adj, g.bits
+        assert adj == neighbour_sets(g)
+        assert bits == adjacency_masks(g)
+        assert g.adj is adj and g.bits is bits
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_graph_up_to_five_vertices(self, n):
         for g in enumerate_all_graphs(n):
-            self.assert_bits_match_adj(g)
-            # A graph built directly reads its bits lazily.
+            self.assert_forms_match_edges(g)
+            # A graph built directly builds neither form until it is read.
             fresh = Graph(g.n, g.edges)
-            assert fresh._bits is None
-            self.assert_bits_match_adj(fresh)
+            assert not held_before_read(fresh, "adj")
+            assert not held_before_read(fresh, "bits")
+            self.assert_forms_match_edges(fresh)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_planted_graphs(self, seed):
         g, _ = generate_planted(GenSpec(n=300, seed=seed))
-        assert g._bits is None
-        self.assert_bits_match_adj(g)
+        assert not held_before_read(g, "bits")
+        assert not held_before_read(g, "adj")
+        self.assert_forms_match_edges(g)
 
     def test_read_only(self):
         g = path(3)
+        for name in ("bits", "adj"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, (0, 0, 0))
+        assert g.bits == (0b010, 0b101, 0b010)
+        assert g.adj == ({1}, {0, 2}, {1})
         with pytest.raises(AttributeError):
             g.bits = (0, 0, 0)
-        with pytest.raises(AttributeError):
-            g._bits = (0, 0, 0)
-        assert g.bits == (0b010, 0b101, 0b010)
+        with pytest.raises(AttributeError, match="no attribute 'degree'"):
+            g.degree
 
 
 def bit_positions(mask: int) -> list[int]:

@@ -35,6 +35,7 @@ from conftest import (
     cycle,
     degree2_block,
     disjoint_union,
+    held_before_read,
     path,
     reference_decompose,
     small_connected_graphs,
@@ -680,13 +681,16 @@ class TestExactRoute:
         assert g.is_dim(out.matching)
 
     def test_default_route_never_builds_bits(self):
+        # Nor adj: the exact route reads only the edges and their weights.
         text = write_edge_list(generate_planted(GenSpec(n=1000, seed=5))[0])
         g = parse_edge_list(text)
         out = solve(g)
         assert out.found and out.trace == (TRACE_EXACT,)
-        assert g._bits is None
+        assert not held_before_read(g, "adj")
+        assert not held_before_read(g, "bits")
+        g = parse_edge_list(text)
         assert solve(g, structural=True).found
-        assert g._bits is not None
+        assert held_before_read(g, "bits")
 
 
 class TestCoverSearch:
