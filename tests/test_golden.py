@@ -66,6 +66,13 @@ def corpus():
         for mode in EXACT:
             yield f"planted/{seed}/{mode}", g, MODES[mode]
             yield f"planted/{seed}/weighted/{mode}", weighted, MODES[mode]
+    # The benchmark's scale: about 120 pieces per graph on the exact route.
+    for seed in range(1, 4):
+        g, _ = generate_planted(GenSpec(n=1000, seed=seed))
+        weighted = with_random_weights(g, seed)
+        for mode in EXACT:
+            yield f"planted1000/{seed}/{mode}", g, MODES[mode]
+            yield f"planted1000/{seed}/weighted/{mode}", weighted, MODES[mode]
     for name in GADGETS:
         for mode in ("exists", "minw", "verify") + EXACT:
             yield f"gadget/{name}/{mode}", gadget(name), MODES[mode]
