@@ -171,11 +171,13 @@ class Graph:
 
     # -- components --------------------------------------------------------
 
-    def connected_components(self) -> tuple[frozenset[int], ...]:
-        """Partition of the vertex set into maximal connected pieces, by least vertex.
+    def _roots(self) -> list[int]:
+        """``root[v]``: the least vertex of v's connected piece.
 
-        One union-find pass over ``edges``; every root is the least vertex
-        of its piece.
+        One union-find pass over ``edges``.  A union hangs the larger root
+        under the smaller and path halving only moves a vertex closer to its
+        root, so every parent is at most its child; the final pass, in
+        increasing order, finds each parent already resolved.
         """
         parent = list(range(self.n))
         for u, v in self.edges:
@@ -187,11 +189,17 @@ class Graph:
                 parent[v] = u
             elif v < u:
                 parent[u] = v
+        for v, p in enumerate(parent):
+            parent[v] = parent[p]
+        return parent
+
+    def connected_components(self) -> tuple[frozenset[int], ...]:
+        """Partition of the vertex set into maximal connected pieces, by least vertex.
+
+        Read off :meth:`_roots`, which the exact search reads directly.
+        """
         pieces: dict[int, list[int]] = {}
-        for v, root in enumerate(parent):
-            while parent[root] != root:
-                root = parent[root]
-            parent[v] = root
+        for v, root in enumerate(self._roots()):
             # A root is the least vertex of its piece, so it is met first.
             if root == v:
                 pieces[v] = [v]
@@ -204,45 +212,27 @@ class Graph:
 
     # -- matchings ---------------------------------------------------------
 
-    def _mate_map(self, matching: Iterable[Edge]) -> dict[int, int] | None:
-        """Vertex-to-partner map for a matching; None if edges share vertices."""
-        mate: dict[int, int] = {}
+    def is_dim(self, matching: Iterable[Edge]) -> bool:
+        """True iff every edge of the graph touches exactly one matching member."""
+        # mate[v]: v's partner in the matching, -1 while v is unmatched.
+        mate = [-1] * self.n
+        weights = self.weights
         for u, v in matching:
             if u > v:
                 u, v = v, u
-            if (u, v) not in self.weights:
+            if (u, v) not in weights:
                 raise GraphError(f"matching edge {(u, v)} not in graph")
-            if u in mate or v in mate:
-                return None
+            if mate[u] >= 0 or mate[v] >= 0:
+                return False
             mate[u] = v
             mate[v] = u
-        return mate
-
-    def is_induced_matching(self, matching: Iterable[Edge]) -> bool:
-        """True iff the matching's endpoints induce exactly the matching itself."""
-        mate = self._mate_map(matching)
-        if mate is None:
-            return False
-        matched = 0
-        for v in mate:
-            matched |= 1 << v
-        bits = self.bits
-        return all(not bits[v] & matched & ~(1 << partner) for v, partner in mate.items())
-
-    def is_dim(self, matching: Iterable[Edge]) -> bool:
-        """True iff every edge of the graph touches exactly one matching member."""
-        mate = self._mate_map(matching)
-        if mate is None:
-            return False
-        matched = [False] * self.n
-        for v in mate:
-            matched[v] = True
         # An edge with both ends matched must itself be a matching edge.
         for u, v in self.edges:
-            if matched[u]:
-                if matched[v] and mate[u] != v:
+            partner = mate[u]
+            if partner >= 0:
+                if partner != v and mate[v] >= 0:
                     return False
-            elif not matched[v]:
+            elif mate[v] < 0:
                 return False
         return True
 

@@ -1005,7 +1005,7 @@ def _solve_pieces(
     the merge; its verdict and reason come back with the trace so far and
     its witness in the caller's ids.
     """
-    for comp in sorted(g.connected_components(), key=min):
+    for comp in g.connected_components():
         if len(comp) == 1:
             continue
         sub, col, sub_ids = restrict(g, comp, coloring.state)

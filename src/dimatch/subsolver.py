@@ -9,10 +9,11 @@ cut off from the anchor's levels) without one.
 
 It treats a dominating induced matching as an exact cover of the edges by
 closed edge neighbourhoods (Efficient Domination on the line graph) and
-searches each connected component in turn on integer bitmasks.  A
-precoloring only narrows that instance: a white endpoint or an excluded
-edge removes the edge's row, and a black vertex adds a column that only
-the rows at it cover.
+searches each connected component in turn on integer bitmasks.  The set-up
+builds no component sets (union-find roots label the pieces) and no kill
+mask of a row the search never tries.  A precoloring only narrows that
+instance: a white endpoint or an excluded edge removes the edge's row, and
+a black vertex adds a column that only the rows at it cover.
 
 A sub-solver is any callable ``(graph, coloring, minimize) ->
 (matching, weight) | None``; None means no consistent completion exists.
@@ -21,6 +22,7 @@ The graph may be disconnected: either hand-off can pass several pieces.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from typing import Optional
 
 from .coloring import BLACK, WHITE, Coloring
@@ -49,16 +51,18 @@ def solve_precolored(
     M is a dominating induced matching exactly when every edge lies in the
     closed line-graph neighbourhood N_L[e] of exactly one e in M, so each
     connected component is an exact-cover instance whose rows and columns
-    are its edges, row r covering N_L[r].  The coloring removes the rows of
-    edges with a white endpoint and of excluded edges, and adds one column
-    per black vertex, covered by the rows at that vertex; a component with
-    a black vertex and no edge has no completion.  The search (Knuth's
-    Algorithm X) keeps the uncovered columns and the live rows, those
-    whose columns are all still uncovered, as bitmasks.  At each node it
-    takes the uncovered column with the fewest live rows, the first such
-    (edges in (u, v) order, then black vertices in order), and tries those
-    rows in edge order; choosing row r covers its columns and kills every
-    row whose N_L meets N_L[r], which includes every row at r's endpoints.
+    are its edges, row r covering N_L[r].  The components are searched in
+    order of least vertex.  The coloring removes the rows of edges with a
+    white endpoint and of excluded edges, and adds one column per black
+    vertex, covered by the rows at that vertex; a component with a black
+    vertex and no edge has no completion, which is answered at its turn in
+    that order.  The search (Knuth's Algorithm X) keeps the uncovered
+    columns and the live rows, those whose columns are all still uncovered,
+    as bitmasks.  At each node it takes the uncovered column with the fewest
+    live rows, the first such (edges in (u, v) order, then black vertices in
+    order), and tries those rows in edge order; choosing row r covers its
+    columns and kills every row whose N_L meets N_L[r], which includes every
+    row at r's endpoints.  That kill mask is built only when r is tried.
 
     With ``minimize`` the first cheapest matching in that search order is
     returned, and a branch is cut once its weight reaches the best found;
@@ -75,18 +79,16 @@ def solve_precolored(
     excluded = coloring.excluded
     # any(state) tests for a colored vertex: UNSET is 0.
     precolored = bool(excluded) or any(state)
-    comps = g.connected_components()
-    # One pass over the sorted edges numbers each component's edges in
-    # (u, v) order; inc[v] is the mask of the edges at v.
-    comp_of = [0] * g.n
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    edges_of: list[list[Edge]] = [[] for _ in comps]
+    root = g._roots()
+    # One pass over the sorted edges numbers each piece's edges in (u, v)
+    # order; inc[v] is the mask of the edges at v.  A piece's first edge
+    # starts at its root, its least vertex, so the pieces enter
+    # ``edges_of`` in order of least vertex.
+    edges_of: defaultdict[int, list[Edge]] = defaultdict(list)
     inc = [0] * g.n
     for e in g.edges:
         u, v = e
-        edges = edges_of[comp_of[u]]
+        edges = edges_of[root[u]]
         bit = 1 << len(edges)
         edges.append(e)
         inc[u] |= bit
@@ -97,16 +99,20 @@ def solve_precolored(
     for u, v in g.edges:
         near[u] |= inc[v]
         near[v] |= inc[u]
+    # An edgeless piece is one vertex.  A black one has no completion, which
+    # is answered at its turn: ``stop`` is the least such vertex.
+    stop = g.n
+    if precolored:
+        stop = next((v for v, color in enumerate(state) if color == BLACK and not inc[v]), stop)
+    size = Counter(root) if nodes_per_vertex is not None else None
+    # Exists mode reads no weight: shared zeros keep one search loop for both modes.
+    zeros = b"" if minimize else bytes(g.m)
     matching: list[Edge] = []
-    for comp, edges in zip(comps, edges_of):
-        if not edges:
-            if precolored and any(state[v] == BLACK for v in comp):
-                return None
-            continue
+    for least, edges in edges_of.items():
+        if least > stop:
+            break
         cover = [inc[u] | inc[v] for u, v in edges]
-        kill = [near[u] | near[v] for u, v in edges]
-        full = (1 << len(edges)) - 1
-        uncovered = live = full
+        uncovered = live = (1 << len(edges)) - 1
         # rows_of[c]: the rows covering column c.  An edge column's rows
         # are its own N_L, so without a precoloring both lists are one.
         rows_of = cover
@@ -115,18 +121,14 @@ def solve_precolored(
             for r, (u, v) in enumerate(edges):
                 if state[u] == WHITE or state[v] == WHITE or (u, v) in excluded:
                     live &= ~(1 << r)
-            for v in sorted(comp):
-                if state[v] == BLACK:
-                    bit = 1 << len(rows_of)
-                    rows_of.append(inc[v])
-                    uncovered |= bit
-                    for r in iter_bits(inc[v]):
-                        cover[r] |= bit
-        # Exists mode reads no weight: zeros keep one search loop for both modes.
-        weight_of = [g.weights[e] for e in edges] if minimize else [0] * len(edges)
-        limit = None
-        if nodes_per_vertex is not None:
-            limit = nodes_per_vertex * len(comp) + BUDGET_SLACK
+            for v in sorted({x for e in edges for x in e if state[x] == BLACK}):
+                bit = 1 << len(rows_of)
+                rows_of.append(inc[v])
+                uncovered |= bit
+                for r in iter_bits(inc[v]):
+                    cover[r] |= bit
+        weight_of = [g.weights[e] for e in edges] if minimize else zeros
+        limit = None if size is None else nodes_per_vertex * size[least] + BUDGET_SLACK
         best: int | None = None
         best_weight = 0.0
         nodes = -1  # the root tries no row
@@ -139,7 +141,7 @@ def solve_precolored(
                 nodes += 1
                 if limit is not None and nodes > limit:
                     raise SearchBudgetExceeded(
-                        f"a component of {len(comp)} vertices needs more than {limit} search nodes"
+                        f"a component of {size[least]} vertices needs more than {limit} search nodes"
                     )
                 if not uncovered:
                     best, best_weight = chosen, weight
@@ -163,14 +165,15 @@ def solve_precolored(
                     while rows:
                         r = rows.bit_length() - 1
                         low = 1 << r
-                        push(
-                            (uncovered & ~cover[r], live & ~kill[r], chosen | low, weight + weight_of[r])
-                        )
+                        u, v = edges[r]
+                        kill = near[u] | near[v]
+                        push((uncovered & ~cover[r], live & ~kill, chosen | low, weight + weight_of[r]))
                         rows ^= low
                     break
                 r = rows.bit_length() - 1
+                u, v = edges[r]
                 uncovered &= ~cover[r]
-                live &= ~kill[r]
+                live &= ~(near[u] | near[v])
                 chosen |= rows
                 weight += weight_of[r]
         if best is None:
@@ -179,5 +182,7 @@ def solve_precolored(
             low = best & -best
             matching.append(edges[low.bit_length() - 1])
             best ^= low
+    if stop < g.n:
+        return None
     found = frozenset(matching)
     return found, sum(map(g.weights.__getitem__, found))

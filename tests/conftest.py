@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import gc
+from typing import Iterable
 
 from hypothesis import strategies as st
 
 from dimatch.coloring import BLACK, R_WHITE_WHITE, WHITE
 from dimatch.generate import SplitMix64
-from dimatch.graph import Edge, Graph, iter_bits
+from dimatch.graph import Edge, Graph, edge, iter_bits
 from dimatch.solver import AnchorSolver
 
 
@@ -23,6 +24,21 @@ def cycle(k: int) -> Graph:
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     shifted = {(u + a.n, v + a.n): w for (u, v), w in b.weights.items()}
     return Graph(a.n + b.n, list(a.edges) + list(shifted), {**a.weights, **shifted})
+
+
+def is_induced_matching(g: Graph, matching: Iterable[Edge]) -> bool:
+    """Test reference: True iff the matching's endpoints induce exactly the
+    matching itself, read off ``g.bits``.  Edges may come in either vertex
+    order."""
+    pairs = [edge(u, v) for u, v in matching]
+    ends = [v for e in pairs for v in e]
+    if len(ends) != len(set(ends)):
+        return False
+    matched = 0
+    for v in ends:
+        matched |= 1 << v
+    bits = g.bits
+    return all(bits[u] & matched == 1 << v and bits[v] & matched == 1 << u for u, v in pairs)
 
 
 def held_before_read(g: Graph, name: str) -> bool:

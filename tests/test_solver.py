@@ -7,12 +7,13 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimatch import gadget, oracle_solve
 from dimatch.coloring import BLACK, UNSET, WHITE, Coloring
 from dimatch.fileio import parse_edge_list, write_edge_list
 from dimatch.generate import GenSpec, SplitMix64, generate_planted, with_random_weights
-from dimatch.graph import Graph, iter_bits
+from dimatch.graph import Graph, edge, iter_bits
 from dimatch.oracle import enumerate_all_graphs
 from dimatch.patterns import find_induced_sijk, find_k4, verify_witness
 from dimatch.solver import (
@@ -39,7 +40,30 @@ from conftest import (
     path,
     reference_decompose,
     small_connected_graphs,
+    small_graphs,
 )
+
+
+@st.composite
+def scattered_precolored(draw) -> tuple[Graph, Coloring]:
+    """A disconnected weighted graph and a random precoloring of it: small
+    pieces and isolated vertices whose ids interleave under a random
+    permutation, some vertices black or white and up to two edges excluded."""
+    pieces = draw(st.lists(small_graphs(min_n=1, max_n=5), min_size=2, max_size=4))
+    n = sum(p.n for p in pieces) + draw(st.integers(min_value=0, max_value=2))
+    ids = draw(st.permutations(range(n)))
+    weights: dict = {}
+    offset = 0
+    for p in pieces:
+        for a, b in p.edges:
+            weights[edge(ids[offset + a], ids[offset + b])] = draw(st.integers(1, 5))
+        offset += p.n
+    g = Graph(n, list(weights), weights)
+    colors = draw(
+        st.lists(st.sampled_from([UNSET, UNSET, UNSET, BLACK, WHITE]), min_size=n, max_size=n)
+    )
+    excluded = draw(st.lists(st.sampled_from(g.edges), max_size=2)) if g.edges else []
+    return g, Coloring(colors, excluded)
 
 
 def spine(extra_edges, n, weights=None):
@@ -692,6 +716,24 @@ class TestExactRoute:
         assert solve(g, structural=True).found
         assert held_before_read(g, "bits")
 
+    def test_default_route_never_builds_components(self, monkeypatch):
+        # The exact search labels the pieces with union-find roots; the
+        # component frozensets are built only on the structural route.
+        text = write_edge_list(generate_planted(GenSpec(n=1000, seed=5))[0])
+        split = Graph.connected_components
+        calls: list[int] = []
+
+        def counting(self):
+            calls.append(self.n)
+            return split(self)
+
+        monkeypatch.setattr(Graph, "connected_components", counting)
+        out = solve(parse_edge_list(text))
+        assert out.found and out.trace == (TRACE_EXACT,)
+        assert calls == []
+        assert solve(parse_edge_list(text), structural=True).found
+        assert calls
+
 
 class TestCoverSearch:
     @pytest.mark.parametrize("minimize", [False, True])
@@ -759,6 +801,28 @@ class TestCoverSearch:
             assert res is not None and ref.feasible
             assert g.is_dim(res[0])
             assert res[1] == ref.best[1]
+
+    @given(scattered_precolored(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_scattered_pieces_against_oracle(self, case, minimize):
+        g, col = case
+        res = solve_precolored(g, col, minimize)
+        ref = oracle_solve(g, col, "min_weight" if minimize else "exists")
+        assert (res is not None) == ref.feasible
+        bits = g.bits
+        if any(c == BLACK and not bits[v] for v, c in enumerate(col.state)):
+            assert res is None
+        if res is None:
+            return
+        matching, weight = res
+        assert g.is_dim(matching)
+        matched = {v for e in matching for v in e}
+        assert all(v in matched for v, c in enumerate(col.state) if c == BLACK)
+        assert not any(v in matched for v, c in enumerate(col.state) if c == WHITE)
+        assert not matching & col.excluded
+        assert weight == g.matching_weight(matching)
+        if minimize:
+            assert weight == ref.best[1]
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_min_weight_matches_precolored_search_on_planted(self, seed):
