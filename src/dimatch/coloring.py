@@ -7,7 +7,12 @@ coloring is feasible when every black vertex sees exactly one black vertex,
 at which point the black-black edges are exactly a dominating induced
 matching.
 
-`propagate` is the shared worklist closure over those semantics.
+A coloring is a state list, one color per vertex, and nothing else: a
+precoloring never names edges.  `Coloring` wraps a state list for the
+sub-solver protocol.
+
+`propagate` is the shared worklist closure over those semantics, on the
+subgraph an alive bitmask induces, read from ``Graph.bits``.
 `commit_pair` is the one implementation of committing a matched pair: it
 whitens the pair's alive neighbors, which rules out every edge at distance 1
 from the pair, since a white vertex never changes color.  The anchor solver
@@ -36,18 +41,16 @@ R_WHITE_COMMITTED = "white-endpoint-committed"
 
 
 class Coloring:
-    """Per-vertex color state plus the edges excluded from the matching.
+    """Per-vertex color state, the precoloring a sub-solver is handed.
 
-    The structural route colors vertices only; ``excluded`` is the
-    precoloring input of the exact searches (:func:`solve_precolored`,
-    :func:`oracle_solve`).
+    The structural route passes plain state lists and wraps one in a
+    ``Coloring`` only where it hands a piece to the sub-solver.
     """
 
-    __slots__ = ("state", "excluded")
+    __slots__ = ("state",)
 
-    def __init__(self, state: Sequence[int], excluded: Iterable[Edge] = ()) -> None:
+    def __init__(self, state: Sequence[int]) -> None:
         self.state = list(state)
-        self.excluded = {edge(*e) for e in excluded}
 
     @classmethod
     def fresh(cls, n: int) -> "Coloring":
@@ -56,19 +59,19 @@ class Coloring:
 
 @dataclass(frozen=True)
 class ReductionOutcome:
-    """Result of the forced-edge closure: a smaller (graph, coloring) pair or a contradiction.
+    """Result of the forced-edge closure: a smaller graph and its colors, or a contradiction.
 
-    The coloring holds the residual's vertex colors, whose whites are the
-    vertices the commits whitened, and no excluded edges.  ``committed``
-    lists the committed pairs in the input graph's vertex ids, in commit
-    order; ``provenance`` maps the new graph's vertex ids back to the input
-    graph's.  On contradiction only ``reason`` is populated.
+    ``state`` holds the residual's vertex colors, whose whites are the
+    vertices the commits whitened.  ``committed`` lists the committed pairs
+    in the input graph's vertex ids, in commit order; ``provenance`` maps
+    the new graph's vertex ids back to the input graph's.  On contradiction
+    only ``reason`` is populated.
     """
 
     ok: bool
     reason: str | None = None
     graph: Graph | None = None
-    coloring: Coloring | None = None
+    state: list[int] | None = None
     provenance: tuple[int, ...] | None = None
     committed: list[Edge] | None = None
 
@@ -77,11 +80,14 @@ class ReductionOutcome:
         return cls(ok=False, reason=reason)
 
 
-def propagate(g: Graph, state: list[int], queue: Iterable[int]) -> str | None:
+def propagate(g: Graph, state: list[int], queue: Iterable[int], alive: int) -> str | None:
     """Close a partial coloring under the forcing rules; return a reason on contradiction.
 
-    Rules applied to fixpoint, each a direct consequence of the complete
-    feasible coloring semantics:
+    Works on the graph induced by ``alive``, a bitmask of vertices of ``g``:
+    a vertex's neighbors are read as ``g.bits[v] & alive``, in increasing
+    order, and the queued vertices must be alive.  Rules applied to
+    fixpoint, each a direct consequence of the complete feasible coloring
+    semantics:
       * a white vertex forces all its neighbors black;
       * two adjacent black vertices are mates, so their other neighbors
         turn white;
@@ -91,22 +97,24 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int]) -> str | None:
     colored neighborhood of each queued vertex is re-examined as well, since
     its constraints may have tightened.  Mutates ``state`` in place.
 
-    Work order: the work list is a LIFO stack, and a ``pending`` set keeps
-    each vertex on it at most once.  Each queued vertex is pushed, then its
-    colored neighbors; a vertex a rule colors is pushed the same way, at
-    once.  A rule colors only vertices it saw uncolored, so coloring never
-    conflicts.  The pushes are written out inline, with no helper
-    closures, since in this hot loop a call per push costs more than the
-    push.
+    The rules are Horn clauses, so a closure that ends without contradiction
+    does not depend on the work order; only which reason a contradiction
+    reports does.  Work order: the work list is a LIFO stack, and a
+    ``pending`` set keeps each vertex on it at most once.  Each queued
+    vertex is pushed, then its colored neighbors; a vertex a rule colors is
+    pushed the same way, at once.  A rule colors only vertices it saw
+    uncolored, so coloring never conflicts.  The pushes are written out
+    inline, with no helper closures, since in this hot loop a call per push
+    costs more than the push.
     """
-    adj = g.adj
+    bits = g.bits
     work: list[int] = []
     pending: set[int] = set()
     for v in queue:
         if v not in pending:
             pending.add(v)
             work.append(v)
-        for u in adj[v]:
+        for u in iter_bits(bits[v] & alive):
             if state[u] != UNSET and u not in pending:
                 pending.add(u)
                 work.append(u)
@@ -116,7 +124,7 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int]) -> str | None:
         pending.discard(v)
         c = state[v]
         if c == WHITE:
-            for u in adj[v]:
+            for u in iter_bits(bits[v] & alive):
                 cu = state[u]
                 if cu == WHITE:
                     return R_WHITE_WHITE
@@ -125,32 +133,34 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int]) -> str | None:
                     if u not in pending:
                         pending.add(u)
                         work.append(u)
-                    for t in adj[u]:
+                    for t in iter_bits(bits[u] & alive):
                         if state[t] != UNSET and t not in pending:
                             pending.add(t)
                             work.append(t)
         elif c == BLACK:
+            # iter_bits may answer with a one-shot generator: one call per loop.
+            nbrs = bits[v] & alive
             mate = -1
-            for u in adj[v]:
+            for u in iter_bits(nbrs):
                 if state[u] == BLACK:
                     if mate >= 0:
                         return R_TWO_BLACK
                     mate = u
             if mate >= 0:
-                for u in adj[v]:
+                for u in iter_bits(nbrs):
                     if u != mate and state[u] == UNSET:
                         state[u] = WHITE
                         if u not in pending:
                             pending.add(u)
                             work.append(u)
-                        for t in adj[u]:
+                        for t in iter_bits(bits[u] & alive):
                             if state[t] != UNSET and t not in pending:
                                 pending.add(t)
                                 work.append(t)
             else:
                 candidate = -1
                 count = 0
-                for u in adj[v]:
+                for u in iter_bits(nbrs):
                     if state[u] == UNSET:
                         candidate = u
                         count += 1
@@ -161,7 +171,7 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int]) -> str | None:
                     if candidate not in pending:
                         pending.add(candidate)
                         work.append(candidate)
-                    for t in adj[candidate]:
+                    for t in iter_bits(bits[candidate] & alive):
                         if state[t] != UNSET and t not in pending:
                             pending.add(t)
                             work.append(t)
@@ -170,18 +180,18 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int]) -> str | None:
 
 def restrict(
     g: Graph, vertices: Collection[int], state: Sequence[int]
-) -> tuple[Graph, Coloring, tuple[int, ...]]:
+) -> tuple[Graph, list[int], tuple[int, ...]]:
     """The piece of a colored graph induced by a vertex set, relabeled densely.
 
-    Returns the piece, its coloring and the new->old vertex map.  The
-    coloring carries the states of the kept vertices, in the piece's ids.
+    Returns the piece, its state list and the new->old vertex map.  The
+    state list holds the colors of the kept vertices, in the piece's ids.
     ``vertices`` must hold distinct vertices of ``g``; when it holds all of
-    them, ``g`` itself is returned rather than a copy.
+    them, ``g`` itself is returned with a copy of ``state``.
     """
     if len(vertices) == g.n:
-        return g, Coloring(state), tuple(range(g.n))
+        return g, list(state), tuple(range(g.n))
     sub, old_of_new = g.induced_subgraph(vertices)
-    return sub, Coloring([state[v] for v in old_of_new]), old_of_new
+    return sub, [state[v] for v in old_of_new], old_of_new
 
 
 def commit_pair(g: Graph, alive: int, state: list[int], mask: int, vw: Edge) -> str | None:
@@ -249,5 +259,5 @@ def forced_edge_closure(g: Graph, seeds: Iterable[Edge]) -> ReductionOutcome:
             if bits[z] & mask & alive:
                 return ReductionOutcome.contradiction(R_WHITE_WHITE)
         committed.append(vw)
-    residual, residual_col, old_of_new = restrict(g, list(iter_bits(alive)), state)
-    return ReductionOutcome(True, None, residual, residual_col, old_of_new, committed)
+    residual, residual_state, old_of_new = restrict(g, list(iter_bits(alive)), state)
+    return ReductionOutcome(True, None, residual, residual_state, old_of_new, committed)

@@ -6,7 +6,8 @@ as its sorted edge tuple and its weight map.  Both adjacency forms, integer
 bitmasks (``bits``, fast set algebra for the solve paths, the oracle and the
 pattern searches) and frozensets (``adj``, for callers that want sets), are
 built on first read: a solve that never reads one never builds it.  The
-exact route reads neither.
+exact route reads neither, and no solve path reads ``adj``: it stays for
+callers outside the package, the benchmark among them.
 """
 
 from __future__ import annotations

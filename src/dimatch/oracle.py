@@ -6,8 +6,8 @@ vertex of B has exactly one neighbour in B) and V - B is independent.
 with the edge-cover formulation of the exact engine it checks; the subset
 scan :func:`oracle_solve_subsets` restates the definition over edge sets
 and checks the search on small graphs.  Both support a partial precoloring
-(black = must be matched, white = must stay unmatched, plus excluded edges)
-so they double as the reference answer for reduced instances.
+of the vertices (black = must be matched, white = must stay unmatched), so
+they double as the reference answer for reduced instances.
 
 Also home to the exhaustive small-graph enumerator used by the
 differential-testing harness.
@@ -53,21 +53,19 @@ def _search_piece(
     g: Graph,
     order: list[int],
     state: list[int] | None,
-    excluded: set[Edge],
     mode: str,
     cap: int,
 ) -> list[frozenset[Edge]]:
     """The DIMs of one connected piece whose vertices are listed in ``order``.
 
     The vertices are decided in that order, each OUT of B, then IN.  A
-    branch dies when two OUT vertices are adjacent, when an IN vertex gets
-    a second IN neighbour, when two IN neighbours share an excluded edge,
-    and when a vertex whose closed neighbourhood is decided is IN with no
-    IN neighbour.  Returns the first DIM found in exists mode, the first of
-    least weight in min-weight mode (a branch stops once its weight
-    reaches the best found) and every DIM in enumerate mode.  The search
-    runs on an explicit stack: position ``i`` holds ``order[i]`` and
-    ``tried[i]`` counts the memberships tried there.
+    branch dies when two OUT vertices are adjacent, when an IN vertex gets a
+    second IN neighbour, and when a vertex whose closed neighbourhood is
+    decided is IN with no IN neighbour.  Returns the first DIM found in
+    exists mode, the first of least weight in min-weight mode (a branch
+    stops once its weight reaches the best found) and every DIM in enumerate
+    mode.  The search runs on an explicit stack: position ``i`` holds
+    ``order[i]`` and ``tried[i]`` counts the memberships tried there.
     """
     k = len(order)
     rank = {v: i for i, v in enumerate(order)}
@@ -138,10 +136,7 @@ def _search_piece(
                     continue
                 j = mates.bit_length() - 1
                 u, v = order[j], order[i]
-                e = (u, v) if u < v else (v, u)
-                if e in excluded:
-                    continue
-                weight += weights[e]
+                weight += weights[(u, v) if u < v else (v, u)]
                 pair |= mates | 1 << i
                 partner[i] = j
             ins |= 1 << i
@@ -163,21 +158,19 @@ def oracle_solve(
     """Exact answer restricted to matchings consistent with the precoloring.
 
     Searches the vertex formulation: which vertices lie in B = V(M).  Black
-    vertices lie in B, white ones outside it, and no excluded edge has both
-    ends in B.  Each connected piece is searched on its own, the pieces in
-    order of their least vertex.  A piece's vertices are decided in BFS
-    order from its least vertex, neighbours taken in increasing order, and
-    each is tried OUT of B before IN.  That order decides the matching
-    exists mode reports (the first found) and the one min-weight mode
-    reports among equal weights (the first of them found).  In enumerate
-    mode the per-piece DIM lists are combined as a cartesian product (still
-    capped) and ``best`` is the least weight, then the least sorted edge
-    list.
+    vertices lie in B and white ones outside it.  Each connected piece is
+    searched on its own, the pieces in order of their least vertex.  A
+    piece's vertices are decided in BFS order from its least vertex,
+    neighbours taken in increasing order, and each is tried OUT of B before
+    IN.  That order decides the matching exists mode reports (the first
+    found) and the one min-weight mode reports among equal weights (the
+    first of them found).  In enumerate mode the per-piece DIM lists are
+    combined as a cartesian product (still capped) and ``best`` is the least
+    weight, then the least sorted edge list.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
     state = precoloring.state if precoloring is not None else None
-    excluded = precoloring.excluded if precoloring is not None else set()
 
     bits = g.bits
     seen = [False] * g.n
@@ -193,7 +186,7 @@ def oracle_solve(
                 if not seen[u]:
                     seen[u] = True
                     order.append(u)
-        found = _search_piece(g, order, state, excluded, mode, cap)
+        found = _search_piece(g, order, state, mode, cap)
         if not found:
             return OracleResult(False)
         pieces.append(found)
@@ -232,7 +225,6 @@ def oracle_solve_subsets(
     if g.m > max_edges:
         raise ValueError(f"subset scan limited to {max_edges} edges, graph has {g.m}")
     state = precoloring.state if precoloring is not None else [0] * g.n
-    excluded = set(precoloring.excluded) if precoloring is not None else set()
     m = len(g.edges)
     incident_mask = [0] * g.n
     for i, (u, v) in enumerate(g.edges):
@@ -243,7 +235,7 @@ def oracle_solve_subsets(
     ]
     barred = 0
     for i, e in enumerate(g.edges):
-        if e in excluded or state[e[0]] == WHITE or state[e[1]] == WHITE:
+        if state[e[0]] == WHITE or state[e[1]] == WHITE:
             barred |= 1 << i
     blacks = [v for v in range(g.n) if state[v] == BLACK]
 

@@ -125,22 +125,6 @@ def anchor_edges(g: Graph) -> list[Edge]:
     return [(u, v) for u, v in g.edges if (bits[u] ^ bits[v]) & ~(1 << u) & ~(1 << v)]
 
 
-class AliveAdjacency:
-    """The adjacency of the alive vertices, in base-graph ids.
-
-    Dead vertices have no neighbors.  It carries the ``adj`` attribute that
-    :func:`propagate` reads, without building a whole :class:`Graph`.
-    """
-
-    __slots__ = ("adj",)
-
-    def __init__(self, g: Graph, alive: int) -> None:
-        self.adj = tuple(
-            frozenset(iter_bits(bits & alive)) if alive >> v & 1 else frozenset()
-            for v, bits in enumerate(g.bits)
-        )
-
-
 class AnchorSolver:
     """Searches for a dominating induced matching containing one anchor edge.
 
@@ -159,10 +143,10 @@ class AnchorSolver:
     vertex back to its single), and ``shared3``, the level-3 vertices seeing
     two or more level-2 vertices, which can never be matched.  The forcing
     stages and the component coloring read it from the solver; candidate
-    colorings travel as plain state lists.
-
-    Propagation reads an :class:`AliveAdjacency`, built once per alive mask
-    and cached, never the base graph's ``adj``.
+    colorings travel as plain state lists.  :func:`propagate` reads the
+    alive graph off ``bits`` and the alive mask; no other adjacency form is
+    built.  A :class:`Coloring` is made only to hand a piece to the
+    sub-solver.
     """
 
     def __init__(
@@ -197,8 +181,6 @@ class AnchorSolver:
         self.pool_owner: dict[int, int] = {}
         self.shared3: set[int] = set()
         self._s114_free: bool | None = None
-        self._view: AliveAdjacency | None = None
-        self._view_alive: int = self.alive
 
     # -- small helpers -----------------------------------------------------
 
@@ -592,16 +574,13 @@ class AnchorSolver:
         Propagation leaves a pool undecided only when the remaining
         candidates have no outside contacts, so candidates are tried
         cheapest-first and the choices are independent inside the class.
+        The singles and pools are those of the last :meth:`decompose`, all
+        still alive: the alive mask does not change after it.
         """
-        stalled: tuple[int, list[int], list[int]] | None = None
+        stalled: tuple[int, tuple[int, ...], list[int]] | None = None
         for task in tasks:
             for u in task.singles:
-                if not self.alive >> u & 1:
-                    continue
-                pool = [
-                    t for t in iter_bits(self._adj(u) & self.n3_mask)
-                    if self.pool_owner.get(t) == u
-                ]
+                pool = self.pools[u]
                 if any(state[t] == BLACK for t in pool):
                     continue
                 cands = [t for t in pool if state[t] == UNSET]
@@ -624,17 +603,10 @@ class AnchorSolver:
         for t in cands:
             trial = list(state)
             trial[t] = BLACK
-            if propagate(self.g_alive_view(), trial, [t]) is None:
+            if propagate(self.g, trial, [t], self.alive) is None:
                 yield from self._completions(trial, tasks)
                 if inert:
                     return
-
-    def g_alive_view(self) -> AliveAdjacency:
-        """Adjacency of the alive graph in base vertex ids, for :func:`propagate`."""
-        if self._view is None or self._view_alive != self.alive:
-            self._view = AliveAdjacency(self.g, self.alive)
-            self._view_alive = self.alive
-        return self._view
 
     def propagate_component(self, task: ComponentTask, seed: int) -> list[int] | None:
         """Color one structure component from a single seed choice.
@@ -647,7 +619,7 @@ class AnchorSolver:
             return None
         trial = list(self.state)
         trial[seed] = BLACK
-        if propagate(self.g_alive_view(), trial, [seed]) is not None:
+        if propagate(self.g, trial, [seed], self.alive) is not None:
             return None
         return next(self._completions(trial, [task]), None)
 
@@ -683,7 +655,7 @@ class AnchorSolver:
         """
         if not coupled:
             state = list(self.state)
-            if propagate(self.g_alive_view(), state, list(iter_bits(self.alive))) is None:
+            if propagate(self.g, state, list(iter_bits(self.alive)), self.alive) is None:
                 yield state
             return
         for combo in product(*[task.seeds for task in coupled]):
@@ -696,7 +668,7 @@ class AnchorSolver:
                 state[seed] = BLACK
             if not ok:
                 continue
-            if propagate(self.g_alive_view(), state, list(combo)) is not None:
+            if propagate(self.g, state, list(combo), self.alive) is not None:
                 continue
             yield from self._completions(state, coupled)
 
@@ -714,8 +686,8 @@ class AnchorSolver:
         stray_mask = self.alive & ~level_union
         if not stray_mask:
             return frozenset(), 0.0
-        sub, col, old_of_new = restrict(self.g, list(iter_bits(stray_mask)), self.state)
-        res = self.cfg.sub_solver(sub, col, minimize=self.cfg.minimize)
+        sub, state, old_of_new = restrict(self.g, list(iter_bits(stray_mask)), self.state)
+        res = self.cfg.sub_solver(sub, Coloring(state), minimize=self.cfg.minimize)
         if res is None:
             return None
         self._tag("stray-handoff")
@@ -732,11 +704,11 @@ class AnchorSolver:
         deep_matching: frozenset[Edge] = frozenset()
         deep_weight = 0.0
         if deep_alive:
-            sub, col, old_of_new = restrict(self.g, list(iter_bits(deep_alive)), state)
+            sub, sub_state, old_of_new = restrict(self.g, list(iter_bits(deep_alive)), state)
             if self.cfg.strict:
                 self._strict_deep_checks(sub)
             start = time.perf_counter()
-            res = self.cfg.sub_solver(sub, col, minimize=self.cfg.minimize)
+            res = self.cfg.sub_solver(sub, Coloring(sub_state), minimize=self.cfg.minimize)
             self.cfg.tick("deep_solve", start)
             if res is None:
                 return None
@@ -895,17 +867,17 @@ class AnchorSolver:
         )
 
 
-def _solve_residual(g: Graph, coloring: Coloring, cfg: SolverConfig) -> SolveOutcome:
+def _solve_residual(g: Graph, state: list[int], cfg: SolverConfig) -> SolveOutcome:
     """Solve one connected residual piece left over after the forced closure.
 
-    The piece has at least one edge: :func:`_solve_pieces` hands over only
-    connected pieces with two or more vertices.
+    ``state`` holds the piece's vertex colors.  The piece has at least one
+    edge: :func:`_solve_pieces` hands over only connected pieces with two or
+    more vertices.
     """
-    whites = {v for v, c in enumerate(coloring.state) if c == WHITE}
     bits = g.bits
     singles: list[tuple[float, Edge]] = []
     for u, v in g.edges:
-        if u in whites or v in whites:
+        if state[u] == WHITE or state[v] == WHITE:
             continue
         if bits[u].bit_count() + bits[v].bit_count() - 1 == g.m:
             singles.append((g.weights[(u, v)], (u, v)))
@@ -919,9 +891,9 @@ def _solve_residual(g: Graph, coloring: Coloring, cfg: SolverConfig) -> SolveOut
     best: SolveOutcome | None = None
     last: SolveOutcome | None = None
     for anchor in anchor_edges(g):
-        if anchor[0] in whites or anchor[1] in whites:
+        if state[anchor[0]] == WHITE or state[anchor[1]] == WHITE:
             continue
-        out = AnchorSolver(g, anchor, coloring.state, cfg).run()
+        out = AnchorSolver(g, anchor, state, cfg).run()
         if cfg.anchor_log is not None:
             cfg.anchor_log.append(
                 (g.vertex_name(anchor[0]), g.vertex_name(anchor[1]), out.verdict, out.reason)
@@ -952,7 +924,7 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
     seeds = patterns.forced_edges_initial(g)
     trace: list[str] = []
     committed: list[Edge] = []
-    residual, residual_col, old_of_new = g, Coloring.fresh(g.n), tuple(range(g.n))
+    residual, residual_state, old_of_new = g, [UNSET] * g.n, tuple(range(g.n))
     if seeds:
         trace.append(f"forced-closure:{len(seeds)}")
         if g.is_dim(seeds):
@@ -968,18 +940,14 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
             cfg.tick("closure", start)
             return SolveOutcome(NO_DIM, reason=closure.reason, trace=tuple(trace))
         committed = closure.committed
-        residual, residual_col, old_of_new = (
-            closure.graph,
-            closure.coloring,
-            closure.provenance,
-        )
+        residual, residual_state, old_of_new = closure.graph, closure.state, closure.provenance
     cfg.tick("closure", start)
 
     return _solve_pieces(
         residual,
-        residual_col,
+        residual_state,
         old_of_new,
-        lambda sub, col: _solve_residual(sub, col, cfg),
+        lambda sub, sub_state: _solve_residual(sub, sub_state, cfg),
         set(committed),
         g.matching_weight(committed),
         trace,
@@ -988,28 +956,29 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
 
 def _solve_pieces(
     g: Graph,
-    coloring: Coloring,
+    state: list[int],
     ids: Sequence[int],
-    solve_piece: Callable[[Graph, Coloring], SolveOutcome],
+    solve_piece: Callable[[Graph, list[int]], SolveOutcome],
     matching: set[Edge],
     weight: float,
     trace: list[str],
 ) -> SolveOutcome:
     """Solve each connected piece of a colored graph and merge the answers.
 
-    Pieces go in order of their least vertex; a one-vertex piece has nothing
-    to match and is skipped.  ``ids`` maps the vertices of ``g`` to the
-    caller's, in which the answer is given: the pieces' matchings join
-    ``matching``, their weights are added to ``weight`` in piece order and
-    their traces extend ``trace``.  The first piece without a matching ends
-    the merge; its verdict and reason come back with the trace so far and
-    its witness in the caller's ids.
+    ``state`` holds the vertex colors of ``g``; each piece is handed its own
+    state list, in the piece's ids.  Pieces go in order of their least
+    vertex; a one-vertex piece has nothing to match and is skipped.  ``ids``
+    maps the vertices of ``g`` to the caller's, in which the answer is
+    given: the pieces' matchings join ``matching``, their weights are added
+    to ``weight`` in piece order and their traces extend ``trace``.  The
+    first piece without a matching ends the merge; its verdict and reason
+    come back with the trace so far and its witness in the caller's ids.
     """
     for comp in g.connected_components():
         if len(comp) == 1:
             continue
-        sub, col, sub_ids = restrict(g, comp, coloring.state)
-        out = solve_piece(sub, col)
+        sub, sub_state, sub_ids = restrict(g, comp, state)
+        out = solve_piece(sub, sub_state)
         if not out.found:
             witness = out.witness
             if witness is not None:
@@ -1088,7 +1057,7 @@ def solve(
             return SolveOutcome(NO_DIM, reason="clique4", trace=("clique4-reject",))
         out = _solve_pieces(
             g,
-            Coloring.fresh(g.n),
+            [UNSET] * g.n,
             range(g.n),
             lambda sub, _: _solve_connected(sub, cfg),
             set(),

@@ -11,13 +11,14 @@ It treats a dominating induced matching as an exact cover of the edges by
 closed edge neighbourhoods (Efficient Domination on the line graph) and
 searches each connected component in turn on integer bitmasks.  The set-up
 builds no component sets (union-find roots label the pieces) and no kill
-mask of a row the search never tries.  A precoloring only narrows that
-instance: a white endpoint or an excluded edge removes the edge's row, and
-a black vertex adds a column that only the rows at it cover.
+mask of a row the search never tries.  A precoloring, vertex colors only,
+narrows that instance: a white endpoint removes the edge's row, and a black
+vertex adds a column that only the rows at it cover.
 
 A sub-solver is any callable ``(graph, coloring, minimize) ->
-(matching, weight) | None``; None means no consistent completion exists.
-The graph may be disconnected: either hand-off can pass several pieces.
+(matching, weight) | None``, the coloring a :class:`Coloring` of the
+graph's vertices; None means no consistent completion exists.  The graph
+may be disconnected: either hand-off can pass several pieces.
 """
 
 from __future__ import annotations
@@ -45,18 +46,16 @@ def solve_precolored(
 ) -> Optional[tuple[frozenset[Edge], float]]:
     """Extend the coloring to a full dominating induced matching, or None.
 
-    Black vertices must end up matched, white ones unmatched, excluded
-    edges never enter the matching.
+    Black vertices must end up matched, white ones unmatched.
 
     M is a dominating induced matching exactly when every edge lies in the
     closed line-graph neighbourhood N_L[e] of exactly one e in M, so each
     connected component is an exact-cover instance whose rows and columns
     are its edges, row r covering N_L[r].  The components are searched in
     order of least vertex.  The coloring removes the rows of edges with a
-    white endpoint and of excluded edges, and adds one column per black
-    vertex, covered by the rows at that vertex; a component with a black
-    vertex and no edge has no completion, which is answered at its turn in
-    that order.  The search (Knuth's Algorithm X) keeps the uncovered
+    white endpoint and adds one column per black vertex, covered by the
+    rows at that vertex; a component with a black vertex and no edge has no
+    completion, which is answered at its turn in that order.  The search (Knuth's Algorithm X) keeps the uncovered
     columns and the live rows, those whose columns are all still uncovered,
     as bitmasks.  At each node it takes the uncovered column with the fewest
     live rows, the first such (edges in (u, v) order, then black vertices in
@@ -76,9 +75,8 @@ def solve_precolored(
     limit does not bound the input.
     """
     state = coloring.state
-    excluded = coloring.excluded
     # any(state) tests for a colored vertex: UNSET is 0.
-    precolored = bool(excluded) or any(state)
+    precolored = any(state)
     root = g._roots()
     # One pass over the sorted edges numbers each piece's edges in (u, v)
     # order; inc[v] is the mask of the edges at v.  A piece's first edge
@@ -119,7 +117,7 @@ def solve_precolored(
         if precolored:
             rows_of = cover[:]
             for r, (u, v) in enumerate(edges):
-                if state[u] == WHITE or state[v] == WHITE or (u, v) in excluded:
+                if state[u] == WHITE or state[v] == WHITE:
                     live &= ~(1 << r)
             for v in sorted({x for e in edges for x in e if state[x] == BLACK}):
                 bit = 1 << len(rows_of)

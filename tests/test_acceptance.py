@@ -81,9 +81,9 @@ class TestCriterion1OracleEquivalence:
 
 class TestCriterion2MatchingValidity:
     def test_every_found_matching_verifies(self):
-        """Every matching the solver returns must verify and avoid whites
-        and excluded edges; spot-checked here across mixed corpora (the
-        harness re-verifies on every run as well)."""
+        """Every matching the solver returns must verify and avoid white
+        vertices; spot-checked here across mixed corpora (the harness
+        re-verifies on every run as well)."""
         bad = 0
         checked = 0
         for seed in range(2400):

@@ -27,6 +27,11 @@ from dimatch.subsolver import solve_precolored
 from conftest import cycle, path, small_graphs
 
 
+def everyone(g: Graph) -> int:
+    """The alive mask holding every vertex of ``g``."""
+    return (1 << g.n) - 1
+
+
 class TestFeasibility:
     """Partial colorings are checked by propagate, complete ones by the sub-solver."""
 
@@ -34,12 +39,12 @@ class TestFeasibility:
         g = cycle(3)
         state = [WHITE, WHITE, UNSET]
         # queueing 2 re-examines its colored neighbors, which clash
-        assert propagate(g, state, [2]) == "white-adjacent-white"
+        assert propagate(g, state, [2], everyone(g)) == "white-adjacent-white"
 
     def test_partial_black_neighbor_cap(self):
         g = gadget("claw")
         state = [BLACK, BLACK, BLACK, UNSET]  # the center sees two black leaves
-        assert propagate(g, state, [0]) == "black-two-black-neighbors"
+        assert propagate(g, state, [0], everyone(g)) == "black-two-black-neighbors"
 
     def test_complete_requires_exactly_one(self):
         g = path(4)
@@ -62,8 +67,7 @@ class TestReductionStep:
         # surviving edge between old 3 and 4 is at distance 1: old 3 is white
         old = out.provenance
         assert old == (0, 3, 4)
-        assert out.coloring.state == [WHITE, WHITE, UNSET]
-        assert out.coloring.excluded == set()
+        assert out.state == [WHITE, WHITE, UNSET]
 
     def test_shared_vertex_contradiction(self):
         g = path(3)
@@ -88,25 +92,25 @@ class TestVertexCReduction:
         g = gadget("claw")
         state = [WHITE, UNSET, UNSET, UNSET]
         # three leaves forced matched with no mate left: no completion exists
-        assert propagate(g, state, [0]) == "black-no-mate"
+        assert propagate(g, state, [0], everyone(g)) == "black-no-mate"
         assert not oracle_solve(g, Coloring([WHITE, UNSET, UNSET, UNSET])).feasible
 
     def test_c4_whites_collide(self):
         g = cycle(4)
         col = Coloring([WHITE, UNSET, WHITE, UNSET])
         # neighbors 1 and 3 blacken, but both of their neighbors are white
-        assert propagate(g, list(col.state), [0, 2]) is not None
+        assert propagate(g, list(col.state), [0, 2], everyone(g)) is not None
         assert not oracle_solve(g, col).feasible
 
     def test_white_neighbor_contradiction(self):
         g = path(3)
         state = [WHITE, WHITE, UNSET]
-        assert propagate(g, state, [0]) == "white-adjacent-white"
+        assert propagate(g, state, [0], everyone(g)) == "white-adjacent-white"
 
     def test_requires_white(self):
         g = path(3)
         state = [UNSET, UNSET, UNSET]
-        assert propagate(g, state, [0]) is None
+        assert propagate(g, state, [0], everyone(g)) is None
         assert state == [UNSET, UNSET, UNSET]
 
 
@@ -116,14 +120,14 @@ class TestEdgeCReduction:
         out = forced_edge_closure(g, [(1, 2)])
         assert out.ok
         assert out.graph.n == 2 and out.graph.m == 0
-        assert out.coloring.state == [WHITE, WHITE]
+        assert out.state == [WHITE, WHITE]
         assert out.committed == [(1, 2)]
 
     def test_diamond_mid_edge(self):
         g = gadget("diamond")
         out = forced_edge_closure(g, [(1, 3)])
         assert out.ok
-        assert out.coloring.state == [WHITE, WHITE]
+        assert out.state == [WHITE, WHITE]
         assert out.graph.m == 0  # outer pair 0, 2 is non-adjacent
 
     def test_triangle_third_black(self):
@@ -263,7 +267,7 @@ class TestReductionSoundness:
         if not out.ok:
             assert not with_e
             return
-        residual = oracle_solve(out.graph, out.coloring, mode="enumerate")
+        residual = oracle_solve(out.graph, Coloring(out.state), mode="enumerate")
         count = len(residual.all_dims) if residual.feasible else 0
         assert len(with_e) == count
 
@@ -271,33 +275,33 @@ class TestReductionSoundness:
         g = cycle(6)
         out = forced_edge_closure(g, [(0, 1)])
         assert out.ok
-        state = list(out.coloring.state)
-        assert propagate(out.graph, state, range(out.graph.n)) is None
-        assert oracle_solve(out.graph, out.coloring).feasible
+        state = list(out.state)
+        assert propagate(out.graph, state, range(out.graph.n), everyone(out.graph)) is None
+        assert oracle_solve(out.graph, Coloring(out.state)).feasible
 
 
 class TestPropagate:
     def test_white_forces_black_neighbors(self):
         g = path(3)
         state = [WHITE, UNSET, UNSET]
-        assert propagate(g, state, [0]) is None
+        assert propagate(g, state, [0], everyone(g)) is None
         assert state == [WHITE, BLACK, BLACK]  # 1 must match, only 2 remains
 
     def test_black_pair_seals(self):
         g = path(4)
         state = [UNSET, BLACK, BLACK, UNSET]
-        assert propagate(g, state, [1, 2]) is None
+        assert propagate(g, state, [1, 2], everyone(g)) is None
         assert state == [WHITE, BLACK, BLACK, WHITE]
 
     def test_two_black_neighbors_contradict(self):
         g = path(3)
         state = [BLACK, BLACK, BLACK]
-        assert propagate(g, state, [1]) == "black-two-black-neighbors"
+        assert propagate(g, state, [1], everyone(g)) == "black-two-black-neighbors"
 
     def test_lone_candidate_forced(self):
         g = gadget("claw")
         state = [BLACK, WHITE, WHITE, UNSET]
-        assert propagate(g, state, [0, 1, 2]) is None
+        assert propagate(g, state, [0, 1, 2], everyone(g)) is None
         assert state[3] == BLACK
 
     @given(small_graphs(min_n=2, max_n=7), st.data())
@@ -312,15 +316,19 @@ class TestPropagate:
         truth = [BLACK if v in matched else WHITE for v in range(g.n)]
         keep = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
         state = [truth[v] if v in keep else UNSET for v in range(g.n)]
-        reason = propagate(g, state, list(keep))
+        reason = propagate(g, state, list(keep), everyone(g))
         assert reason is None
         for v in range(g.n):
             assert state[v] in (UNSET, truth[v])
 
 
 def reference_propagate(g, state, queue):
-    """The closure-based form of :func:`propagate`, kept as its test reference."""
-    adj = g.adj
+    """The closure-based form of :func:`propagate`, kept as its test reference.
+
+    It reads the whole of ``g`` through ``g.adj``, neighbors in increasing
+    order, as :func:`propagate` reads them off its alive mask.
+    """
+    adj = [sorted(nbrs) for nbrs in g.adj]
     work: list[int] = []
     pending: set[int] = set()
 
@@ -391,7 +399,18 @@ def reference_propagate(g, state, queue):
 class TestPropagateDifferential:
     """propagate against its closure-based reference on seeded random inputs."""
 
+    def test_white_outside_alive_is_no_clash(self):
+        g = path(4)
+        state = [WHITE, WHITE, UNSET, UNSET]
+        # 0 is not alive, so its white does not meet 1's.
+        assert propagate(g, state, [1], 0b1110) is None
+        assert state == [WHITE, WHITE, BLACK, BLACK]
+        assert propagate(g, [WHITE, WHITE, UNSET, UNSET], [1], 0b1111) == R_WHITE_WHITE
+
     def test_matches_reference(self):
+        # The reference runs on the graph of the alive-alive edges, with the
+        # same vertex ids; colored vertices outside the alive mask must not
+        # be read.
         rng = SplitMix64(2024)
         moved = contradictions = 0
         for trial in range(5000):
@@ -399,18 +418,25 @@ class TestPropagateDifferential:
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             density = rng.random() * 0.35
             g = Graph(n, [e for e in pairs if rng.random() < density])
+            alive = sum(1 << v for v in range(n) if rng.random() < 0.8)
+            alive_g = Graph(n, [(u, v) for u, v in g.edges if alive >> u & alive >> v & 1])
             state = [UNSET] * n
             for _ in range(rng.randint(1, 4)):
                 state[rng.randrange(n)] = rng.choice((BLACK, WHITE))
-            queue = [v for v in range(n) if state[v] != UNSET or rng.random() < 0.2]
+            queue = [
+                v
+                for v in range(n)
+                if alive >> v & 1 and (state[v] != UNSET or rng.random() < 0.2)
+            ]
             rng.shuffle(queue)
             before = list(state)
             want_state = list(state)
-            want = reference_propagate(g, want_state, list(queue))
-            got = propagate(g, state, list(queue))
-            assert got == want, (trial, g.edges, queue)
+            want = reference_propagate(alive_g, want_state, list(queue))
+            got = propagate(g, state, list(queue), alive)
+            case = (trial, g.edges, bin(alive), queue)
+            assert got == want, case
             if want is None:
-                assert state == want_state, (trial, g.edges, queue)
+                assert state == want_state, case
                 moved += state != before
             else:
                 contradictions += 1

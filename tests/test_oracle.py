@@ -87,11 +87,6 @@ class TestPrecoloring:
         col = Coloring([BLACK, UNSET])
         assert not oracle_solve(g, col).feasible
 
-    def test_excluded_edges_barred(self):
-        res = oracle_solve(cycle(3), Coloring([UNSET] * 3, excluded={(0, 1)}), mode="enumerate")
-        assert res.feasible
-        assert all((0, 1) not in m for m in res.all_dims)
-
     def test_star_center_white_fails(self):
         g = gadget("claw")
         col = Coloring([WHITE, UNSET, UNSET, UNSET])
@@ -140,10 +135,7 @@ class TestSubsetCrossCheck:
                 max_size=g.n,
             )
         )
-        excluded = (
-            data.draw(st.lists(st.sampled_from(g.edges), max_size=2)) if g.edges else []
-        )
-        col = Coloring(colors, excluded)
+        col = Coloring(colors)
         a = oracle_solve(g, col, mode="enumerate")
         b = oracle_solve_subsets(g, col, mode="enumerate")
         assert a.feasible == b.feasible

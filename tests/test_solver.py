@@ -48,7 +48,7 @@ from conftest import (
 def scattered_precolored(draw) -> tuple[Graph, Coloring]:
     """A disconnected weighted graph and a random precoloring of it: small
     pieces and isolated vertices whose ids interleave under a random
-    permutation, some vertices black or white and up to two edges excluded."""
+    permutation, some vertices black or white."""
     pieces = draw(st.lists(small_graphs(min_n=1, max_n=5), min_size=2, max_size=4))
     n = sum(p.n for p in pieces) + draw(st.integers(min_value=0, max_value=2))
     ids = draw(st.permutations(range(n)))
@@ -62,8 +62,7 @@ def scattered_precolored(draw) -> tuple[Graph, Coloring]:
     colors = draw(
         st.lists(st.sampled_from([UNSET, UNSET, UNSET, BLACK, WHITE]), min_size=n, max_size=n)
     )
-    excluded = draw(st.lists(st.sampled_from(g.edges), max_size=2)) if g.edges else []
-    return g, Coloring(colors, excluded)
+    return g, Coloring(colors)
 
 
 def spine(extra_edges, n, weights=None):
@@ -734,6 +733,30 @@ class TestExactRoute:
         assert solve(parse_edge_list(text), structural=True).found
         assert calls
 
+    def test_no_route_builds_adj(self, monkeypatch):
+        # Every solve path reads ``bits``; ``adj`` is built only on request.
+        structural, _ = generate_planted(GenSpec(n=120, seed=1))
+        small = [
+            h
+            for n in range(2, 6)
+            for h in enumerate_all_graphs(n, predicate=lambda h: find_k4(h) is None)
+        ]
+        exact, _ = generate_planted(GenSpec(n=1000, seed=1))
+        build = Graph.__getattr__
+        built: list[str] = []
+
+        def recording(self, name):
+            built.append(name)
+            return build(self, name)
+
+        monkeypatch.setattr(Graph, "__getattr__", recording)
+        assert solve(structural, structural=True).found
+        assert "bits" in built  # the recorder sees the structural route's reads
+        for h in small:
+            solve(h, minimize=True, strict=True)
+        assert solve(exact).trace == (TRACE_EXACT,)
+        assert "adj" not in built
+
 
 class TestCoverSearch:
     @pytest.mark.parametrize("minimize", [False, True])
@@ -819,7 +842,6 @@ class TestCoverSearch:
         matched = {v for e in matching for v in e}
         assert all(v in matched for v, c in enumerate(col.state) if c == BLACK)
         assert not any(v in matched for v, c in enumerate(col.state) if c == WHITE)
-        assert not matching & col.excluded
         assert weight == g.matching_weight(matching)
         if minimize:
             assert weight == ref.best[1]
