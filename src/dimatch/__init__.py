@@ -33,7 +33,6 @@ from .oracle import (
     EnumerationCapExceeded,
     OracleResult,
     enumerate_all_graphs,
-    oracle_forced_edges,
     oracle_solve,
     oracle_solve_subsets,
 )

@@ -248,6 +248,10 @@ def forced_edge_closure(g: Graph, seeds: Iterable[Edge]) -> ReductionOutcome:
     mask = 0
     committed: list[Edge] = []
     for vw in dict.fromkeys(edge(*e) for e in seeds):
+        # Only shared-vertex and distance-1 can come back here: every white
+        # vertex is in ``mask``, so distance-1 answers before
+        # white-endpoint-committed, and the only black vertices are
+        # committed endpoints, no longer alive, so no black-two-black-neighbors.
         reason = commit_pair(g, alive, state, mask, vw)
         if reason:
             return ReductionOutcome.contradiction(reason)

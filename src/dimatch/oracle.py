@@ -262,19 +262,6 @@ def oracle_solve_subsets(
     return OracleResult(True, best, None)
 
 
-def oracle_forced_edges(g: Graph) -> frozenset[Edge]:
-    """Intersection of all dominating induced matchings (empty when none exist)."""
-    result = oracle_solve(g, mode="enumerate")
-    if not result.feasible or not result.all_dims:
-        return frozenset()
-    forced = set(result.all_dims[0])
-    for mm in result.all_dims[1:]:
-        forced &= mm
-        if not forced:
-            break
-    return frozenset(forced)
-
-
 # -- exhaustive small-graph enumeration ------------------------------------
 
 

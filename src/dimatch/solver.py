@@ -33,7 +33,6 @@ from typing import Callable, Iterator, Sequence
 from . import patterns
 from .coloring import (
     BLACK,
-    R_TWO_BLACK,
     R_WHITE_WHITE,
     UNSET,
     WHITE,
@@ -147,6 +146,17 @@ class AnchorSolver:
     alive graph off ``bits`` and the alive mask; no other adjacency form is
     built.  A :class:`Coloring` is made only to hand a piece to the
     sub-solver.
+
+    The incoming state holds no black vertex and no white anchor endpoint
+    (:class:`GraphError` otherwise; the closure's states are white or
+    unset).  The contradiction checks rest on invariants of a run: the
+    anchor stays black and alive; a white vertex never turns black; level
+    1, the anchor's alive neighbourhood, is white from the first
+    :meth:`decompose` on and never deleted; levels never decrease, so no
+    alive level-3 vertex is black (blacks are the anchor, level-2 singles,
+    level-4+ vertices and commit endpoints, which leave at once); and every
+    stage that changes ``alive`` reports a change, so it is fixed after the
+    last :meth:`decompose` of :meth:`run_forcing`.
     """
 
     def __init__(
@@ -166,6 +176,9 @@ class AnchorSolver:
             raise GraphError(f"anchor edge {self.anchor} is not on a 3-vertex path")
         self.cfg = config or SolverConfig()
         self.state = list(state) if state is not None else [UNSET] * g.n
+        if BLACK in self.state or WHITE in (self.state[x], self.state[y]):
+            raise GraphError("anchor state holds a black vertex or a white anchor endpoint")
+        self.state[x] = self.state[y] = BLACK
         self.whitened = sum(1 << v for v, c in enumerate(self.state) if c == WHITE)
         self.committed: list[Edge] = []
         self.alive = (1 << g.n) - 1
@@ -194,7 +207,9 @@ class AnchorSolver:
         self.trace.append(label)
 
     def _commit(self, vw: Edge, tag: str) -> None:
-        """Commit a matched pair through :func:`commit_pair` and delete its endpoints."""
+        """Commit a matched pair through :func:`commit_pair` and delete its
+        endpoints.  No stage commits a white endpoint that ``whitened``
+        lacks, so ``white-endpoint-committed`` never comes back here."""
         v, w = vw = edge(*vw)
         reason = commit_pair(self.g, self.alive, self.state, self.whitened, vw)
         if reason:
@@ -227,11 +242,6 @@ class AnchorSolver:
         alive = self.alive
         state = self.state
         x, y = self.anchor
-        for v in (x, y):
-            if state[v] == WHITE:
-                self._fail("anchor-endpoint-white")
-            state[v] = BLACK
-
         lev = [-1] * self.g.n
         masks: list[int] = []
         seen = (1 << x) | (1 << y)
@@ -272,8 +282,6 @@ class AnchorSolver:
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
-            if state[v] == BLACK:
-                self._fail("level1-black")
             if bits[v] & n1:
                 self._fail("level1-not-independent")
             state[v] = WHITE
@@ -300,8 +308,8 @@ class AnchorSolver:
                 if inner > low:
                     pairs.append((v, inner.bit_length() - 1))
             else:
-                if state[v] == WHITE:
-                    self._fail("level2-white")
+                # Not white: its level-1 neighbour is, so the check above
+                # would have failed.
                 state[v] = BLACK
                 singles.append(v)
             rest ^= low
@@ -386,13 +394,10 @@ class AnchorSolver:
                 if any(cnt >= 2 for cnt in per_owner.values()):
                     commits.add((min(u, t), max(u, t)))
         for s in sorted(self.shared3):
+            # Each t is a pool vertex, and not white: a white one would have
+            # failed the sweep at its unset neighbour s.
             for t in iter_bits(self._adj(s) & self.n3_mask & ~shared_mask):
-                owner = self.pool_owner.get(t)
-                if owner is None:
-                    continue
-                if self.state[t] == WHITE:
-                    self._fail("white-endpoint-committed")
-                commits.add(edge(owner, t))
+                commits.add(edge(self.pool_owner[t], t))
         if self._commit_all(commits, "contact-commit"):
             return True
         changed = False
@@ -414,7 +419,7 @@ class AnchorSolver:
         A white vertex forces every unset neighbor to be matched: pool
         neighbors commit with their owner, deep neighbors turn black.  A
         black deep vertex can never be mated into level 3, so its unset
-        level-3 neighbors turn white.
+        level-3 neighbors turn white (no level-3 vertex is black).
         """
         changed = False
         commits: list[Edge] = []
@@ -423,8 +428,6 @@ class AnchorSolver:
                 continue
             for t in iter_bits(self._adj(v)):
                 if self.state[t] != UNSET:
-                    if self.state[t] == WHITE:
-                        self._fail(R_WHITE_WHITE)
                     continue
                 if self.lev[t] == 3:
                     owner = self.pool_owner.get(t)
@@ -440,8 +443,6 @@ class AnchorSolver:
             if self.state[z] != BLACK:
                 continue
             for t in iter_bits(self._adj(z) & self.n3_mask):
-                if self.state[t] == BLACK:
-                    self._fail(R_TWO_BLACK)
                 if self.state[t] == UNSET:
                     self.state[t] = WHITE
                     self._tag("deep-black-whiten")
@@ -457,7 +458,7 @@ class AnchorSolver:
         commits: list[Edge] = []
         removals: list[int] = []
         for u in self.singles:
-            pool = [t for t in self.pools[u] if self.alive >> t & 1]
+            pool = self.pools[u]
             if not pool:
                 self._fail("pool-empty")
             nb = list(iter_bits(self._adj(u)))
@@ -524,15 +525,16 @@ class AnchorSolver:
         """Split the level-2/3 structure components into freestanding ones and
         those coupled to the deep part through an uncolored deep vertex.
 
-        Raises :class:`ClassViolationError` when more than three coupled
-        components exist, which cannot happen inside the supported class.
+        More than three coupled components cannot occur inside the
+        supported class, so they fail :meth:`_check_failed`.  Every pool
+        vertex is alive: the alive set has not changed since the last
+        :meth:`decompose`.
         """
         struct_mask = 0
         for u in self.singles:
             struct_mask |= 1 << u
         for t in self.pool_owner:
-            if self.alive >> t & 1:
-                struct_mask |= 1 << t
+            struct_mask |= 1 << t
         seen = 0
         free: list[ComponentTask] = []
         coupled: list[ComponentTask] = []
@@ -554,16 +556,11 @@ class AnchorSolver:
                 if any(self.state[z] == UNSET for z in iter_bits(deep_nb)):
                     coupled_flag = True
                     break
-            first = singles[0]
-            seeds = tuple(
-                t for t in self.pools[first]
-                if self.alive >> t & 1 and self.state[t] == UNSET
-            )
+            seeds = tuple(t for t in self.pools[singles[0]] if self.state[t] == UNSET)
             task = ComponentTask(singles=singles, seeds=seeds)
             (coupled if coupled_flag else free).append(task)
         if len(coupled) > 3:
-            witness = patterns.find_induced_sijk(self.g, 1, 2, 4)
-            raise ClassViolationError(witness)
+            self._check_failed("more than three coupled components")
         return free, coupled
 
     def _completions(
@@ -613,10 +610,10 @@ class AnchorSolver:
 
         Seeds the given pool vertex black, closes under the forcing rules,
         finishes any undecided pools, and returns the resulting state list,
-        or None when the seed contradicts.
+        or None when the seed contradicts.  The seed is unset: coloring a
+        free component changes only its own unset vertices, which have no
+        deep neighbour.
         """
-        if self.state[seed] != UNSET:
-            return None
         trial = list(self.state)
         trial[seed] = BLACK
         if propagate(self.g, trial, [seed], self.alive) is not None:
@@ -659,15 +656,10 @@ class AnchorSolver:
                 yield state
             return
         for combo in product(*[task.seeds for task in coupled]):
+            # The seeds are unset (see propagate_component) and distinct.
             state = list(self.state)
-            ok = True
             for seed in combo:
-                if state[seed] == WHITE:
-                    ok = False
-                    break
                 state[seed] = BLACK
-            if not ok:
-                continue
             if propagate(self.g, state, list(combo), self.alive) is not None:
                 continue
             yield from self._completions(state, coupled)
@@ -736,13 +728,14 @@ class AnchorSolver:
         )
         return matching, weight
 
-    # -- strict-mode checks ---------------------------------------------------
+    # -- structural checks ----------------------------------------------------
 
     def _check_failed(self, message: str) -> None:
-        """A strict-mode check failed: report the spider of an off-class
-        input, or raise :class:`StructuralCheckError` for an in-class one."""
+        """A structural check failed: report the spider of an off-class
+        input, or raise :class:`StructuralCheckError` when no spider that
+        :func:`patterns.verify_witness` accepts turns up."""
         witness = patterns.find_induced_sijk(self.g, 1, 2, 4)
-        if witness is not None:
+        if witness is not None and patterns.verify_witness(self.g, witness, (1, 2, 4)):
             raise ClassViolationError(witness)
         raise StructuralCheckError(message)
 
@@ -818,9 +811,7 @@ class AnchorSolver:
             for state in colorings:
                 count += 1
                 if self.cfg.strict and coupled and count > limit:
-                    raise ClassViolationError(
-                        patterns.find_induced_sijk(self.g, 1, 2, 4)
-                    )
+                    self._check_failed("more core colorings than the degree bound allows")
                 finished = self.finish_deep(state)
                 if finished is None:
                     continue

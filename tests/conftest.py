@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dimatch.coloring import BLACK, R_WHITE_WHITE, WHITE
 from dimatch.generate import SplitMix64
 from dimatch.graph import Edge, Graph, edge, iter_bits
+from dimatch.oracle import oracle_solve
 from dimatch.solver import AnchorSolver
 
 
@@ -39,6 +40,20 @@ def is_induced_matching(g: Graph, matching: Iterable[Edge]) -> bool:
         matched |= 1 << v
     bits = g.bits
     return all(bits[u] & matched == 1 << v and bits[v] & matched == 1 << u for u, v in pairs)
+
+
+def oracle_forced_edges(g: Graph) -> frozenset[Edge]:
+    """Test reference: the intersection of all dominating induced matchings
+    (empty when none exist)."""
+    result = oracle_solve(g, mode="enumerate")
+    if not result.feasible or not result.all_dims:
+        return frozenset()
+    forced = set(result.all_dims[0])
+    for mm in result.all_dims[1:]:
+        forced &= mm
+        if not forced:
+            break
+    return frozenset(forced)
 
 
 def held_before_read(g: Graph, name: str) -> bool:
@@ -102,11 +117,6 @@ def reference_decompose(self: AnchorSolver) -> None:
     and blackening the level-2 vertices that survive."""
     g = self.g
     x, y = self.anchor
-    for v in (x, y):
-        if self.state[v] == WHITE:
-            self._fail("anchor-endpoint-white")
-        self.state[v] = BLACK
-
     masks: list[int] = []
     seen = (1 << x) | (1 << y)
     frontier = seen
@@ -135,8 +145,6 @@ def reference_decompose(self: AnchorSolver) -> None:
 
     n1 = masks[1] if len(masks) > 1 else 0
     for v in iter_bits(n1):
-        if self.state[v] == BLACK:
-            self._fail("level1-black")
         if self._adj(v) & n1:
             self._fail("level1-not-independent")
         self.state[v] = WHITE
@@ -159,8 +167,6 @@ def reference_decompose(self: AnchorSolver) -> None:
             if partner > v:
                 pairs.append((v, partner))
         else:
-            if self.state[v] == WHITE:
-                self._fail("level2-white")
             self.state[v] = BLACK
             singles.append(v)
 

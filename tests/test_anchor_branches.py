@@ -1,0 +1,221 @@
+"""Every contradiction the anchor solver can report is reached through `solve`.
+
+`TestReachability` pins one small graph per reason the anchor solver
+reports, found through ``solve``'s anchor log and checked against the
+oracle, and scans ``solver.py`` so that a reason with neither a row nor an
+exemption (a branch no input can reach, with the reason why) fails.  The checks that
+were deleted as unreachable rest on invariants of a run (see the
+`AnchorSolver` docstring); `TestInvariantGuard` asserts them at each stage
+over a fixed corpus, in the tests only, so that the solve path pays
+nothing for them.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+
+import pytest
+
+from dimatch import coloring, solver
+from dimatch.coloring import BLACK, R_WHITE_COMMITTED, UNSET, WHITE
+from dimatch.generate import GenSpec, generate_planted
+from dimatch.graph import Graph, GraphError
+from dimatch.oracle import enumerate_all_graphs, oracle_solve
+from dimatch.solver import AnchorSolver, solve
+
+from conftest import cycle, path
+
+# Reasons no input can reach through `solve`, each with the reason why.
+EXEMPT = {
+    R_WHITE_COMMITTED: (
+        "commit_pair's white-endpoint check, reached through _commit: every"
+        " anchor-solver commit has unset or black endpoints, or endpoints"
+        " whitened by an earlier commit, which answer distance-1 first"
+    ),
+}
+
+# (reason, graph, solve kwargs): the anchor log of the solve shows the reason.
+ROWS = [
+    ("level1-not-independent", cycle(4), {}),
+    ("pool-empty", Graph(5, [(0, 1), (0, 2), (1, 4), (3, 4)]), {}),
+    ("level2-structure",
+     Graph(7, [(0, 2), (0, 5), (0, 6), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)]), {}),
+    ("candidate-exhausted",
+     Graph(7, [(0, 4), (1, 3), (1, 5), (2, 4), (2, 6), (3, 5), (5, 6)]), {}),
+    ("distance-1",
+     Graph(7, [(0, 5), (1, 4), (1, 6), (2, 3), (2, 4), (3, 5), (3, 6)]), {}),
+    ("shared-vertex",
+     Graph(8, [(0, 7), (1, 3), (1, 7), (2, 5), (3, 5), (3, 6), (4, 6)]), {}),
+    ("white-adjacent-white",
+     Graph(7, [(0, 4), (1, 2), (1, 6), (2, 5), (3, 4), (3, 5), (3, 6), (5, 6)]), {}),
+    ("stray-infeasible",
+     Graph(7, [(0, 1), (0, 4), (2, 3), (2, 5), (3, 6), (4, 5)]), {}),
+    ("no-feasible-core-coloring",
+     Graph(8, [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (3, 5), (4, 6), (6, 7)]), {}),
+    # Anchor 0-1: level 1 holds 2, 3, 4; 5, 6, 7 hang off 3 at level 2, and
+    # their private mates 8, 9, 10 form a triangle at level 3.
+    ("level3-odd-cycle",
+     Graph(11, [(0, 1), (0, 2), (0, 3), (1, 4), (3, 5), (3, 6), (3, 7),
+                (5, 8), (6, 9), (7, 10), (8, 9), (9, 10), (8, 10)]), {}),
+    # Anchor 0-1: the shared level-3 vertex 5 sees 3 and 4 at level 2 and
+    # the level-4 vertex 6, which the closure of the diamond 6, 7, 8, 9
+    # (mid edge 7-8) whitened.
+    ("shared-contact-conflict",
+     Graph(10, [(0, 1), (0, 2), (2, 3), (2, 4), (3, 5), (4, 5), (5, 6),
+                (6, 7), (6, 8), (7, 8), (7, 9), (8, 9)]), {}),
+    # Anchor 0-1: the closure of the diamond 9, 10, 11, 12 (mid edge 9-10)
+    # whitens 6 and 8.  The sweep then blackens 7, next to the white 8, and
+    # commits 3-4, since 4 sees the white 6; but 4 also sees the black 7.
+    ("black-two-black-neighbors",
+     Graph(13, [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5), (4, 6), (4, 7), (7, 8),
+                (9, 10), (9, 11), (9, 12), (10, 11), (10, 12), (6, 9), (8, 10)]), {}),
+    # Anchor 0-1: the pools {7, 8, 9} of 5 and {10, 11, 12} of 6 are joined
+    # by three disjoint contacts, so every seed of the component fails.
+    ("component-infeasible",
+     Graph(13, [(0, 1), (0, 2), (0, 3), (1, 4), (3, 5), (4, 6), (5, 7), (5, 8),
+                (5, 9), (6, 10), (6, 11), (6, 12), (7, 10), (8, 11), (9, 12)]), {}),
+]
+
+
+def _commit_pair_reasons() -> set[str]:
+    """The reason constants that :func:`coloring.commit_pair` returns."""
+    tree = ast.parse(inspect.getsource(coloring.commit_pair))
+    return {
+        getattr(coloring, node.value.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Name)
+    }
+
+
+def reported_reasons() -> set[str]:
+    """Every reason ``solver.py`` raises through ``_fail`` or
+    ``AnchorContradiction``, read from its source."""
+    reasons: set[str] = set()
+    tree = ast.parse(inspect.getsource(solver))
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name == "_fail":
+            continue
+        for call in ast.walk(func):
+            if not isinstance(call, ast.Call) or not call.args:
+                continue
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if name not in ("_fail", "AnchorContradiction"):
+                continue
+            arg = call.args[0]
+            if isinstance(arg, ast.Constant):
+                reasons.add(arg.value)
+            elif isinstance(arg, ast.Name) and arg.id.startswith("R_"):
+                reasons.add(getattr(coloring, arg.id))
+            elif isinstance(arg, ast.Name) and func.name == "_commit":
+                reasons |= _commit_pair_reasons()
+            else:
+                raise AssertionError(f"unresolved reason {ast.unparse(arg)} in {func.name}")
+    return reasons
+
+
+class TestReachability:
+    def test_every_reason_has_a_row_or_an_exemption(self):
+        rows = {reason for reason, _, _ in ROWS}
+        assert len(rows) == len(ROWS)
+        assert not rows & set(EXEMPT)
+        assert reported_reasons() == rows | set(EXEMPT)
+
+    @pytest.mark.parametrize("reason, g, kwargs", ROWS, ids=[row[0] for row in ROWS])
+    def test_solve_reaches_the_reason(self, reason, g, kwargs):
+        log: list = []
+        out = solve(g, structural=True, anchor_log=log, **kwargs)
+        assert reason in {entry[3] for entry in log}
+        minimize = kwargs.get("minimize", False)
+        ref = oracle_solve(g, mode="min_weight" if minimize else "exists")
+        assert out.found == ref.feasible
+        if out.found and minimize:
+            assert out.weight == ref.best[1]
+
+
+class TestPrecondition:
+    @pytest.mark.parametrize("state", [
+        [BLACK, UNSET, UNSET, UNSET],
+        [UNSET, UNSET, UNSET, BLACK],
+        [UNSET, WHITE, UNSET, UNSET],
+        [UNSET, UNSET, WHITE, UNSET],
+    ])
+    def test_black_vertex_or_white_anchor_rejected(self, state):
+        with pytest.raises(GraphError):
+            AnchorSolver(path(4), (1, 2), state)
+
+    def test_white_off_the_anchor_accepted(self):
+        AnchorSolver(path(4), (1, 2), [WHITE, UNSET, UNSET, UNSET])
+
+
+def guard_stages(monkeypatch) -> dict[str, int]:
+    """Wrap the anchor solver's stages with the invariants the deleted
+    checks rest on; returns the counts of guarded calls."""
+    seen = {"decompose": 0, "pools": 0, "seeds": 0, "commits": 0}
+    real_decompose = AnchorSolver.decompose
+
+    def decompose(self):
+        x, y = self.anchor
+        level1 = (self.bits[x] | self.bits[y]) & self.alive & ~(1 << x) & ~(1 << y)
+        assert self.state[x] != WHITE and self.state[y] != WHITE
+        assert all(self.state[v] != BLACK for v in range(self.g.n) if level1 >> v & 1)
+        seen["decompose"] += 1
+        real_decompose(self)
+        assert all(self.state[t] != BLACK for t in range(self.g.n) if self.n3_mask >> t & 1)
+
+    def pools_alive(real):
+        def wrapped(self, *args):
+            assert all(self.alive >> t & 1 for t in self.pool_owner)
+            assert all(self.alive >> t & 1 for u in self.singles for t in self.pools[u])
+            seen["pools"] += 1
+            return real(self, *args)
+        return wrapped
+
+    real_propagate_component = AnchorSolver.propagate_component
+
+    def propagate_component(self, task, seed):
+        assert self.state[seed] == UNSET
+        seen["seeds"] += 1
+        return real_propagate_component(self, task, seed)
+
+    real_core = AnchorSolver._iter_core_colorings
+
+    def iter_core_colorings(self, coupled):
+        assert all(self.state[t] == UNSET for task in coupled for t in task.seeds)
+        seen["seeds"] += 1
+        return real_core(self, coupled)
+
+    real_commit_pair = solver.commit_pair
+
+    def commit_pair(*args):
+        reason = real_commit_pair(*args)
+        assert reason != R_WHITE_COMMITTED
+        seen["commits"] += 1
+        return reason
+
+    monkeypatch.setattr(AnchorSolver, "decompose", decompose)
+    monkeypatch.setattr(AnchorSolver, "prune_pools", pools_alive(AnchorSolver.prune_pools))
+    monkeypatch.setattr(
+        AnchorSolver, "classify_components", pools_alive(AnchorSolver.classify_components)
+    )
+    monkeypatch.setattr(AnchorSolver, "propagate_component", propagate_component)
+    monkeypatch.setattr(AnchorSolver, "_iter_core_colorings", iter_core_colorings)
+    monkeypatch.setattr(solver, "commit_pair", commit_pair)
+    return seen
+
+
+class TestInvariantGuard:
+    def test_small_graphs_strict(self, monkeypatch):
+        seen = guard_stages(monkeypatch)
+        for n in range(2, 7):
+            for g in enumerate_all_graphs(n):
+                for minimize in (False, True):
+                    solve(g, minimize=minimize, strict=True)
+        assert seen["decompose"] > 10000 and seen["pools"] > 1000
+
+    def test_planted_structural(self, monkeypatch):
+        seen = guard_stages(monkeypatch)
+        g = generate_planted(GenSpec(n=300, seed=1))[0]
+        for minimize in (False, True):
+            assert solve(g, minimize=minimize, structural=True).found
+        assert seen["decompose"] > 100 and seen["seeds"] > 10 and seen["commits"] > 10

@@ -14,13 +14,12 @@ from dimatch.graph import Graph
 from dimatch.oracle import (
     EnumerationCapExceeded,
     enumerate_all_graphs,
-    oracle_forced_edges,
     oracle_solve,
     oracle_solve_subsets,
 )
 from dimatch.patterns import find_k4
 
-from conftest import cycle, path, small_graphs
+from conftest import cycle, oracle_forced_edges, path, small_graphs
 
 
 class TestOracleBasics:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimatch import gadget, oracle_forced_edges, oracle_solve
+from dimatch import gadget, oracle_solve
 from dimatch.graph import Graph
 from dimatch.patterns import (
     c4_edges,
@@ -19,7 +19,7 @@ from dimatch.patterns import (
     verify_witness,
 )
 
-from conftest import cycle, path, small_graphs
+from conftest import cycle, oracle_forced_edges, path, small_graphs
 
 
 class TestK4:

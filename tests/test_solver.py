@@ -417,6 +417,18 @@ class TestClassViolation:
 
         assert verify_witness(g, out.witness, spider_legs=(1, 2, 4))
 
+    @pytest.mark.parametrize("witness", [None, (0, 1, 2, 3, 4, 5, 6, 7)])
+    def test_unverified_witness_is_a_check_error(self, monkeypatch, witness):
+        from dimatch import patterns
+        from dimatch.patterns import PatternWitness
+        from dimatch.solver import StructuralCheckError
+
+        g = self.four_branch_hub()
+        found = None if witness is None else PatternWitness("spider", witness)
+        monkeypatch.setattr(patterns, "find_induced_sijk", lambda *args: found)
+        with pytest.raises(StructuralCheckError, match="more than three coupled components"):
+            AnchorSolver(g, (0, 1)).run()
+
     def test_two_hubs_proceed(self):
         edges = [(0, 1), (0, 2)]
         for i in range(2):
