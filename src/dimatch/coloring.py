@@ -37,7 +37,6 @@ R_DISTANCE_ONE = "distance-1"
 R_WHITE_WHITE = "white-adjacent-white"
 R_TWO_BLACK = "black-two-black-neighbors"
 R_NO_MATE = "black-no-mate"
-R_WHITE_COMMITTED = "white-endpoint-committed"
 
 
 class Coloring:
@@ -103,14 +102,15 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int], alive: int) -> s
     ``pending`` set keeps each vertex on it at most once.  Each queued
     vertex is pushed, then its colored neighbors; a vertex a rule colors is
     pushed the same way, at once.  A rule colors only vertices it saw
-    uncolored, so coloring never conflicts.  The pushes are written out
-    inline, with no helper closures, since in this hot loop a call per push
-    costs more than the push.
+    uncolored, so coloring never conflicts.  One local ``push`` does this
+    everywhere: only the anchor solver's seed colorings call ``propagate``
+    now, so a call per push costs little.
     """
     bits = g.bits
     work: list[int] = []
     pending: set[int] = set()
-    for v in queue:
+
+    def push(v: int) -> None:
         if v not in pending:
             pending.add(v)
             work.append(v)
@@ -118,6 +118,9 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int], alive: int) -> s
             if state[u] != UNSET and u not in pending:
                 pending.add(u)
                 work.append(u)
+
+    for v in queue:
+        push(v)
 
     while work:
         v = work.pop()
@@ -130,13 +133,7 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int], alive: int) -> s
                     return R_WHITE_WHITE
                 if cu == UNSET:
                     state[u] = BLACK
-                    if u not in pending:
-                        pending.add(u)
-                        work.append(u)
-                    for t in iter_bits(bits[u] & alive):
-                        if state[t] != UNSET and t not in pending:
-                            pending.add(t)
-                            work.append(t)
+                    push(u)
         elif c == BLACK:
             # iter_bits may answer with a one-shot generator: one call per loop.
             nbrs = bits[v] & alive
@@ -150,13 +147,7 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int], alive: int) -> s
                 for u in iter_bits(nbrs):
                     if u != mate and state[u] == UNSET:
                         state[u] = WHITE
-                        if u not in pending:
-                            pending.add(u)
-                            work.append(u)
-                        for t in iter_bits(bits[u] & alive):
-                            if state[t] != UNSET and t not in pending:
-                                pending.add(t)
-                                work.append(t)
+                        push(u)
             else:
                 candidate = -1
                 count = 0
@@ -168,13 +159,7 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int], alive: int) -> s
                     return R_NO_MATE
                 if count == 1:
                     state[candidate] = BLACK
-                    if candidate not in pending:
-                        pending.add(candidate)
-                        work.append(candidate)
-                    for t in iter_bits(bits[candidate] & alive):
-                        if state[t] != UNSET and t not in pending:
-                            pending.add(t)
-                            work.append(t)
+                    push(candidate)
     return None
 
 
@@ -202,19 +187,17 @@ def commit_pair(g: Graph, alive: int, state: list[int], mask: int, vw: Edge) -> 
     neighbors of the pair turn white, then both endpoints turn black; every
     alive edge at distance 1 from the pair now has a white endpoint, so it
     can never be matched.  An endpoint in ``mask`` means ``vw`` lies at
-    distance 1 from an earlier commit (``distance-1``); any other white
-    endpoint was whitened by another rule (``white-endpoint-committed``).
-    The caller removes the endpoints from ``alive`` and adds their alive
-    neighbors to ``mask``.  Mutates ``state`` in place, also when it fails
-    partway.
+    distance 1 from an earlier commit (``distance-1``).  Every white
+    endpoint must lie in ``mask``: the closure's whites all do, and
+    ``AnchorSolver._commit`` says why the anchor solver's do.  The caller
+    removes the endpoints from ``alive`` and adds their alive neighbors to
+    ``mask``.  Mutates ``state`` in place, also when it fails partway.
     """
     v, w = vw
     if not (alive >> v & 1 and alive >> w & 1):
         return R_SHARED_VERTEX
     if (mask >> v | mask >> w) & 1:
         return R_DISTANCE_ONE
-    if state[v] == WHITE or state[w] == WHITE:
-        return R_WHITE_COMMITTED
     bits = g.bits
     for z in iter_bits((bits[v] | bits[w]) & alive & ~(1 << v) & ~(1 << w)):
         if state[z] == BLACK:
@@ -248,10 +231,9 @@ def forced_edge_closure(g: Graph, seeds: Iterable[Edge]) -> ReductionOutcome:
     mask = 0
     committed: list[Edge] = []
     for vw in dict.fromkeys(edge(*e) for e in seeds):
-        # Only shared-vertex and distance-1 can come back here: every white
-        # vertex is in ``mask``, so distance-1 answers before
-        # white-endpoint-committed, and the only black vertices are
-        # committed endpoints, no longer alive, so no black-two-black-neighbors.
+        # Only shared-vertex and distance-1 can come back here: the only
+        # black vertices are committed endpoints, no longer alive, so no
+        # black-two-black-neighbors.
         reason = commit_pair(g, alive, state, mask, vw)
         if reason:
             return ReductionOutcome.contradiction(reason)

@@ -83,59 +83,33 @@ class GenSpec:
 # -- named gadgets -----------------------------------------------------------
 
 
-def _path_edges(k: int) -> list[Edge]:
-    return [(i, i + 1) for i in range(k - 1)]
-
-
-def _cycle_edges(k: int) -> list[Edge]:
-    return _path_edges(k) + [(0, k - 1)]
-
-
-def _spider_edges(i: int, j: int, k: int) -> tuple[int, list[Edge]]:
-    edges: list[Edge] = []
-    pos = 1
-    for length in (i, j, k):
-        prev = 0
-        for _ in range(length):
-            edges.append((min(prev, pos), max(prev, pos)))
-            prev = pos
-            pos += 1
-    return pos, edges
-
-
 _SPIDER_RE = re.compile(r"^s[_ ](\d+)[_ ](\d+)[_ ](\d+)$")
 
 
 def gadget(name: str) -> Graph:
-    """Construct a named small graph with its conventional labeling."""
+    """Construct a named small graph; the shapes of ``patterns.SHAPES`` and
+    the spiders are labelled in witness role order."""
     name = name.strip().lower()
-    if name == "diamond":
-        return Graph(4, [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)])
-    if name == "butterfly":
-        return Graph(5, [(0, 1), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
-    if name == "gem":
-        return Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
+    if name in patterns.SHAPES:
+        return Graph(*patterns.SHAPES[name])
     if name == "claw":
         return gadget("s_1_1_1")
-    if name == "k4":
-        return Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     if name.startswith("c") and name[1:].isdigit():
         k = int(name[1:])
         if not 3 <= k <= 12:
             raise GenerationError(f"cycle length {k} out of range 3..12")
-        return Graph(k, _cycle_edges(k))
+        return Graph(k, patterns.cycle_edges(k))
     if name.startswith("p") and name[1:].isdigit():
         k = int(name[1:])
         if not 2 <= k <= 12:
             raise GenerationError(f"path length {k} out of range 2..12")
-        return Graph(k, _path_edges(k))
+        return Graph(k, patterns.path_edges(k))
     m = _SPIDER_RE.match(name)
     if m:
         i, j, k = (int(t) for t in m.groups())
         if i + j + k > 8:
             raise GenerationError("spider legs limited to total length 8")
-        n, edges = _spider_edges(i, j, k)
-        return Graph(n, edges)
+        return Graph(*patterns.spider_edges(i, j, k))
     raise GenerationError(f"unknown gadget {name!r}")
 
 
@@ -166,7 +140,7 @@ def _block_chunk(size: int, rng: SplitMix64) -> tuple[list[Edge], list[Edge]]:
 
 
 def _path_chunk(size: int) -> tuple[list[Edge], list[Edge]]:
-    edges = _path_edges(size)
+    edges = patterns.path_edges(size)
     r = size % 3
     if r == 2:
         picks = list(range(0, size - 1, 3))
@@ -179,7 +153,7 @@ def _path_chunk(size: int) -> tuple[list[Edge], list[Edge]]:
 def _cycle_chunk(size: int) -> tuple[list[Edge], list[Edge]]:
     if size % 3:
         raise GenerationError("cycle blocks need length divisible by 3")
-    edges = _cycle_edges(size)
+    edges = patterns.cycle_edges(size)
     matching = [(i, i + 1) for i in range(0, size - 1, 3)]
     return edges, matching
 
@@ -211,11 +185,8 @@ def generate_planted(spec: GenSpec) -> tuple[Graph, frozenset[Edge]]:
     matching: list[Edge] = []
     offset = 0
     remaining = spec.n
-    while remaining:
-        if remaining == 1:
-            offset += 1
-            remaining = 0
-            break
+    # A last single vertex stays isolated.
+    while remaining > 1:
         if remaining <= 4:
             chunk_edges, chunk_matching = _path_chunk(remaining)
             size = remaining
@@ -223,25 +194,20 @@ def generate_planted(spec: GenSpec) -> tuple[Graph, frozenset[Edge]]:
             kind = rng.choice(["block", "block", "path", "cycle", "hub"])
             if kind == "block":
                 size = min(rng.randint(4, 7), remaining)
-                if size < 4:
-                    size = remaining
                 chunk_edges, chunk_matching = _block_chunk(size, rng)
             elif kind == "path":
                 size = min(rng.randint(5, 12), remaining)
                 chunk_edges, chunk_matching = _path_chunk(size)
             elif kind == "cycle":
                 size = min(3 * rng.randint(2, 4), remaining)
-                if size % 3 or size < 6:
-                    size = min(remaining, 5)
+                if size % 3:
+                    size = 5
                     chunk_edges, chunk_matching = _path_chunk(size)
                 else:
                     chunk_edges, chunk_matching = _cycle_chunk(size)
             else:
                 size = min(rng.randint(7, 21), remaining)
-                if size < 5:
-                    chunk_edges, chunk_matching = _path_chunk(size)
-                else:
-                    chunk_edges, chunk_matching = _hub_chunk(size, rng)
+                chunk_edges, chunk_matching = _hub_chunk(size, rng)
         edges.extend((u + offset, v + offset) for u, v in chunk_edges)
         matching.extend((u + offset, v + offset) for u, v in chunk_matching)
         offset += size
@@ -279,8 +245,7 @@ def generate_rejection(spec: GenSpec) -> Graph:
 def generate(spec: GenSpec) -> tuple[Graph, frozenset[Edge] | None]:
     """Dispatch on the spec's mode; planted mode also returns its matching."""
     if spec.mode == "planted":
-        g, m = generate_planted(spec)
-        return g, m
+        return generate_planted(spec)
     if spec.mode == "rejection":
         return generate_rejection(spec), None
     if spec.mode == "gadget":

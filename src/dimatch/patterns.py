@@ -7,7 +7,8 @@ and the parametric three-legged spider ``S(i, j, k)`` (a center vertex with
 three induced paths of the given lengths attached, nothing else).
 
 Every witness carries its vertices in a fixed role order so the calling code
-can read off forced edges without re-deriving roles.
+can read off forced edges without re-deriving roles.  The shapes in that
+order (`SHAPES` and the path, cycle and spider edge lists) live here too.
 """
 
 from __future__ import annotations
@@ -50,6 +51,41 @@ class PatternWitness:
             raise ValueError("peripheral_edges is only defined for butterfly witnesses")
         a, b, c, d, _ = self.vertices
         return (edge(a, b), edge(c, d))
+
+
+def path_edges(k: int) -> list[Edge]:
+    """The path 0 - 1 - ... - (k - 1), as canonical edges."""
+    return [(i, i + 1) for i in range(k - 1)]
+
+
+def cycle_edges(k: int) -> list[Edge]:
+    """The cycle 0 - 1 - ... - (k - 1) - 0, as canonical edges."""
+    return path_edges(k) + [(0, k - 1)]
+
+
+def spider_edges(i: int, j: int, k: int) -> tuple[int, list[Edge]]:
+    """The spider S(i, j, k) in witness role order: its vertex count and
+    canonical edges."""
+    edges: list[Edge] = []
+    pos = 1
+    for length in (i, j, k):
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, pos))
+            prev = pos
+            pos += 1
+    return pos, edges
+
+
+# The fixed patterns as (vertex count, canonical edges), vertices in the
+# role order of ``PatternWitness``.
+SHAPES: dict[str, tuple[int, tuple[Edge, ...]]] = {
+    "k4": (4, tuple(combinations(range(4), 2))),
+    "diamond": (4, ((0, 1), (1, 2), (0, 3), (1, 3), (2, 3))),
+    "butterfly": (5, ((0, 1), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4))),
+    "gem": (5, (*path_edges(4), (0, 4), (1, 4), (2, 4), (3, 4))),
+    "c4": (4, tuple(cycle_edges(4))),
+}
 
 
 def _first_k4(bits: Sequence[int]) -> tuple[int, ...] | None:
@@ -243,41 +279,23 @@ def find_induced_sijk(g: Graph, i: int, j: int, k: int) -> PatternWitness | None
 
 
 def verify_witness(g: Graph, w: PatternWitness, spider_legs: tuple[int, int, int] | None = None) -> bool:
-    """Re-check a witness against the exact adjacency of its pattern."""
+    """Re-check a witness against the exact adjacency of its pattern: as
+    many distinct vertices as its shape has (a spider's has legs
+    ``spider_legs``), adjacent exactly where their roles are."""
     vs = w.vertices
     if len(set(vs)) != len(vs):
         return False
-
-    def matches(required: set[tuple[int, int]]) -> bool:
-        for a, b in combinations(range(len(vs)), 2):
-            want = (a, b) in required or (b, a) in required
-            if g.has_edge(vs[a], vs[b]) != want:
-                return False
-        return True
-
-    if w.pattern == "k4":
-        return matches({(a, b) for a, b in combinations(range(4), 2)})
-    if w.pattern == "diamond":
-        return len(vs) == 4 and matches({(0, 1), (1, 2), (0, 3), (2, 3), (1, 3)})
-    if w.pattern == "butterfly":
-        return len(vs) == 5 and matches({(0, 1), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)})
-    if w.pattern == "gem":
-        return len(vs) == 5 and matches({(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)})
-    if w.pattern == "c4":
-        return len(vs) == 4 and matches({(0, 1), (1, 2), (2, 3), (3, 0)})
     if w.pattern == "spider":
         if spider_legs is None:
             raise ValueError("spider verification needs the intended leg lengths")
-        i, j, k = spider_legs
-        if len(vs) != 1 + i + j + k:
-            return False
-        required: set[tuple[int, int]] = set()
-        pos = 1
-        for length in (i, j, k):
-            prev = 0
-            for _ in range(length):
-                required.add((prev, pos))
-                prev = pos
-                pos += 1
-        return matches(required)
-    raise ValueError(f"unknown pattern {w.pattern!r}")
+        n, edges = spider_edges(*spider_legs)
+    elif w.pattern in SHAPES:
+        n, edges = SHAPES[w.pattern]
+    else:
+        raise ValueError(f"unknown pattern {w.pattern!r}")
+    if len(vs) != n:
+        return False
+    required = set(edges)
+    return all(
+        g.has_edge(vs[a], vs[b]) == ((a, b) in required) for a, b in combinations(range(n), 2)
+    )

@@ -138,9 +138,10 @@ class AnchorSolver:
     The level state of the last :meth:`decompose` lives here too, and only
     here: the bitmasks ``level_masks``, ``n3_mask`` and ``deep_mask``, the
     per-vertex level ``lev``, the level-2 ``pairs`` and ``singles``, each
-    single's ``pools`` of private level-3 mates (``pool_owner`` maps a pool
-    vertex back to its single), and ``shared3``, the level-3 vertices seeing
-    two or more level-2 vertices, which can never be matched.  The forcing
+    single's pool of private level-3 mates as a bitmask in ``pools``
+    (``pool_owner`` maps a pool vertex back to its single), and
+    ``shared_mask``, the level-3 vertices seeing two or more level-2
+    vertices, which can never be matched.  The forcing
     stages and the component coloring read it from the solver; candidate
     colorings travel as plain state lists.  :func:`propagate` reads the
     alive graph off ``bits`` and the alive mask; no other adjacency form is
@@ -190,9 +191,9 @@ class AnchorSolver:
         self.n3_mask = 0
         self.pairs: tuple[Edge, ...] = ()
         self.singles: tuple[int, ...] = ()
-        self.pools: dict[int, tuple[int, ...]] = {}
+        self.pools: dict[int, int] = {}
         self.pool_owner: dict[int, int] = {}
-        self.shared3: set[int] = set()
+        self.shared_mask = 0
         self._s114_free: bool | None = None
 
     # -- small helpers -----------------------------------------------------
@@ -208,8 +209,14 @@ class AnchorSolver:
 
     def _commit(self, vw: Edge, tag: str) -> None:
         """Commit a matched pair through :func:`commit_pair` and delete its
-        endpoints.  No stage commits a white endpoint that ``whitened``
-        lacks, so ``white-endpoint-committed`` never comes back here."""
+        endpoints.
+
+        No stage commits a white endpoint that ``whitened`` lacks: a level-2
+        pair endpoint is never white (``decompose`` fails first), pool and
+        lone-candidate endpoints are unset when collected, a contact
+        commit's white pool endpoint fails the sweep first, and a white
+        deep-triangle endpoint was whitened by a commit, or as an isolated
+        deep vertex whose partner a commit whitened."""
         v, w = vw = edge(*vw)
         reason = commit_pair(self.g, self.alive, self.state, self.whitened, vw)
         if reason:
@@ -319,11 +326,11 @@ class AnchorSolver:
 
         self.pairs = tuple(pairs)
         self.singles = tuple(singles)
+        pools: dict[int, int] = {}
         pool_owner: dict[int, int] = {}
-        shared3: set[int] = set()
-        acc: dict[int, list[int]] = {}
+        shared = 0
         if not pairs:
-            acc = {u: [] for u in singles}
+            pools = dict.fromkeys(singles, 0)
             rest = n3
             while rest:
                 low = rest & -rest
@@ -332,13 +339,13 @@ class AnchorSolver:
                 if parents and not parents & (parents - 1):
                     owner = parents.bit_length() - 1
                     pool_owner[t] = owner
-                    acc[owner].append(t)
+                    pools[owner] |= low
                 else:
-                    shared3.add(t)
+                    shared |= low
                 rest ^= low
-        self.pools = {u: tuple(ts) for u, ts in acc.items()}
+        self.pools = pools
         self.pool_owner = pool_owner
-        self.shared3 = shared3
+        self.shared_mask = shared
 
     def _bipartite(self, mask: int) -> bool:
         color: dict[int, int] = {}
@@ -381,11 +388,8 @@ class AnchorSolver:
         """Forced mates from cross-pool double contacts and from edges into
         the never-matched shared level-3 vertices; then eliminate the latter."""
         commits: set[Edge] = set()
-        shared_mask = 0
-        for s in self.shared3:
-            shared_mask |= 1 << s
         for u in self.singles:
-            for t in self.pools[u]:
+            for t in iter_bits(self.pools[u]):
                 per_owner: dict[int, int] = {}
                 for w in iter_bits(self._adj(t) & self.n3_mask):
                     owner = self.pool_owner.get(w)
@@ -393,25 +397,23 @@ class AnchorSolver:
                         per_owner[owner] = per_owner.get(owner, 0) + 1
                 if any(cnt >= 2 for cnt in per_owner.values()):
                     commits.add((min(u, t), max(u, t)))
-        for s in sorted(self.shared3):
+        for s in iter_bits(self.shared_mask):
             # Each t is a pool vertex, and not white: a white one would have
             # failed the sweep at its unset neighbour s.
-            for t in iter_bits(self._adj(s) & self.n3_mask & ~shared_mask):
+            for t in iter_bits(self._adj(s) & self.n3_mask & ~self.shared_mask):
                 commits.add(edge(self.pool_owner[t], t))
         if self._commit_all(commits, "contact-commit"):
             return True
-        changed = False
-        for s in sorted(self.shared3):
+        for s in iter_bits(self.shared_mask):
             self.state[s] = WHITE
-        for s in sorted(self.shared3):
+        for s in iter_bits(self.shared_mask):
             for z in iter_bits(self._adj(s)):
                 if self.state[z] == WHITE:
                     self._fail(R_WHITE_WHITE)
                 self.state[z] = BLACK
             self.alive &= ~(1 << s)
             self._tag("shared-contact-white-elim")
-            changed = True
-        return changed
+        return self.shared_mask != 0
 
     def sweep_colored_boundary(self) -> bool:
         """Push colors across the level-3 boundary.
@@ -469,11 +471,11 @@ class AnchorSolver:
                         continue
                     if bits[a] & bits[b] & self.alive & ~closed:
                         for t in (a, b):
-                            if self.pool_owner.get(t) == u and self.state[t] == UNSET:
+                            if pool >> t & 1 and self.state[t] == UNSET:
                                 self.state[t] = WHITE
                                 self._tag("cycle4-whiten")
                                 changed = True
-            candidates = [t for t in pool if self.state[t] == UNSET]
+            candidates = [t for t in iter_bits(pool) if self.state[t] == UNSET]
             if not candidates:
                 self._fail("candidate-exhausted")
             if len(candidates) == 1:
@@ -532,9 +534,7 @@ class AnchorSolver:
         """
         struct_mask = 0
         for u in self.singles:
-            struct_mask |= 1 << u
-        for t in self.pool_owner:
-            struct_mask |= 1 << t
+            struct_mask |= 1 << u | self.pools[u]
         seen = 0
         free: list[ComponentTask] = []
         coupled: list[ComponentTask] = []
@@ -556,7 +556,7 @@ class AnchorSolver:
                 if any(self.state[z] == UNSET for z in iter_bits(deep_nb)):
                     coupled_flag = True
                     break
-            seeds = tuple(t for t in self.pools[singles[0]] if self.state[t] == UNSET)
+            seeds = tuple(t for t in iter_bits(self.pools[singles[0]]) if self.state[t] == UNSET)
             task = ComponentTask(singles=singles, seeds=seeds)
             (coupled if coupled_flag else free).append(task)
         if len(coupled) > 3:
@@ -574,13 +574,13 @@ class AnchorSolver:
         The singles and pools are those of the last :meth:`decompose`, all
         still alive: the alive mask does not change after it.
         """
-        stalled: tuple[int, tuple[int, ...], list[int]] | None = None
+        stalled: tuple[int, int, list[int]] | None = None
         for task in tasks:
             for u in task.singles:
                 pool = self.pools[u]
-                if any(state[t] == BLACK for t in pool):
+                if any(state[t] == BLACK for t in iter_bits(pool)):
                     continue
-                cands = [t for t in pool if state[t] == UNSET]
+                cands = [t for t in iter_bits(pool) if state[t] == UNSET]
                 stalled = (u, pool, cands)
                 break
             if stalled:
@@ -590,9 +590,7 @@ class AnchorSolver:
             return
         u, pool, cands = stalled
         cands.sort(key=lambda t: (self.g.weight((u, t)), t))
-        pool_mask = 1 << u
-        for t in pool:
-            pool_mask |= 1 << t
+        pool_mask = 1 << u | pool
         # Candidates confined to the pool are interchangeable beyond weight,
         # so the cheapest feasible one settles the pool; anything with
         # outside contacts (off-class residue) is enumerated instead.
@@ -605,26 +603,28 @@ class AnchorSolver:
                 if inert:
                     return
 
-    def propagate_component(self, task: ComponentTask, seed: int) -> list[int] | None:
-        """Color one structure component from a single seed choice.
+    def _seeded(
+        self, seeds: Sequence[int], tasks: list[ComponentTask]
+    ) -> Iterator[list[int]]:
+        """The colorings of the tasks' pools that blacken the given seeds.
 
-        Seeds the given pool vertex black, closes under the forcing rules,
-        finishes any undecided pools, and returns the resulting state list,
-        or None when the seed contradicts.  The seed is unset: coloring a
-        free component changes only its own unset vertices, which have no
-        deep neighbour.
+        Copies the state, blackens the seeds, closes under the forcing
+        rules and yields from :meth:`_completions`; nothing when the seeds
+        contradict.  The seeds are distinct pool vertices of distinct
+        tasks, and unset: coloring a free component changes only its own
+        unset vertices, which have no deep neighbour.
         """
-        trial = list(self.state)
-        trial[seed] = BLACK
-        if propagate(self.g, trial, [seed], self.alive) is not None:
-            return None
-        return next(self._completions(trial, [task]), None)
+        state = list(self.state)
+        for seed in seeds:
+            state[seed] = BLACK
+        if propagate(self.g, state, seeds, self.alive) is None:
+            yield from self._completions(state, tasks)
 
     def _solve_free_component(self, task: ComponentTask) -> None:
         """Fix a freestanding component to its best (or first) feasible coloring."""
         best: tuple[float, list[int]] | None = None
         for seed in task.seeds:
-            state = self.propagate_component(task, seed)
+            state = next(self._seeded((seed,), [task]), None)
             if state is None:
                 continue
             if not self.cfg.minimize:
@@ -633,8 +633,8 @@ class AnchorSolver:
             weight = sum(
                 self.g.weight((u, t))
                 for u in task.singles
-                for t in iter_bits(self._adj(u))
-                if state[t] == BLACK and self.pool_owner.get(t) == u
+                for t in iter_bits(self.pools[u])
+                if state[t] == BLACK
             )
             if best is None or weight < best[0]:
                 best = (weight, state)
@@ -656,13 +656,7 @@ class AnchorSolver:
                 yield state
             return
         for combo in product(*[task.seeds for task in coupled]):
-            # The seeds are unset (see propagate_component) and distinct.
-            state = list(self.state)
-            for seed in combo:
-                state[seed] = BLACK
-            if propagate(self.g, state, list(combo), self.alive) is not None:
-                continue
-            yield from self._completions(state, coupled)
+            yield from self._seeded(combo, coupled)
 
     # -- finishing -----------------------------------------------------------
 
@@ -741,13 +735,9 @@ class AnchorSolver:
 
     def _strict_decomposition_checks(self) -> None:
         for u in self.singles:
-            inner = [
-                (a, b)
-                for a in self.pools[u]
-                for b in self.pools[u]
-                if a < b and self.bits[a] >> b & 1
-            ]
-            if len(inner) > 1:
+            pool = self.pools[u]
+            # Each edge inside the pool is counted from both ends.
+            if sum((self.bits[a] & pool).bit_count() for a in iter_bits(pool)) > 2:
                 self._check_failed(f"pool of {u} holds more than one edge")
         if self.g.n <= 64:
             self._strict_path_endpoints()

@@ -177,16 +177,15 @@ def reference_decompose(self: AnchorSolver) -> None:
     self.singles = tuple(singles)
     self.pools = {}
     self.pool_owner = {}
-    self.shared3 = set()
+    self.shared_mask = 0
     if not pairs:
-        acc: dict[int, list[int]] = {u: [] for u in singles}
+        self.pools = {u: 0 for u in singles}
         for t in iter_bits(self.n3_mask):
             parents = self._adj(t) & n2
             count = bin(parents).count("1")
             if count == 1:
                 owner = (parents & -parents).bit_length() - 1
                 self.pool_owner[t] = owner
-                acc[owner].append(t)
+                self.pools[owner] |= 1 << t
             else:
-                self.shared3.add(t)
-        self.pools = {u: tuple(ts) for u, ts in acc.items()}
+                self.shared_mask |= 1 << t

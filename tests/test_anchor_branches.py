@@ -2,8 +2,8 @@
 
 `TestReachability` pins one small graph per reason the anchor solver
 reports, found through ``solve``'s anchor log and checked against the
-oracle, and scans ``solver.py`` so that a reason with neither a row nor an
-exemption (a branch no input can reach, with the reason why) fails.  The checks that
+oracle, and scans ``solver.py`` so that a reason without a row fails: a
+branch no ``solve`` input reaches is deleted, not exempted.  The checks that
 were deleted as unreachable rest on invariants of a run (see the
 `AnchorSolver` docstring); `TestInvariantGuard` asserts them at each stage
 over a fixed corpus, in the tests only, so that the solve path pays
@@ -18,22 +18,13 @@ import inspect
 import pytest
 
 from dimatch import coloring, solver
-from dimatch.coloring import BLACK, R_WHITE_COMMITTED, UNSET, WHITE
+from dimatch.coloring import BLACK, UNSET, WHITE
 from dimatch.generate import GenSpec, generate_planted
 from dimatch.graph import Graph, GraphError
 from dimatch.oracle import enumerate_all_graphs, oracle_solve
 from dimatch.solver import AnchorSolver, solve
 
 from conftest import cycle, path
-
-# Reasons no input can reach through `solve`, each with the reason why.
-EXEMPT = {
-    R_WHITE_COMMITTED: (
-        "commit_pair's white-endpoint check, reached through _commit: every"
-        " anchor-solver commit has unset or black endpoints, or endpoints"
-        " whitened by an earlier commit, which answer distance-1 first"
-    ),
-}
 
 # (reason, graph, solve kwargs): the anchor log of the solve shows the reason.
 ROWS = [
@@ -115,11 +106,10 @@ def reported_reasons() -> set[str]:
 
 
 class TestReachability:
-    def test_every_reason_has_a_row_or_an_exemption(self):
+    def test_every_reason_has_a_row(self):
         rows = {reason for reason, _, _ in ROWS}
         assert len(rows) == len(ROWS)
-        assert not rows & set(EXEMPT)
-        assert reported_reasons() == rows | set(EXEMPT)
+        assert reported_reasons() == rows
 
     @pytest.mark.parametrize("reason, g, kwargs", ROWS, ids=[row[0] for row in ROWS])
     def test_solve_reaches_the_reason(self, reason, g, kwargs):
@@ -166,40 +156,32 @@ def guard_stages(monkeypatch) -> dict[str, int]:
     def pools_alive(real):
         def wrapped(self, *args):
             assert all(self.alive >> t & 1 for t in self.pool_owner)
-            assert all(self.alive >> t & 1 for u in self.singles for t in self.pools[u])
+            assert all(not self.pools[u] & ~self.alive for u in self.singles)
             seen["pools"] += 1
             return real(self, *args)
         return wrapped
 
-    real_propagate_component = AnchorSolver.propagate_component
+    real_seeded = AnchorSolver._seeded
 
-    def propagate_component(self, task, seed):
-        assert self.state[seed] == UNSET
+    def seeded(self, seeds, tasks):
+        assert len(set(seeds)) == len(seeds)
+        assert all(self.state[t] == UNSET for t in seeds)
         seen["seeds"] += 1
-        return real_propagate_component(self, task, seed)
-
-    real_core = AnchorSolver._iter_core_colorings
-
-    def iter_core_colorings(self, coupled):
-        assert all(self.state[t] == UNSET for task in coupled for t in task.seeds)
-        seen["seeds"] += 1
-        return real_core(self, coupled)
+        return real_seeded(self, seeds, tasks)
 
     real_commit_pair = solver.commit_pair
 
-    def commit_pair(*args):
-        reason = real_commit_pair(*args)
-        assert reason != R_WHITE_COMMITTED
+    def commit_pair(g, alive, state, mask, vw):
+        assert all(state[v] != WHITE or mask >> v & 1 for v in vw)
         seen["commits"] += 1
-        return reason
+        return real_commit_pair(g, alive, state, mask, vw)
 
     monkeypatch.setattr(AnchorSolver, "decompose", decompose)
     monkeypatch.setattr(AnchorSolver, "prune_pools", pools_alive(AnchorSolver.prune_pools))
     monkeypatch.setattr(
         AnchorSolver, "classify_components", pools_alive(AnchorSolver.classify_components)
     )
-    monkeypatch.setattr(AnchorSolver, "propagate_component", propagate_component)
-    monkeypatch.setattr(AnchorSolver, "_iter_core_colorings", iter_core_colorings)
+    monkeypatch.setattr(AnchorSolver, "_seeded", seeded)
     monkeypatch.setattr(solver, "commit_pair", commit_pair)
     return seen
 

