@@ -22,8 +22,7 @@ of the vertices its commits whitened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .graph import Edge, Graph, edge, iter_bits
 
@@ -56,9 +55,10 @@ class Coloring:
         return cls([UNSET] * n)
 
 
-@dataclass(frozen=True)
-class ReductionOutcome:
+class ReductionOutcome(NamedTuple):
     """Result of the forced-edge closure: a smaller graph and its colors, or a contradiction.
+
+    An immutable named tuple, read by field.
 
     ``state`` holds the residual's vertex colors, whose whites are the
     vertices the commits whitened.  ``committed`` lists the committed pairs

@@ -13,6 +13,7 @@ callers outside the package, the benchmark among them.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterable, Iterator, Mapping
 
 Edge = tuple[int, int]
@@ -56,7 +57,7 @@ class Graph:
     """A finite simple undirected graph, immutable after construction.
 
     ``edges`` is the sorted tuple of canonical edges and ``weights`` maps
-    each of them to its weight, finite and non-negative, 1 unless given;
+    each of them to its weight, a finite non-negative real, 1 unless given;
     the weights must also sum to a finite float.  Edge membership is read
     from ``weights``, the one edge container.  The adjacency forms ``bits``
     (bitmasks, which the solve and oracle paths read) and ``adj``
@@ -95,6 +96,8 @@ class Graph:
                 e = edge(*e)
                 if e not in w:
                     raise GraphError(f"weight given for absent edge {e}")
+                if not isinstance(wt, numbers.Real):
+                    raise GraphError(f"non-numeric weight {wt!r} on {e}")
                 # wt != wt catches NaN; math.isfinite would overflow on a huge int.
                 if wt != wt or wt in (math.inf, -math.inf):
                     raise GraphError(f"non-finite weight on {e}")

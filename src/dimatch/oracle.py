@@ -16,8 +16,7 @@ differential-testing harness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .coloring import BLACK, WHITE, Coloring
 from .graph import Edge, Graph, iter_bits
@@ -28,9 +27,8 @@ class EnumerationCapExceeded(RuntimeError):
     """The number of matchings exceeded the configured cap."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Outcome of an exact solve.
+class OracleResult(NamedTuple):
+    """Outcome of an exact solve, an immutable named tuple read by field.
 
     ``best`` is a (matching, weight) pair in min-weight mode (and in exists
     mode, where it is whatever solution was found first); ``all_dims`` is

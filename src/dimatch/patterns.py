@@ -13,16 +13,16 @@ order (`SHAPES` and the path, cycle and spider edge lists) live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import Edge, Graph, edge, iter_bits
 
 
-@dataclass(frozen=True)
-class PatternWitness:
+class PatternWitness(NamedTuple):
     """A named induced pattern plus the vertices that realise it.
+
+    An immutable named tuple, read by field.
 
     Role orders:
       * ``k4``:        four mutually adjacent vertices, ascending.

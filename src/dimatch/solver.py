@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import patterns
 from .coloring import (
@@ -81,17 +81,19 @@ class ClassViolationError(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class ComponentTask:
-    """One component of the level-2/3 structure, ready for seed enumeration."""
+class ComponentTask(NamedTuple):
+    """One component of the level-2/3 structure, ready for seed enumeration.
+
+    An immutable named tuple, read by field."""
 
     singles: tuple[int, ...]
     seeds: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
-    """Verdict of a solve plus the evidence that produced it."""
+class SolveOutcome(NamedTuple):
+    """Verdict of a solve plus the evidence that produced it.
+
+    An immutable named tuple, read by field."""
 
     verdict: str
     matching: frozenset[Edge] | None = None
@@ -169,10 +171,12 @@ class AnchorSolver:
     ) -> None:
         self.g = g
         self.bits = bits = g.bits
-        self.anchor = edge(*anchor)
-        if not g.has_edge_canon(self.anchor):
+        x, y = anchor
+        if y < x:
+            x, y = y, x
+        self.anchor = (x, y)
+        if self.anchor not in g.weights:
             raise GraphError(f"anchor edge {self.anchor} not in graph")
-        x, y = self.anchor
         if not (bits[x] ^ bits[y]) & ~(1 << x) & ~(1 << y):
             raise GraphError(f"anchor edge {self.anchor} is not on a 3-vertex path")
         self.cfg = config or SolverConfig()
@@ -180,7 +184,11 @@ class AnchorSolver:
         if BLACK in self.state or WHITE in (self.state[x], self.state[y]):
             raise GraphError("anchor state holds a black vertex or a white anchor endpoint")
         self.state[x] = self.state[y] = BLACK
-        self.whitened = sum(1 << v for v, c in enumerate(self.state) if c == WHITE)
+        self.whitened = (
+            sum(1 << v for v, c in enumerate(self.state) if c == WHITE)
+            if WHITE in self.state
+            else 0
+        )
         self.committed: list[Edge] = []
         self.alive = (1 << g.n) - 1
         self.trace: list[str] = []
@@ -651,8 +659,11 @@ class AnchorSolver:
         vertices before being offered to the deep finisher.
         """
         if not coupled:
+            # A successful closure does not depend on the queue's order, so
+            # the uncolored vertices, which no rule reads, stay off it.
             state = list(self.state)
-            if propagate(self.g, state, list(iter_bits(self.alive)), self.alive) is None:
+            queue = [v for v in iter_bits(self.alive) if state[v] != UNSET]
+            if propagate(self.g, state, queue, self.alive) is None:
                 yield state
             return
         for combo in product(*[task.seeds for task in coupled]):
@@ -703,17 +714,19 @@ class AnchorSolver:
             self._tag("deep-handoff")
         # Pairs strictly inside levels 0..3: deeper pairs come back from the
         # sub-solver, stray pairs from the stray pass (their vertices sit
-        # outside the levels entirely, lev == -1).
-        core_pairs = {
-            e
-            for e in self.g.edges
-            if self.alive >> e[0] & 1
-            and self.alive >> e[1] & 1
-            and 0 <= self.lev[e[0]] <= 3
-            and 0 <= self.lev[e[1]] <= 3
-            and state[e[0]] == BLACK
-            and state[e[1]] == BLACK
-        }
+        # outside the levels entirely, lev == -1).  They go into the set in
+        # the order of ``g.edges``, which fixes the order in which
+        # ``matching_weight`` adds their weights.
+        black = 0
+        for mask in self.level_masks[:4]:
+            for v in iter_bits(mask & self.alive):
+                if state[v] == BLACK:
+                    black |= 1 << v
+        bits = self.bits
+        core_pairs: set[Edge] = set()
+        for u in iter_bits(black):
+            for v in iter_bits(bits[u] & black >> (u + 1) << (u + 1)):
+                core_pairs.add((u, v))
         matching = frozenset(self.committed) | core_pairs | deep_matching
         weight = (
             self.g.matching_weight(self.committed)
@@ -852,15 +865,16 @@ def _solve_residual(g: Graph, state: list[int], cfg: SolverConfig) -> SolveOutco
     """Solve one connected residual piece left over after the forced closure.
 
     ``state`` holds the piece's vertex colors.  The piece has at least one
-    edge: :func:`_solve_pieces` hands over only connected pieces with two or
-    more vertices.
+    edge: :func:`_solve_connected` hands over its connected input, or each
+    connected piece of its residual that has two or more vertices.
     """
     bits = g.bits
+    m = g.m
     singles: list[tuple[float, Edge]] = []
     for u, v in g.edges:
         if state[u] == WHITE or state[v] == WHITE:
             continue
-        if bits[u].bit_count() + bits[v].bit_count() - 1 == g.m:
+        if bits[u].bit_count() + bits[v].bit_count() - 1 == m:
             singles.append((g.weights[(u, v)], (u, v)))
             if not cfg.minimize:
                 break
@@ -903,34 +917,30 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
     """
     start = time.perf_counter()
     seeds = patterns.forced_edges_initial(g)
-    trace: list[str] = []
-    committed: list[Edge] = []
-    residual, residual_state, old_of_new = g, [UNSET] * g.n, tuple(range(g.n))
-    if seeds:
-        trace.append(f"forced-closure:{len(seeds)}")
-        if g.is_dim(seeds):
-            cfg.tick("closure", start)
-            return SolveOutcome(
-                FOUND,
-                matching=frozenset(seeds),
-                weight=g.matching_weight(seeds),
-                trace=tuple(trace) + ("forced-dominates",),
-            )
-        closure = forced_edge_closure(g, sorted(seeds))
-        if not closure.ok:
-            cfg.tick("closure", start)
-            return SolveOutcome(NO_DIM, reason=closure.reason, trace=tuple(trace))
-        committed = closure.committed
-        residual, residual_state, old_of_new = closure.graph, closure.state, closure.provenance
+    if not seeds:
+        # Nothing is committed, so the residual is the connected input.
+        cfg.tick("closure", start)
+        return _solve_residual(g, [UNSET] * g.n, cfg)
+    trace = [f"forced-closure:{len(seeds)}"]
+    if g.is_dim(seeds):
+        cfg.tick("closure", start)
+        return SolveOutcome(
+            FOUND,
+            matching=frozenset(seeds),
+            weight=g.matching_weight(seeds),
+            trace=tuple(trace) + ("forced-dominates",),
+        )
+    closure = forced_edge_closure(g, sorted(seeds))
     cfg.tick("closure", start)
-
+    if not closure.ok:
+        return SolveOutcome(NO_DIM, reason=closure.reason, trace=tuple(trace))
     return _solve_pieces(
-        residual,
-        residual_state,
-        old_of_new,
+        closure.graph,
+        closure.state,
+        closure.provenance,
         lambda sub, sub_state: _solve_residual(sub, sub_state, cfg),
-        set(committed),
-        g.matching_weight(committed),
+        set(closure.committed),
+        g.matching_weight(closure.committed),
         trace,
     )
 

@@ -81,6 +81,21 @@ def test_names_the_benchmark_also_reads():
     )
 
 
+def test_record_fields_the_benchmark_reads():
+    # Its ops read these fields off the records that solve, oracle_solve
+    # and a class-violation witness return.
+    g = generate.gadget("s_1_2_4")
+    out = solver.solve(g, verify_class=True)
+    assert (out.verdict, out.weight, out.matching) == (solver.CLASS_VIOLATION, None, None)
+    assert (out.witness.pattern, len(out.witness.vertices)) == ("spider", 8)
+    found = solver.solve(Graph(2, [(0, 1)]), minimize=True, strict=True)
+    assert (found.verdict, found.weight, found.matching, found.witness) == (
+        solver.FOUND, 1.0, {(0, 1)}, None
+    )
+    ref = oracle.oracle_solve(Graph(2, [(0, 1)]), mode="min_weight")
+    assert ref.feasible and ref.best == ({(0, 1)}, 1)
+
+
 def test_structural_solve_fills_the_timing_keys():
     # One pool vertex hanging three deep chains: the structural route hands
     # a residue to the sub-solver, so every timed layer runs.

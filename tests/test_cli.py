@@ -339,6 +339,21 @@ class TestDetectCommand:
         assert code == EXIT_FOUND
         assert payload["witnesses"][0]["mid_edge"] == ["2", "4"]
 
+    def test_gem_witness_on_ten_vertices(self, tmp_path, capsys):
+        # Hub 2 (1-indexed) sees the path 10-5-9-8 and vertex 1; hub 6 sees
+        # the path 1-3-4-7.  Masks reach bit 9, past the small-mask table.
+        g = Graph(
+            10,
+            [(0, 1), (1, 4), (1, 7), (1, 8), (1, 9), (4, 8), (7, 8), (4, 9)]
+            + [(0, 2), (2, 3), (3, 6), (5, 0), (5, 2), (5, 3), (5, 6)],
+        )
+        path = tmp_path / "g.col"
+        path.write_text(write_edge_list(g))
+        code = main(["detect", str(path), "gem"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_FOUND
+        assert payload["witnesses"] == [{"pattern": "gem", "vertices": ["10", "5", "9", "8", "2"]}]
+
     def test_unknown_pattern(self, tmp_path):
         path = write_gadget(tmp_path, "p3")
         assert main(["detect", path, "pentagon"]) == EXIT_USAGE

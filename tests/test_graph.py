@@ -47,6 +47,11 @@ class TestConstruction:
         with pytest.raises(GraphError, match=r"non-finite weight on \(0, 1\)"):
             Graph(2, [(0, 1)], weights={(1, 0): wt})
 
+    @pytest.mark.parametrize("wt", ["1", None, 1j, [1]], ids=["str", "none", "complex", "list"])
+    def test_rejects_non_numeric_weight(self, wt):
+        with pytest.raises(GraphError, match=r"non-numeric weight .* on \(0, 1\)"):
+            Graph(2, [(0, 1)], weights={(0, 1): wt})
+
     @pytest.mark.parametrize(
         "n, weights",
         [

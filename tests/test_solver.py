@@ -10,21 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimatch import gadget, oracle_solve
-from dimatch.coloring import BLACK, UNSET, WHITE, Coloring
+from dimatch.coloring import BLACK, R_DISTANCE_ONE, UNSET, WHITE, Coloring, ReductionOutcome
 from dimatch.fileio import parse_edge_list, write_edge_list
 from dimatch.generate import GenSpec, SplitMix64, generate_planted, with_random_weights
 from dimatch.graph import Graph, edge, iter_bits
-from dimatch.oracle import enumerate_all_graphs
-from dimatch.patterns import find_induced_sijk, find_k4, verify_witness
+from dimatch.oracle import OracleResult, enumerate_all_graphs
+from dimatch.patterns import PatternWitness, find_induced_sijk, find_k4, verify_witness
 from dimatch.solver import (
     CLASS_VIOLATION,
     EXACT_NODES_PER_VERTEX,
+    FOUND,
     NO_DIM,
     NO_DIM_WITH_ANCHOR,
     REASON_NO_COMPLETION,
     TRACE_EXACT,
     AnchorContradiction,
     AnchorSolver,
+    ComponentTask,
+    SolveOutcome,
     SolverConfig,
     anchor_edges,
     solve,
@@ -581,6 +584,71 @@ class TestCompletions:
         assert deepest[0] >= 2
         assert out.found and out.weight == 3.0
         assert out.weight == oracle_solve(g, mode="min_weight").best[1]
+
+
+class TestFoundWeightIsFloat:
+    """Every found weight is a float, also where the edge weights are ints:
+    the top-level merge adds the pieces' weights to 0.0."""
+
+    def test_single_edge_residual(self):
+        out = solve(gadget("claw"), structural=True)
+        assert out.trace == ("single-edge",) and type(out.weight) is float
+
+    def test_forced_dominates(self):
+        out = solve(gadget("diamond"), structural=True)
+        assert out.trace[-1] == "forced-dominates" and type(out.weight) is float
+
+    def test_anchor_answer_in_strict_min_weight_mode(self):
+        g = Graph(5, path(5).edges, weights={(0, 1): 3, (1, 2): 2, (2, 3): 4, (3, 4): 1})
+        log: list = []
+        out = solve(g, minimize=True, strict=True, anchor_log=log)
+        assert out.found and any(entry[2] == "found" for entry in log)
+        assert type(out.weight) is float
+
+    def test_exact_route(self):
+        out = solve(cycle(6))
+        assert out.trace == (TRACE_EXACT,) and type(out.weight) is float
+
+    @pytest.mark.parametrize("route", ROUTES, ids=["structural", "exact"])
+    def test_edgeless_graph(self, route):
+        out = solve(Graph(3, []), **route)
+        assert out.found and out.weight == 0 and type(out.weight) is float
+
+
+class TestRecords:
+    """The result records are immutable and keep their defaults and properties."""
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (SolveOutcome(FOUND), "verdict"),
+            (PatternWitness("k4", (0, 1, 2, 3)), "vertices"),
+            (OracleResult(False), "feasible"),
+            (ReductionOutcome.contradiction(R_DISTANCE_ONE), "reason"),
+            (ComponentTask((0,), (1, 2)), "seeds"),
+        ],
+        ids=lambda value: type(value).__name__ if not isinstance(value, str) else value,
+    )
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+    def test_solve_outcome_defaults(self):
+        out = SolveOutcome(CLASS_VIOLATION)
+        assert (out.verdict, out.matching, out.weight, out.trace, out.reason, out.witness) == (
+            CLASS_VIOLATION, None, None, (), None, None
+        )
+        assert not out.found and SolveOutcome(FOUND).found
+
+    def test_witness_edges_by_pattern(self):
+        diamond = PatternWitness("diamond", (0, 3, 2, 1))
+        assert diamond.mid_edge == (1, 3)
+        butterfly = PatternWitness("butterfly", (1, 0, 3, 2, 4))
+        assert butterfly.peripheral_edges == ((0, 1), (2, 3))
+        with pytest.raises(ValueError, match="only defined for diamond"):
+            butterfly.mid_edge
+        with pytest.raises(ValueError, match="only defined for butterfly"):
+            diamond.peripheral_edges
 
 
 class TestAnchorLog:
