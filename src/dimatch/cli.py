@@ -280,14 +280,14 @@ def _threads_arg(text: str) -> int:
 
 
 def _exhaustive_arg(text: str) -> int:
-    """An ``--exhaustive`` value: the largest graph size, at most EXHAUSTIVE_MAX_N."""
+    """An ``--exhaustive`` value: the largest graph size, from 2 to EXHAUSTIVE_MAX_N."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
-    if value > EXHAUSTIVE_MAX_N:
+    if not 2 <= value <= EXHAUSTIVE_MAX_N:
         raise argparse.ArgumentTypeError(
-            f"the exhaustive corpus is capped at n={EXHAUSTIVE_MAX_N}, got {value}"
+            f"the exhaustive corpus spans n=2..{EXHAUSTIVE_MAX_N}, got {value}"
         )
     return value
 

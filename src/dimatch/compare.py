@@ -232,6 +232,8 @@ def _directory_graphs(path: str) -> Iterator[tuple[str, Graph]]:
 
 def _seed_chunks(seed: int, count: int, chunks: int) -> list[list[int]]:
     """Seeds ``seed .. seed+count-1`` in consecutive runs, about ``chunks`` of them."""
+    if count < 0:
+        raise ValueError(f"instance count must be at least 0, got {count}")
     seeds = [seed + i for i in range(count)]
     step = max(1, len(seeds) // chunks)
     return [seeds[i : i + step] for i in range(0, len(seeds), step)]
@@ -245,8 +247,8 @@ def run_exhaustive(
     The forbidden spider needs 8 vertices, so for n <= 7 the spider filter
     is vacuous and K4-freeness is the only class filter that can trigger.
     """
-    if n_max > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive corpus capped at n={EXHAUSTIVE_MAX_N}")
+    if not 2 <= n_max <= EXHAUSTIVE_MAX_N:
+        raise ValueError(f"the exhaustive corpus spans n=2..{EXHAUSTIVE_MAX_N}, got {n_max}")
     options = (minimize, strict)
     tasks = []
     for n in range(2, n_max + 1):

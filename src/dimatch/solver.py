@@ -138,12 +138,12 @@ class AnchorSolver:
     edge at one of them can ever be matched.
 
     The level state of the last :meth:`decompose` lives here too, and only
-    here: the bitmasks ``level_masks``, ``n3_mask`` and ``deep_mask``, the
-    per-vertex level ``lev``, the level-2 ``pairs`` and ``singles``, each
-    single's pool of private level-3 mates as a bitmask in ``pools``
-    (``pool_owner`` maps a pool vertex back to its single), and
+    here, in one form: the bitmasks ``level_masks``, ``n3_mask`` and
+    ``deep_mask``, the level-2 ``pairs`` and ``singles``, each single's
+    pool of private level-3 mates as a bitmask in ``pools``, and
     ``shared_mask``, the level-3 vertices seeing two or more level-2
-    vertices, which can never be matched.  The forcing
+    vertices, which can never be matched.  A pool vertex's owner is its
+    one neighbour in ``level_masks[2]``.  The forcing
     stages and the component coloring read it from the solver; candidate
     colorings travel as plain state lists.  :func:`propagate` reads the
     alive graph off ``bits`` and the alive mask; no other adjacency form is
@@ -193,14 +193,12 @@ class AnchorSolver:
         self.alive = (1 << g.n) - 1
         self.trace: list[str] = []
         # Level data, refreshed by decompose():
-        self.lev: list[int] = []
         self.level_masks: list[int] = []
         self.deep_mask = 0
         self.n3_mask = 0
         self.pairs: tuple[Edge, ...] = ()
         self.singles: tuple[int, ...] = ()
         self.pools: dict[int, int] = {}
-        self.pool_owner: dict[int, int] = {}
         self.shared_mask = 0
         self._s114_free: bool | None = None
 
@@ -250,30 +248,25 @@ class AnchorSolver:
         level-2 vertices that survive.
 
         One breadth-first pass from the anchor over the alive graph fills
-        both ``level_masks`` and ``lev``; vertices it does not reach keep
-        level -1.  Every mask is walked lowest bit first, and every level
-        mask past level 0 lies inside the alive set."""
+        ``level_masks``; vertices it does not reach lie in no level.  Every
+        mask is walked lowest bit first, and every level mask past level 0
+        lies inside the alive set."""
         bits = self.bits
         alive = self.alive
         state = self.state
         x, y = self.anchor
-        lev = [-1] * self.g.n
         masks: list[int] = []
         seen = (1 << x) | (1 << y)
         frontier = seen
         while frontier:
-            level = len(masks)
             masks.append(frontier)
             nxt = 0
             while frontier:
                 low = frontier & -frontier
-                v = low.bit_length() - 1
-                lev[v] = level
-                nxt |= bits[v]
+                nxt |= bits[low.bit_length() - 1]
                 frontier ^= low
             frontier = nxt & alive & ~seen
             seen |= frontier
-        self.lev = lev
         self.level_masks = masks
         depth = len(masks)
         n1 = masks[1] if depth > 1 else 0
@@ -335,41 +328,45 @@ class AnchorSolver:
         self.pairs = tuple(pairs)
         self.singles = tuple(singles)
         pools: dict[int, int] = {}
-        pool_owner: dict[int, int] = {}
         shared = 0
         if not pairs:
             pools = dict.fromkeys(singles, 0)
             rest = n3
             while rest:
                 low = rest & -rest
-                t = low.bit_length() - 1
-                parents = bits[t] & n2
+                parents = bits[low.bit_length() - 1] & n2
                 if parents and not parents & (parents - 1):
-                    owner = parents.bit_length() - 1
-                    pool_owner[t] = owner
-                    pools[owner] |= low
+                    pools[parents.bit_length() - 1] |= low
                 else:
                     shared |= low
                 rest ^= low
         self.pools = pools
-        self.pool_owner = pool_owner
         self.shared_mask = shared
 
+    def _owner(self, t: int) -> int:
+        """The single whose pool holds ``t``: its one level-2 neighbour."""
+        return (self.bits[t] & self.level_masks[2]).bit_length() - 1
+
     def _bipartite(self, mask: int) -> bool:
-        color: dict[int, int] = {}
-        for start in iter_bits(mask):
-            if start in color:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in iter_bits(self._adj(v) & mask):
-                    if u not in color:
-                        color[u] = color[v] ^ 1
-                        stack.append(u)
-                    elif color[u] == color[v]:
+        """Whether the alive graph on ``mask`` is 2-colourable.
+
+        Each piece is layered breadth-first from its least vertex; every
+        edge joins one layer to itself or to the next, so the piece has an
+        odd cycle exactly when some layer holds an edge."""
+        bits = self.bits
+        rest = mask = mask & self.alive
+        while rest:
+            layer = seen = rest & -rest
+            while layer:
+                nxt = 0
+                for v in iter_bits(layer):
+                    nb = bits[v] & mask
+                    if nb & layer:
                         return False
+                    nxt |= nb
+                layer = nxt & ~seen
+                seen |= layer
+            rest &= ~seen
         return True
 
     # -- forcing stages ----------------------------------------------------
@@ -396,20 +393,17 @@ class AnchorSolver:
         """Forced mates from cross-pool double contacts and from edges into
         the never-matched shared level-3 vertices; then eliminate the latter."""
         commits: set[Edge] = set()
+        pools = self.pools
         for u in self.singles:
-            for t in iter_bits(self.pools[u]):
-                per_owner: dict[int, int] = {}
-                for w in iter_bits(self._adj(t) & self.n3_mask):
-                    owner = self.pool_owner.get(w)
-                    if owner is not None and owner != u:
-                        per_owner[owner] = per_owner.get(owner, 0) + 1
-                if any(cnt >= 2 for cnt in per_owner.values()):
+            for t in iter_bits(pools[u]):
+                nb = self._adj(t)
+                if any((nb & pools[o]).bit_count() > 1 for o in self.singles if o != u):
                     commits.add((min(u, t), max(u, t)))
         for s in iter_bits(self.shared_mask):
             # Each t is a pool vertex, and not white: a white one would have
             # failed the sweep at its unset neighbour s.
             for t in iter_bits(self._adj(s) & self.n3_mask & ~self.shared_mask):
-                commits.add(edge(self.pool_owner[t], t))
+                commits.add(edge(self._owner(t), t))
         if self._commit_all(commits, "contact-commit"):
             return True
         for s in iter_bits(self.shared_mask):
@@ -439,12 +433,11 @@ class AnchorSolver:
             for t in iter_bits(self._adj(v)):
                 if self.state[t] != UNSET:
                     continue
-                if self.lev[t] == 3:
-                    owner = self.pool_owner.get(t)
-                    if owner is None:
+                if self.n3_mask >> t & 1:
+                    if self.shared_mask >> t & 1:
                         self._fail("shared-contact-conflict")
-                    commits.append(edge(owner, t))
-                elif self.lev[t] >= 4:
+                    commits.append(edge(self._owner(t), t))
+                elif self.deep_mask >> t & 1:
                     self.state[t] = BLACK
                     changed = True
         if self._commit_all(commits, "white-neighbor-commit"):
@@ -714,7 +707,7 @@ class AnchorSolver:
             self._tag("deep-handoff")
         # Pairs strictly inside levels 0..3: deeper pairs come back from the
         # sub-solver, stray pairs from the stray pass (their vertices sit
-        # outside the levels entirely, lev == -1).  They go into the set in
+        # outside every level mask).  They go into the set in
         # the order of ``g.edges``, which fixes the order in which
         # ``matching_weight`` adds their weights.
         black = 0
@@ -758,25 +751,28 @@ class AnchorSolver:
     def _strict_path_endpoints(self) -> None:
         """Every vertex at level 3 or deeper starts a chordless 5-path descending
         into the lower levels."""
-        for v in iter_bits(self.alive):
-            if self.lev[v] < 3:
-                continue
-
-            def extend(path: list[int]) -> bool:
-                if len(path) == 5:
-                    return True
-                tail = path[-1]
-                for u in iter_bits(self._adj(tail)):
-                    if u in path or self.lev[u] >= self.lev[v]:
-                        continue
-                    if any(self.bits[u] >> p & 1 for p in path[:-1]):
-                        continue
-                    if extend(path + [u]):
-                        return True
-                return False
-
-            if not extend([v]):
+        for v in iter_bits(self.n3_mask | self.deep_mask):
+            lower = 0
+            for mask in self.level_masks:
+                if mask >> v & 1:
+                    break
+                lower |= mask
+            if not self._descends([v], lower):
                 self._check_failed(f"vertex {v} lacks a descending 5-path")
+
+    def _descends(self, path: list[int], lower: int) -> bool:
+        """Whether ``path`` extends through ``lower`` to a chordless 5-path.
+
+        A neighbour of a path vertex before the tail would close a chord;
+        that rules out the path's own vertices too, save its start, which
+        ``lower`` lacks."""
+        if len(path) == 5:
+            return True
+        chords = 0
+        for p in path[:-1]:
+            chords |= self.bits[p]
+        nxt = self._adj(path[-1]) & lower & ~chords
+        return any(self._descends(path + [u], lower) for u in iter_bits(nxt))
 
     def _strict_deep_checks(self, deep_sub: Graph) -> None:
         if patterns.find_induced_sijk(deep_sub, 1, 2, 2) is not None:
@@ -843,11 +839,11 @@ class AnchorSolver:
             )
 
     def _strict_matching_checks(self, matching: frozenset[Edge]) -> None:
+        n3, deep = self.n3_mask, self.deep_mask
         for u, v in matching:
-            lu, lv = self.lev[u], self.lev[v]
-            if lu == 3 and lv == 3:
+            if n3 >> u & n3 >> v & 1:
                 self._check_failed("matched pair inside level 3")
-            if 3 in (lu, lv) and max(lu, lv) >= 4:
+            if (n3 >> u | n3 >> v) & (deep >> u | deep >> v) & 1:
                 self._check_failed("matched pair between level 3 and deeper")
 
     def _found(self, matching: frozenset[Edge], weight: float) -> SolveOutcome:

@@ -115,7 +115,6 @@ def reference_decompose(self: AnchorSolver) -> None:
     anchor solver as ``self``, it recomputes the level state on the alive
     graph and validates the level-1/level-2 structure, whitening level 1
     and blackening the level-2 vertices that survive."""
-    g = self.g
     x, y = self.anchor
     masks: list[int] = []
     seen = (1 << x) | (1 << y)
@@ -127,11 +126,6 @@ def reference_decompose(self: AnchorSolver) -> None:
             nxt |= self._adj(v)
         frontier = nxt & ~seen
         seen |= frontier
-    lev = [-1] * g.n
-    for i, mask in enumerate(masks):
-        for v in iter_bits(mask):
-            lev[v] = i
-    self.lev = lev
     self.level_masks = masks
     self.n3_mask = masks[3] if len(masks) > 3 else 0
     self.deep_mask = 0
@@ -170,13 +164,12 @@ def reference_decompose(self: AnchorSolver) -> None:
             self.state[v] = BLACK
             singles.append(v)
 
-    if self.n3_mask and not self._bipartite(self.n3_mask):
+    if self.n3_mask and not reference_bipartite(self, self.n3_mask):
         self._fail("level3-odd-cycle")
 
     self.pairs = tuple(pairs)
     self.singles = tuple(singles)
     self.pools = {}
-    self.pool_owner = {}
     self.shared_mask = 0
     if not pairs:
         self.pools = {u: 0 for u in singles}
@@ -185,7 +178,27 @@ def reference_decompose(self: AnchorSolver) -> None:
             count = bin(parents).count("1")
             if count == 1:
                 owner = (parents & -parents).bit_length() - 1
-                self.pool_owner[t] = owner
                 self.pools[owner] |= 1 << t
             else:
                 self.shared_mask |= 1 << t
+
+
+def reference_bipartite(self: AnchorSolver, mask: int) -> bool:
+    """:meth:`AnchorSolver._bipartite` as it was before its mask layering,
+    kept as the test reference of the live method: whether the alive graph
+    on ``mask`` is 2-colourable, by a depth-first colouring held in a dict."""
+    color: dict[int, int] = {}
+    for start in iter_bits(mask):
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in iter_bits(self._adj(v) & mask):
+                if u not in color:
+                    color[u] = color[v] ^ 1
+                    stack.append(u)
+                elif color[u] == color[v]:
+                    return False
+    return True

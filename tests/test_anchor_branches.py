@@ -20,7 +20,7 @@ import pytest
 from dimatch import coloring, solver
 from dimatch.coloring import BLACK, UNSET, WHITE
 from dimatch.generate import GenSpec, generate_planted
-from dimatch.graph import Graph, GraphError
+from dimatch.graph import Graph, GraphError, iter_bits
 from dimatch.oracle import enumerate_all_graphs, oracle_solve
 from dimatch.solver import AnchorSolver, solve
 
@@ -155,7 +155,13 @@ def guard_stages(monkeypatch) -> dict[str, int]:
 
     def pools_alive(real):
         def wrapped(self, *args):
-            assert all(self.alive >> t & 1 for t in self.pool_owner)
+            # The owner lookup: a pool vertex's one level-2 neighbour is
+            # the single whose pool holds it.
+            assert all(
+                self.bits[t] & self.level_masks[2] == 1 << u
+                for u in self.singles
+                for t in iter_bits(self.pools[u])
+            )
             assert all(not self.pools[u] & ~self.alive for u in self.singles)
             seen["pools"] += 1
             return real(self, *args)
@@ -177,10 +183,10 @@ def guard_stages(monkeypatch) -> dict[str, int]:
         return real_commit_pair(g, alive, state, mask, vw)
 
     monkeypatch.setattr(AnchorSolver, "decompose", decompose)
-    monkeypatch.setattr(AnchorSolver, "prune_pools", pools_alive(AnchorSolver.prune_pools))
-    monkeypatch.setattr(
-        AnchorSolver, "classify_components", pools_alive(AnchorSolver.classify_components)
-    )
+    for stage in (
+        "sweep_colored_boundary", "force_contact_edges", "prune_pools", "classify_components"
+    ):
+        monkeypatch.setattr(AnchorSolver, stage, pools_alive(getattr(AnchorSolver, stage)))
     monkeypatch.setattr(AnchorSolver, "_seeded", seeded)
     monkeypatch.setattr(solver, "commit_pair", commit_pair)
     return seen

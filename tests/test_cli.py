@@ -587,6 +587,28 @@ class TestCompareCommand:
         assert main(["compare", "--samples", "3", "--n", "0", "--threads", "1"]) == EXIT_USAGE
         assert "error: need at least one vertex" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--samples", "-3"], "error: instance count must be at least 0, got -3"),
+            (["--planted=-2x60"], "error: instance count must be at least 0, got -2"),
+            (["--exhaustive", "-1"], "the exhaustive corpus spans n=2..7, got -1"),
+            (["--exhaustive", "1"], "the exhaustive corpus spans n=2..7, got 1"),
+        ],
+        ids=["samples", "planted", "exhaustive-negative", "exhaustive-one"],
+    )
+    def test_bad_corpus_size_is_a_usage_error(self, argv, message, capsys):
+        assert main(["compare", *argv, "--threads", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "corpus is empty" not in err
+
+    @pytest.mark.parametrize("n_max", [-1, 1, 8])
+    def test_run_exhaustive_rejects_sizes_outside_2_to_7(self, n_max):
+        from dimatch.compare import run_exhaustive
+
+        with pytest.raises(ValueError, match=f"spans n=2..7, got {n_max}"):
+            run_exhaustive(n_max, workers=1)
+
     def test_planted_single_vertex_is_a_usage_error(self, capsys):
         assert main(["compare", "--planted", "3x1", "--threads", "1"]) == EXIT_USAGE
         assert "error: planted instances need at least 2 vertices" in capsys.readouterr().err

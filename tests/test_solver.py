@@ -29,6 +29,7 @@ from dimatch.solver import (
     ComponentTask,
     SolveOutcome,
     SolverConfig,
+    StructuralCheckError,
     anchor_edges,
     solve,
 )
@@ -39,8 +40,10 @@ from conftest import (
     cycle,
     degree2_block,
     disjoint_union,
+    graph_from_mask,
     held_before_read,
     path,
+    reference_bipartite,
     reference_decompose,
     small_connected_graphs,
     small_graphs,
@@ -138,23 +141,21 @@ class TestDecompose:
 
 # The level state that decompose writes, compared field by field.
 LEVEL_STATE = (
-    "lev", "level_masks", "n3_mask", "deep_mask", "pairs", "singles",
-    "pools", "pool_owner", "shared_mask", "state",
+    "level_masks", "n3_mask", "deep_mask", "pairs", "singles", "pools", "shared_mask", "state",
 )
 
 
 def level_snapshot(solver, decompose):
     """Run ``decompose(solver)``; the contradiction reason (or None) and the
-    level state, with ``pools`` and ``pool_owner`` as item lists so that
-    their order counts too."""
+    level state, with ``pools`` as an item list so that its order counts
+    too."""
     try:
         decompose(solver)
         reason = None
     except AnchorContradiction as err:
         reason = err.reason
     snapshot = {name: getattr(solver, name) for name in LEVEL_STATE}
-    for name in ("pools", "pool_owner"):
-        snapshot[name] = list(snapshot[name].items())
+    snapshot["pools"] = list(snapshot["pools"].items())
     return reason, snapshot
 
 
@@ -205,6 +206,51 @@ class TestDecomposeDifferential:
                     raised += got[0] is not None
         # Shrunk and full alive masks, and contradictions, each occur often.
         assert shrunk > 1000 and rounds - shrunk > 1000 and raised > 1000
+
+
+def with_anchor(g: Graph) -> AnchorSolver:
+    """An anchor solver on ``g`` plus a disjoint 3-vertex path holding the
+    anchor, so that any graph, anchor edges or not, can be handed one."""
+    n = g.n
+    return AnchorSolver(Graph(n + 3, list(g.edges) + [(n, n + 1), (n + 1, n + 2)]), (n, n + 1))
+
+
+class TestBipartite:
+    def test_matches_reference_on_every_subset(self):
+        """The mask layering agrees with the colour-dict reference on every
+        vertex subset of every labelled graph with n <= 5 and of C3..C9."""
+        graphs = [
+            graph_from_mask(n, mask) for n in range(1, 6) for mask in range(1 << n * (n - 1) // 2)
+        ]
+        graphs += [cycle(k) for k in range(3, 10)]
+        odd = 0
+        for g in graphs:
+            solver = with_anchor(g)
+            for mask in range(1, 1 << g.n):
+                got = solver._bipartite(mask)
+                assert got == reference_bipartite(solver, mask), (g.edges, mask)
+                odd += not got
+        assert odd > 1000
+        for k in range(3, 10):
+            assert with_anchor(cycle(k))._bipartite((1 << k) - 1) == (k % 2 == 0)
+
+
+class TestStrictMatchingChecks:
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (path(8), "matched pair between level 3 and deeper"),
+            (
+                Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]),
+                "matched pair inside level 3",
+            ),
+        ],
+        ids=["p8", "level3-edge"],
+    )
+    def test_pair_at_level3_fails(self, g, message):
+        solver = decomposed(g, (0, 1))
+        with pytest.raises(StructuralCheckError, match=message):
+            solver._strict_matching_checks(frozenset({(4, 5)}))
 
 
 class TestForcingStages:
