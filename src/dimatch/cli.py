@@ -268,14 +268,14 @@ def cmd_compare(args) -> int:
     return EXIT_FOUND
 
 
-def _threads_arg(text: str) -> int:
-    """A ``--threads`` value: a whole number of worker processes, at least 1."""
+def _positive_arg(text: str) -> int:
+    """A ``--threads`` or ``--cap`` value: a whole number, at least 1."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a worker count of at least 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
     return value
 
 
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run the exact reference solver")
     p.add_argument("path")
     p.add_argument("--mode", choices=("exists", "min", "enumerate"), default="exists")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=_positive_arg, default=10**6)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("generate", help="emit a test instance")
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-weight", action="store_true")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--use-oracle", action="store_true")
-    p.add_argument("--threads", type=_threads_arg, default=None)
+    p.add_argument("--threads", type=_positive_arg, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--repro-dir", default=None)
     p.set_defaults(func=cmd_compare)

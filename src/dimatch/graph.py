@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Edge = tuple[int, int]
 
@@ -51,6 +51,27 @@ def _iter_low_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _bfs_layers(bits: Sequence[int], start: int, within: int) -> list[int]:
+    """The breadth-first layers from the vertex mask ``start``, as bitmasks.
+
+    Layer 0 is ``start``; each later layer holds the vertices of ``within``
+    first reached from the layer before.  The layers are disjoint, so their
+    sum is the set reached.  An empty start gives no layer.
+    """
+    layers: list[int] = []
+    seen = layer = start
+    while layer:
+        layers.append(layer)
+        nxt = 0
+        while layer:
+            low = layer & -layer
+            nxt |= bits[low.bit_length() - 1]
+            layer ^= low
+        layer = nxt & within & ~seen
+        seen |= layer
+    return layers
 
 
 class Graph:

@@ -19,7 +19,7 @@ import math
 from typing import Callable, Iterator, NamedTuple
 
 from .coloring import BLACK, WHITE, Coloring
-from .graph import Edge, Graph, iter_bits
+from .graph import Edge, Graph, _bfs_layers, iter_bits
 from .patterns import _first_k4
 
 
@@ -263,6 +263,11 @@ def oracle_solve_subsets(
 # -- exhaustive small-graph enumeration ------------------------------------
 
 
+# The largest n :func:`enumerate_all_graphs` accepts: n = 9 already spans
+# 2**36 edge subsets.
+_ENUMERATION_MAX_N = 9
+
+
 def _pair_table(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
@@ -281,20 +286,11 @@ def mask_adjacency(n: int, mask: int, pairs: list[Edge] | None = None) -> list[i
 
 
 def mask_connected(n: int, bits: list[int]) -> bool:
+    """Whether the graph on n vertices with adjacency bitmasks ``bits`` is connected."""
     if n <= 1:
         return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= bits[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
+    full = (1 << n) - 1
+    return sum(_bfs_layers(bits, 1, full)) == full
 
 
 def bits_k4_free(bits: list[int]) -> bool:
@@ -318,11 +314,10 @@ def enumerate_all_graphs(
     n: int,
     predicate: Callable[[Graph], bool] | None = None,
     connected: bool = True,
-    cap: int = 9,
 ) -> Iterator[Graph]:
     """All labeled graphs on n vertices passing the predicate, streamed."""
-    if n > cap:
-        raise ValueError(f"enumeration capped at n={cap}")
+    if n > _ENUMERATION_MAX_N:
+        raise ValueError(f"enumeration capped at n={_ENUMERATION_MAX_N}")
     if n == 0:
         return
     pairs = _pair_table(n)

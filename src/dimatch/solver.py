@@ -42,7 +42,7 @@ from .coloring import (
     propagate,
     restrict,
 )
-from .graph import Edge, Graph, GraphError, edge, iter_bits
+from .graph import Edge, Graph, GraphError, _bfs_layers, edge, iter_bits
 from .subsolver import SearchBudgetExceeded, solve_precolored
 
 FOUND = "found"
@@ -204,9 +204,6 @@ class AnchorSolver:
 
     # -- small helpers -----------------------------------------------------
 
-    def _fail(self, reason: str) -> None:
-        raise AnchorContradiction(reason)
-
     def _adj(self, v: int) -> int:
         return self.bits[v] & self.alive
 
@@ -226,7 +223,7 @@ class AnchorSolver:
         v, w = vw = edge(*vw)
         reason = commit_pair(self.g, self.alive, self.state, self.whitened, vw)
         if reason:
-            self._fail(reason)
+            raise AnchorContradiction(reason)
         self.alive &= ~(1 << v) & ~(1 << w)
         self.whitened |= (self.bits[v] | self.bits[w]) & self.alive
         self.committed.append(vw)
@@ -247,36 +244,20 @@ class AnchorSolver:
         level-1/level-2 structure, whitening level 1 and blackening the
         level-2 vertices that survive.
 
-        One breadth-first pass from the anchor over the alive graph fills
-        ``level_masks``; vertices it does not reach lie in no level.  Every
-        mask is walked lowest bit first, and every level mask past level 0
-        lies inside the alive set."""
+        The levels are :func:`graph._bfs_layers` from the anchor over the
+        alive graph, stored in ``level_masks``; vertices it does not reach
+        lie in no level.  Every mask is walked lowest bit first, and every
+        level mask past level 0 lies inside the alive set."""
         bits = self.bits
         alive = self.alive
         state = self.state
         x, y = self.anchor
-        masks: list[int] = []
-        seen = (1 << x) | (1 << y)
-        frontier = seen
-        while frontier:
-            masks.append(frontier)
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= bits[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & alive & ~seen
-            seen |= frontier
-        self.level_masks = masks
+        self.level_masks = masks = _bfs_layers(bits, (1 << x) | (1 << y), alive)
         depth = len(masks)
         n1 = masks[1] if depth > 1 else 0
         n2 = masks[2] if depth > 2 else 0
-        n3 = masks[3] if depth > 3 else 0
-        self.n3_mask = n3
-        deep = 0
-        for mask in masks[4:]:
-            deep |= mask
-        self.deep_mask = deep
+        self.n3_mask = n3 = masks[3] if depth > 3 else 0
+        self.deep_mask = sum(masks[4:])
 
         white_mask = 0
         rest = alive
@@ -291,7 +272,7 @@ class AnchorSolver:
             low = rest & -rest
             v = low.bit_length() - 1
             if bits[v] & n1:
-                self._fail("level1-not-independent")
+                raise AnchorContradiction("level1-not-independent")
             state[v] = WHITE
             white_mask |= low
             rest ^= low
@@ -300,7 +281,7 @@ class AnchorSolver:
         while rest:
             low = rest & -rest
             if bits[low.bit_length() - 1] & white_mask:
-                self._fail(R_WHITE_WHITE)
+                raise AnchorContradiction(R_WHITE_WHITE)
             rest ^= low
 
         pairs: list[Edge] = []
@@ -312,7 +293,7 @@ class AnchorSolver:
             inner = bits[v] & n2
             if inner:
                 if inner & (inner - 1):
-                    self._fail("level2-structure")
+                    raise AnchorContradiction("level2-structure")
                 if inner > low:
                     pairs.append((v, inner.bit_length() - 1))
             else:
@@ -323,7 +304,7 @@ class AnchorSolver:
             rest ^= low
 
         if n3 and not self._bipartite(n3):
-            self._fail("level3-odd-cycle")
+            raise AnchorContradiction("level3-odd-cycle")
 
         self.pairs = tuple(pairs)
         self.singles = tuple(singles)
@@ -350,23 +331,18 @@ class AnchorSolver:
     def _bipartite(self, mask: int) -> bool:
         """Whether the alive graph on ``mask`` is 2-colourable.
 
-        Each piece is layered breadth-first from its least vertex; every
-        edge joins one layer to itself or to the next, so the piece has an
-        odd cycle exactly when some layer holds an edge."""
+        Each piece is laid out by :func:`graph._bfs_layers` from its least
+        vertex; every edge joins one layer to itself or to the next, so the
+        piece has an odd cycle exactly when some layer holds an edge."""
         bits = self.bits
         rest = mask = mask & self.alive
         while rest:
-            layer = seen = rest & -rest
-            while layer:
-                nxt = 0
+            layers = _bfs_layers(bits, rest & -rest, mask)
+            for layer in layers:
                 for v in iter_bits(layer):
-                    nb = bits[v] & mask
-                    if nb & layer:
+                    if bits[v] & layer:
                         return False
-                    nxt |= nb
-                layer = nxt & ~seen
-                seen |= layer
-            rest &= ~seen
+            rest &= ~sum(layers)
         return True
 
     # -- forcing stages ----------------------------------------------------
@@ -411,7 +387,7 @@ class AnchorSolver:
         for s in iter_bits(self.shared_mask):
             for z in iter_bits(self._adj(s)):
                 if self.state[z] == WHITE:
-                    self._fail(R_WHITE_WHITE)
+                    raise AnchorContradiction(R_WHITE_WHITE)
                 self.state[z] = BLACK
             self.alive &= ~(1 << s)
             self._tag("shared-contact-white-elim")
@@ -435,7 +411,7 @@ class AnchorSolver:
                     continue
                 if self.n3_mask >> t & 1:
                     if self.shared_mask >> t & 1:
-                        self._fail("shared-contact-conflict")
+                        raise AnchorContradiction("shared-contact-conflict")
                     commits.append(edge(self._owner(t), t))
                 elif self.deep_mask >> t & 1:
                     self.state[t] = BLACK
@@ -463,7 +439,7 @@ class AnchorSolver:
         for u in self.singles:
             pool = self.pools[u]
             if not pool:
-                self._fail("pool-empty")
+                raise AnchorContradiction("pool-empty")
             nb = list(iter_bits(self._adj(u)))
             closed = self._adj(u) | (1 << u)
             for i, a in enumerate(nb):
@@ -478,7 +454,7 @@ class AnchorSolver:
                                 changed = True
             candidates = [t for t in iter_bits(pool) if self.state[t] == UNSET]
             if not candidates:
-                self._fail("candidate-exhausted")
+                raise AnchorContradiction("candidate-exhausted")
             if len(candidates) == 1:
                 commits.append(edge(u, candidates[0]))
                 continue
@@ -531,7 +507,8 @@ class AnchorSolver:
         More than three coupled components cannot occur inside the
         supported class, so they fail :meth:`_check_failed`.  Every pool
         vertex is alive: the alive set has not changed since the last
-        :meth:`decompose`.
+        :meth:`decompose`.  A component is the set :func:`graph._bfs_layers`
+        reaches from its least single inside the singles and their pools.
         """
         struct_mask = 0
         for u in self.singles:
@@ -542,13 +519,7 @@ class AnchorSolver:
         for start in sorted(self.singles):
             if seen >> start & 1:
                 continue
-            comp = 1 << start
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in iter_bits(self._adj(v) & struct_mask & ~comp):
-                    comp |= 1 << u
-                    stack.append(u)
+            comp = sum(_bfs_layers(self.bits, 1 << start, struct_mask & self.alive))
             seen |= comp
             singles = tuple(u for u in self.singles if comp >> u & 1)
             coupled_flag = False
@@ -640,7 +611,7 @@ class AnchorSolver:
             if best is None or weight < best[0]:
                 best = (weight, state)
         if best is None:
-            self._fail("component-infeasible")
+            raise AnchorContradiction("component-infeasible")
         self.state = best[1]
         self._tag("component-colored")
 
@@ -670,10 +641,7 @@ class AnchorSolver:
         All of them go to the sub-solver in one hand-off, which may hold
         several disconnected pieces; the sub-solver searches those in turn.
         """
-        level_union = 0
-        for mask in self.level_masks:
-            level_union |= mask
-        stray_mask = self.alive & ~level_union
+        stray_mask = self.alive & ~sum(self.level_masks)
         if not stray_mask:
             return frozenset(), 0.0
         sub, state, old_of_new = restrict(self.g, list(iter_bits(stray_mask)), self.state)

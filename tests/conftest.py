@@ -7,11 +7,11 @@ from typing import Iterable
 
 from hypothesis import strategies as st
 
-from dimatch.coloring import BLACK, R_WHITE_WHITE, WHITE
+from dimatch.coloring import BLACK, R_WHITE_WHITE, UNSET, WHITE
 from dimatch.generate import SplitMix64
 from dimatch.graph import Edge, Graph, edge, iter_bits
 from dimatch.oracle import oracle_solve
-from dimatch.solver import AnchorSolver
+from dimatch.solver import AnchorContradiction, AnchorSolver, ComponentTask
 
 
 def path(k: int) -> Graph:
@@ -140,13 +140,13 @@ def reference_decompose(self: AnchorSolver) -> None:
     n1 = masks[1] if len(masks) > 1 else 0
     for v in iter_bits(n1):
         if self._adj(v) & n1:
-            self._fail("level1-not-independent")
+            raise AnchorContradiction("level1-not-independent")
         self.state[v] = WHITE
         white_mask |= 1 << v
 
     for v in iter_bits(white_mask):
         if self._adj(v) & white_mask:
-            self._fail(R_WHITE_WHITE)
+            raise AnchorContradiction(R_WHITE_WHITE)
 
     n2 = masks[2] if len(masks) > 2 else 0
     pairs: list[Edge] = []
@@ -155,7 +155,7 @@ def reference_decompose(self: AnchorSolver) -> None:
         inner = self._adj(v) & n2
         count = bin(inner).count("1")
         if count > 1:
-            self._fail("level2-structure")
+            raise AnchorContradiction("level2-structure")
         if count == 1:
             partner = (inner & -inner).bit_length() - 1
             if partner > v:
@@ -165,7 +165,7 @@ def reference_decompose(self: AnchorSolver) -> None:
             singles.append(v)
 
     if self.n3_mask and not reference_bipartite(self, self.n3_mask):
-        self._fail("level3-odd-cycle")
+        raise AnchorContradiction("level3-odd-cycle")
 
     self.pairs = tuple(pairs)
     self.singles = tuple(singles)
@@ -202,3 +202,42 @@ def reference_bipartite(self: AnchorSolver, mask: int) -> bool:
                 elif color[u] == color[v]:
                     return False
     return True
+
+
+def reference_classify(
+    self: AnchorSolver,
+) -> tuple[list[ComponentTask], list[ComponentTask]]:
+    """:meth:`AnchorSolver.classify_components` as it was before it called
+    ``graph._bfs_layers``, kept as the test reference of the live method:
+    each component of the singles and their pools is flooded from its least
+    single by a depth-first stack."""
+    struct_mask = 0
+    for u in self.singles:
+        struct_mask |= 1 << u | self.pools[u]
+    seen = 0
+    free: list[ComponentTask] = []
+    coupled: list[ComponentTask] = []
+    for start in sorted(self.singles):
+        if seen >> start & 1:
+            continue
+        comp = 1 << start
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in iter_bits(self._adj(v) & struct_mask & ~comp):
+                comp |= 1 << u
+                stack.append(u)
+        seen |= comp
+        singles = tuple(u for u in self.singles if comp >> u & 1)
+        coupled_flag = False
+        for t in iter_bits(comp & self.n3_mask):
+            deep_nb = self._adj(t) & self.deep_mask
+            if any(self.state[z] == UNSET for z in iter_bits(deep_nb)):
+                coupled_flag = True
+                break
+        seeds = tuple(t for t in iter_bits(self.pools[singles[0]]) if self.state[t] == UNSET)
+        task = ComponentTask(singles=singles, seeds=seeds)
+        (coupled if coupled_flag else free).append(task)
+    if len(coupled) > 3:
+        self._check_failed("more than three coupled components")
+    return free, coupled

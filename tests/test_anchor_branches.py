@@ -80,18 +80,18 @@ def _commit_pair_reasons() -> set[str]:
 
 
 def reported_reasons() -> set[str]:
-    """Every reason ``solver.py`` raises through ``_fail`` or
-    ``AnchorContradiction``, read from its source."""
+    """Every reason ``solver.py`` raises as an ``AnchorContradiction``,
+    read from its source."""
     reasons: set[str] = set()
     tree = ast.parse(inspect.getsource(solver))
     for func in ast.walk(tree):
-        if not isinstance(func, ast.FunctionDef) or func.name == "_fail":
+        if not isinstance(func, ast.FunctionDef):
             continue
         for call in ast.walk(func):
             if not isinstance(call, ast.Call) or not call.args:
                 continue
             name = getattr(call.func, "attr", getattr(call.func, "id", None))
-            if name not in ("_fail", "AnchorContradiction"):
+            if name != "AnchorContradiction":
                 continue
             arg = call.args[0]
             if isinstance(arg, ast.Constant):

@@ -444,6 +444,18 @@ class TestCompareCommand:
         assert main(["compare", "--exhaustive", "3", "--threads", threads]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["exists", "min", "enumerate"])
+    @pytest.mark.parametrize("cap", ["-1", "0", "many"])
+    def test_bad_oracle_cap_is_a_usage_error(self, mode, cap, tmp_path, capsys):
+        p = tmp_path / "p3.col"
+        p.write_text(write_edge_list(Graph(3, [(0, 1), (1, 2)])))
+        assert main(["oracle", str(p), "--mode", mode, "--cap", cap]) == EXIT_USAGE
+        assert "at least 1" in capsys.readouterr().err
+        # P3 has two DIMs: a cap of 1 is accepted and trips in enumerate mode only.
+        code = main(["oracle", str(p), "--mode", mode, "--cap", "1"])
+        assert code == (EXIT_USAGE if mode == "enumerate" else EXIT_FOUND)
+        assert main(["oracle", str(p), "--mode", mode, "--cap", "2"]) == EXIT_FOUND
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_non_positive_worker_env_is_a_usage_error(self, value, monkeypatch, capsys):
         from dimatch.compare import worker_count

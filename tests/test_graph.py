@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dimatch.coloring import UNSET, WHITE, commit_pair
 from dimatch.generate import GenSpec, generate_planted
-from dimatch.graph import Graph, GraphError, iter_bits
+from dimatch.graph import Graph, GraphError, _bfs_layers, iter_bits
 from dimatch.oracle import enumerate_all_graphs
 from dimatch.solver import AnchorContradiction, AnchorSolver, anchor_edges
 
@@ -165,6 +165,47 @@ class TestIterBits:
     def test_negative_mask_skips_the_table(self):
         # -4 has bits 2, 3, 4, ... set; the table entry at index -4 (252) stops at 7.
         assert list(islice(iter_bits(-4), 10)) == list(range(2, 12))
+
+
+def reference_layers(g: Graph, start: set[int], within: set[int]) -> list[set[int]]:
+    """Breadth-first layers from ``start`` inside ``within``, over ``g.adj`` sets."""
+    layers: list[set[int]] = []
+    seen = set(start)
+    layer = set(start)
+    while layer:
+        layers.append(layer)
+        layer = {u for v in layer for u in g.adj[v] if u in within and u not in seen}
+        seen |= layer
+    return layers
+
+
+class TestBfsLayers:
+    def assert_matches_reference(self, g: Graph, start: int, within: int) -> None:
+        layers = _bfs_layers(g.bits, start, within)
+        ref = reference_layers(g, set(iter_bits(start)), set(iter_bits(within)))
+        assert [set(iter_bits(layer)) for layer in layers] == ref, (g.edges, start, within)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_start_and_within_up_to_four_vertices(self, n):
+        # Starts run over every mask: the empty one, single vertices, and
+        # starts that reach outside within.
+        for g in enumerate_all_graphs(n, connected=False):
+            for start in range(1 << n):
+                for within in range(1 << n):
+                    self.assert_matches_reference(g, start, within)
+
+    def test_every_single_start_on_five_vertices(self):
+        for g in enumerate_all_graphs(5, connected=False):
+            for v in range(5):
+                self.assert_matches_reference(g, 1 << v, 0b11111)
+
+    def test_edge_cases(self):
+        g = path(4)
+        assert _bfs_layers(g.bits, 0, 0b1111) == []
+        # A start outside within is layer 0 all the same.
+        assert _bfs_layers(g.bits, 0b0001, 0b1100) == [0b0001]
+        assert _bfs_layers(g.bits, 0b0001, 0b1110) == [0b0001, 0b0010, 0b0100, 0b1000]
+        assert _bfs_layers(g.bits, 0b0010, 0b1101) == [0b0010, 0b0101, 0b1000]
 
 
 class TestNeighbors:

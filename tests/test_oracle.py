@@ -14,6 +14,9 @@ from dimatch.graph import Graph
 from dimatch.oracle import (
     EnumerationCapExceeded,
     enumerate_all_graphs,
+    mask_adjacency,
+    mask_connected,
+    mask_to_graph,
     oracle_solve,
     oracle_solve_subsets,
 )
@@ -184,6 +187,13 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ValueError):
             next(enumerate_all_graphs(10))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_mask_connected_matches_union_find(self, n):
+        # is_connected reads the union-find split, not a breadth-first search.
+        for mask in range(1 << (n * (n - 1) // 2)):
+            expected = mask_to_graph(n, mask).is_connected()
+            assert mask_connected(n, mask_adjacency(n, mask)) == expected, (n, mask)
 
 
 class TestRecursionLimit:

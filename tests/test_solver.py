@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import sys
 
 import pytest
@@ -44,6 +45,7 @@ from conftest import (
     held_before_read,
     path,
     reference_bipartite,
+    reference_classify,
     reference_decompose,
     small_connected_graphs,
     small_graphs,
@@ -319,6 +321,80 @@ class TestForcingStages:
         assert out.verdict == NO_DIM_WITH_ANCHOR
         ref = oracle_solve(g, mode="enumerate")
         assert not any((0, 1) in m for m in (ref.all_dims or ()))
+
+
+def several_components(free: int, coupled: int, rng: random.Random) -> Graph:
+    """Anchor 0-1 with level-1 vertex 3 feeding ``free`` free components
+    (two singles whose pools of two are joined by two contacts) and
+    ``coupled`` coupled ones (a single whose pool of three each hang a deep
+    3-chain); the vertices past the anchor are shuffled by ``rng``."""
+    edges = [(0, 1), (0, 2), (0, 3)]
+    n = 4
+    for _ in range(free):
+        u, v, a, b, c, d = range(n, n + 6)
+        edges += [(3, u), (3, v), (u, a), (u, b), (v, c), (v, d), (a, c), (b, d)]
+        n += 6
+    for _ in range(coupled):
+        edges.append((3, n))
+        for p in range(n + 1, n + 4):
+            edges += [(n, p), (p, p + 3), (p + 3, p + 6), (p + 6, p + 9)]
+        n += 13
+    label = list(range(2, n))
+    rng.shuffle(label)
+    label = [0, 1] + label
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def forced_anchors(g: Graph):
+    """The anchor solvers of ``g`` that survive :meth:`AnchorSolver.run_forcing`."""
+    for anchor in anchor_edges(g):
+        solver = AnchorSolver(g, anchor)
+        try:
+            solver.run_forcing()
+        except AnchorContradiction:
+            continue
+        yield solver
+
+
+class TestClassifyDifferential:
+    """classify_components splits the level-2/3 structure as the
+    depth-first reference does, after the forcing fixpoint of every anchor
+    that survives it."""
+
+    def test_every_anchor_to_n6(self):
+        anchors = components = 0
+        for n in range(2, 7):
+            for g in enumerate_all_graphs(n, predicate=lambda g: find_k4(g) is None):
+                for solver in forced_anchors(g):
+                    got = solver.classify_components()
+                    assert got == reference_classify(solver), (g.edges, solver.anchor)
+                    anchors += 1
+                    components += bool(got[0] or got[1])
+        assert anchors > 10000 and components > 100
+
+    def test_planted_anchors(self):
+        anchors = coupled = 0
+        for seed in range(1, 6):
+            g = generate_planted(GenSpec(n=120, seed=seed))[0]
+            for solver in forced_anchors(g):
+                got = solver.classify_components()
+                assert got == reference_classify(solver), (seed, solver.anchor)
+                anchors += 1
+                coupled += bool(got[1])
+        assert anchors > 300 and coupled > 10
+
+    @pytest.mark.parametrize("free", range(4))
+    @pytest.mark.parametrize("coupled", range(4))
+    def test_several_components(self, free, coupled):
+        # Neither corpus above gives an anchor more than one component.
+        rng = random.Random(free * 4 + coupled)
+        for _ in range(3):
+            g = several_components(free, coupled, rng)
+            for solver in forced_anchors(g):
+                got = solver.classify_components()
+                assert got == reference_classify(solver), (g.edges, solver.anchor)
+                if solver.anchor == (0, 1):
+                    assert (len(got[0]), len(got[1])) == (free, coupled)
 
 
 class TestComponentColoring:
