@@ -73,6 +73,26 @@ def held_before_read(g: Graph, name: str) -> bool:
 ROUTES = ({"structural": True}, {})
 
 
+# In-class inputs found by hill-climbing: connected, K4-free and
+# S(1,2,4)-free.  TRIP30 trips the exact route's node budget, and the
+# forced-edge closure alone refutes it.  FREE4 has a DIM of 6 edges, and
+# its first anchor reaches classify_components with four free components.
+TRIP30 = Graph(30, [
+    (0, 11), (1, 12), (1, 22), (1, 23), (1, 24), (1, 28), (2, 7), (2, 9), (2, 10), (2, 21),
+    (2, 26), (2, 27), (3, 5), (4, 9), (4, 15), (4, 16), (4, 20), (4, 27), (5, 6), (5, 13),
+    (5, 17), (5, 18), (7, 8), (7, 16), (7, 19), (7, 20), (8, 9), (8, 10), (8, 20), (8, 21),
+    (8, 27), (9, 10), (9, 12), (9, 13), (9, 14), (9, 15), (9, 16), (9, 21), (9, 26), (9, 27),
+    (10, 15), (10, 16), (10, 19), (11, 14), (11, 25), (11, 29), (15, 21), (15, 26), (16, 19),
+    (16, 26), (19, 20), (19, 21), (19, 26), (20, 21), (20, 26), (20, 27),
+])
+FREE4 = Graph(20, [
+    (0, 4), (0, 6), (0, 17), (0, 19), (1, 4), (1, 7), (1, 14), (2, 9), (2, 18), (3, 4), (3, 7),
+    (3, 12), (3, 13), (3, 17), (4, 14), (4, 16), (4, 18), (5, 8), (5, 15), (5, 17), (6, 19),
+    (7, 14), (7, 16), (7, 18), (8, 15), (9, 18), (10, 11), (10, 16), (11, 16), (12, 13),
+    (14, 17), (16, 17), (17, 18),
+])
+
+
 def degree2_block(rng: SplitMix64, pairs: int, whites: int) -> Graph:
     """Off-class block: matched pairs 2i, 2i+1 plus white vertices of degree two,
     each joined to one end of two different pairs.  The pairs form a DIM."""

@@ -24,7 +24,7 @@ from dimatch.graph import Graph, GraphError, iter_bits
 from dimatch.oracle import enumerate_all_graphs, oracle_solve
 from dimatch.solver import AnchorSolver, solve
 
-from conftest import cycle, path
+from conftest import FREE4, cycle, path
 
 # (reason, graph, solve kwargs): the anchor log of the solve shows the reason.
 ROWS = [
@@ -121,6 +121,26 @@ class TestReachability:
         assert out.found == ref.feasible
         if out.found and minimize:
             assert out.weight == ref.best[1]
+
+
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_solve_reaches_four_free_components(self, monkeypatch, minimize):
+        """FREE4 is in class, and one anchor of its residual reaches
+        ``classify_components`` with four free components and no coupled
+        one, in strict mode; the weight agrees with the oracle."""
+        split: list = []
+        real = AnchorSolver.classify_components
+
+        def classify(self):
+            free, coupled = real(self)
+            split.append((len(free), len(coupled)))
+            return free, coupled
+
+        monkeypatch.setattr(AnchorSolver, "classify_components", classify)
+        out = solve(FREE4, minimize=minimize, strict=True)
+        assert (4, 0) in split
+        assert out.found and out.weight == 6.0
+        assert oracle_solve(FREE4, mode="min_weight").best[1] == 6.0
 
 
 class TestPrecondition:

@@ -21,7 +21,7 @@ from dimatch.oracle import enumerate_all_graphs
 from dimatch.patterns import find_k4
 from dimatch.solver import solve
 
-from conftest import degree2_block
+from conftest import FREE4, TRIP30, degree2_block
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
 
@@ -76,6 +76,10 @@ def corpus():
     for name in GADGETS:
         for mode in ("exists", "minw", "verify") + EXACT:
             yield f"gadget/{name}/{mode}", gadget(name), MODES[mode]
+    # Hill-climbed in-class inputs: a budget trip and four free components.
+    for name, g in (("trip30", TRIP30), ("free4", FREE4)):
+        for mode in ("exists", "minw", "verify") + EXACT:
+            yield f"inclass/{name}/{mode}", g, MODES[mode]
     for seed, pairs, whites in BLOCKS:
         g = degree2_block(SplitMix64(seed), pairs, whites)
         for mode in ("exists", "min") + EXACT:

@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimatch import gadget, oracle_solve
-from dimatch.coloring import BLACK, R_DISTANCE_ONE, UNSET, WHITE, Coloring, ReductionOutcome
+from dimatch.coloring import (
+    BLACK,
+    R_DISTANCE_ONE,
+    R_WHITE_WHITE,
+    UNSET,
+    WHITE,
+    Coloring,
+    ReductionOutcome,
+)
 from dimatch.fileio import parse_edge_list, write_edge_list
 from dimatch.generate import GenSpec, SplitMix64, generate_planted, with_random_weights
 from dimatch.graph import Graph, edge, iter_bits
@@ -31,6 +39,7 @@ from dimatch.solver import (
     SolveOutcome,
     SolverConfig,
     StructuralCheckError,
+    _solve_exact,
     anchor_edges,
     solve,
 )
@@ -38,6 +47,7 @@ from dimatch.subsolver import SearchBudgetExceeded, solve_precolored
 
 from conftest import (
     ROUTES,
+    TRIP30,
     cycle,
     degree2_block,
     disjoint_union,
@@ -891,6 +901,18 @@ class TestExactRoute:
         assert out == solve(g, minimize=minimize, anchor_log=ref_log, structural=True)
         assert log == ref_log
         assert TRACE_EXACT not in out.trace
+
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_in_class_trip_refuted_by_the_closure(self, minimize):
+        # TRIP30 is in class, yet its cover search exceeds the budget; the
+        # structural route's forced-edge closure refutes it, with no anchor.
+        assert _solve_exact(TRIP30, SolverConfig(minimize=minimize)) is None
+        for kwargs in ROUTES:
+            log: list = []
+            out = solve(TRIP30, minimize=minimize, anchor_log=log, **kwargs)
+            assert out.verdict == NO_DIM and out.reason == R_WHITE_WHITE
+            assert out.trace == ("forced-closure:26",) and log == []
+        assert not oracle_solve(TRIP30, mode="exists").feasible
 
     @pytest.mark.parametrize("minimize", [False, True])
     def test_off_class_block_gets_one_weight_in_both_modes(self, minimize):
