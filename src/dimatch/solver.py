@@ -126,6 +126,27 @@ def anchor_edges(g: Graph) -> list[Edge]:
     return [(u, v) for u, v in g.edges if (bits[u] ^ bits[v]) & ~(1 << u) & ~(1 << v)]
 
 
+def _level1_independent(bits: Sequence[int], anchor: Edge) -> bool:
+    """Whether the anchor's level 1, N(x) ∪ N(y) − {x, y} in the graph with
+    adjacency bitmasks ``bits``, is an independent set.
+
+    Level 1 must be unmatched, so a DIM holding the anchor whitens all of
+    it; an edge inside it could then not be dominated."""
+    x, y = anchor
+    n1 = (bits[x] | bits[y]) & ~(1 << x) & ~(1 << y)
+    rest = n1
+    while rest:
+        low = rest & -rest
+        if bits[low.bit_length() - 1] & n1:
+            return False
+        rest ^= low
+    return True
+
+
+# The answer for an anchor that fails _level1_independent; no solver is built.
+_LEVEL1_DEPENDENT = SolveOutcome(NO_DIM_WITH_ANCHOR, reason="level1-not-independent")
+
+
 class AnchorSolver:
     """Searches for a dominating induced matching containing one anchor edge.
 
@@ -152,7 +173,14 @@ class AnchorSolver:
 
     The incoming state holds no black vertex and no white anchor endpoint
     (:class:`GraphError` otherwise; the closure's states are white or
-    unset).  The contradiction checks rest on invariants of a run: the
+    unset).  Level 1 of the anchor in the base graph is independent
+    (:func:`_level1_independent`, which :func:`_solve_residual` tests before
+    it builds a solver).  ``alive`` only shrinks, so every later level 1 is
+    a subset of the first, and independence is hereditary, so
+    :meth:`decompose` need not test it.  A solver built directly with a
+    dependent level 1 fails instead at the white–white check
+    (``white-adjacent-white``), because :meth:`decompose` whitens all of
+    level 1.  The contradiction checks rest on invariants of a run: the
     anchor stays black and alive; a white vertex never turns black; level
     1, the anchor's alive neighbourhood, is white from the first
     :meth:`decompose` on and never deleted; levels never decrease, so no
@@ -240,9 +268,11 @@ class AnchorSolver:
     # -- decomposition -----------------------------------------------------
 
     def decompose(self) -> None:
-        """Recompute the level state on the alive graph and validate the
-        level-1/level-2 structure, whitening level 1 and blackening the
-        level-2 vertices that survive.
+        """Recompute the level state on the alive graph, whiten level 1
+        (independent, by the precondition in the class docstring), check
+        that no two white vertices are adjacent, and validate the
+        level-2/level-3 structure, blackening the level-2 vertices that
+        survive.
 
         The levels are :func:`graph._bfs_layers` from the anchor over the
         alive graph, stored in ``level_masks``; vertices it does not reach
@@ -267,14 +297,11 @@ class AnchorSolver:
                 white_mask |= low
             rest ^= low
 
+        white_mask |= n1
         rest = n1
         while rest:
             low = rest & -rest
-            v = low.bit_length() - 1
-            if bits[v] & n1:
-                raise AnchorContradiction("level1-not-independent")
-            state[v] = WHITE
-            white_mask |= low
+            state[low.bit_length() - 1] = WHITE
             rest ^= low
 
         rest = white_mask
@@ -852,7 +879,10 @@ def _solve_residual(g: Graph, state: list[int], cfg: SolverConfig) -> SolveOutco
     for anchor in anchor_edges(g):
         if state[anchor[0]] == WHITE or state[anchor[1]] == WHITE:
             continue
-        out = AnchorSolver(g, anchor, state, cfg).run()
+        if _level1_independent(bits, anchor):
+            out = AnchorSolver(g, anchor, state, cfg).run()
+        else:
+            out = _LEVEL1_DEPENDENT
         if cfg.anchor_log is not None:
             cfg.anchor_log.append(
                 (g.vertex_name(anchor[0]), g.vertex_name(anchor[1]), out.verdict, out.reason)

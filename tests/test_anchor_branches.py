@@ -1,8 +1,8 @@
 """Every contradiction the anchor solver can report is reached through `solve`.
 
-`TestReachability` pins one small graph per reason the anchor solver
-reports, found through ``solve``'s anchor log and checked against the
-oracle, and scans ``solver.py`` so that a reason without a row fails: a
+`TestReachability` pins one small graph per reason the anchor solver, or
+the level-1 test before it, reports, found through ``solve``'s anchor log
+and checked against the oracle, and scans ``solver.py`` so that a reason without a row fails: a
 branch no ``solve`` input reaches is deleted, not exempted.  The checks that
 were deleted as unreachable rest on invariants of a run (see the
 `AnchorSolver` docstring); `TestInvariantGuard` asserts them at each stage
@@ -79,11 +79,27 @@ def _commit_pair_reasons() -> set[str]:
     }
 
 
+def _anchor_outcome_reasons(tree: ast.AST) -> set[str]:
+    """The constant reasons of the ``NO_DIM_WITH_ANCHOR`` outcomes built in
+    ``tree``: the anchors rejected before a solver is built."""
+    return {
+        kw.value.value
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", None) == "SolveOutcome"
+        and call.args
+        and getattr(call.args[0], "id", None) == "NO_DIM_WITH_ANCHOR"
+        for kw in call.keywords
+        if kw.arg == "reason" and isinstance(kw.value, ast.Constant)
+    }
+
+
 def reported_reasons() -> set[str]:
-    """Every reason ``solver.py`` raises as an ``AnchorContradiction``,
-    read from its source."""
-    reasons: set[str] = set()
+    """Every reason ``solver.py`` reports for an anchor, read from its
+    source: raised as an ``AnchorContradiction``, or given outright to a
+    ``NO_DIM_WITH_ANCHOR`` outcome."""
     tree = ast.parse(inspect.getsource(solver))
+    reasons = _anchor_outcome_reasons(tree)
     for func in ast.walk(tree):
         if not isinstance(func, ast.FunctionDef):
             continue
@@ -167,6 +183,8 @@ def guard_stages(monkeypatch) -> dict[str, int]:
     def decompose(self):
         x, y = self.anchor
         level1 = (self.bits[x] | self.bits[y]) & self.alive & ~(1 << x) & ~(1 << y)
+        # Level 1 stays independent, so decompose need not test it.
+        assert all(not self.bits[v] & level1 for v in iter_bits(level1))
         assert self.state[x] != WHITE and self.state[y] != WHITE
         assert all(self.state[v] != BLACK for v in range(self.g.n) if level1 >> v & 1)
         seen["decompose"] += 1

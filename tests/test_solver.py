@@ -41,6 +41,7 @@ from dimatch.solver import (
     StructuralCheckError,
     _solve_exact,
     anchor_edges,
+    _level1_independent,
     solve,
 )
 from dimatch.subsolver import SearchBudgetExceeded, solve_precolored
@@ -121,9 +122,22 @@ class TestDecompose:
         assert set(iter_bits(d.deep_mask)) == frozenset()
 
     def test_c4_level1_dependent(self):
+        # Every anchor of C4 has an edge in its level 1: the test before
+        # the set-up rejects it, and solve logs the reason for each.
+        g = cycle(4)
+        anchors = anchor_edges(g)
+        assert not any(_level1_independent(g.bits, a) for a in anchors)
+        log: list = []
+        out = solve(g, structural=True, anchor_log=log)
+        assert log == [
+            (g.vertex_name(u), g.vertex_name(v), NO_DIM_WITH_ANCHOR, "level1-not-independent")
+            for u, v in anchors
+        ]
+        assert out == SolveOutcome(NO_DIM, reason="level1-not-independent")
+        # Built directly, the solver whitens all of level 1 and fails there.
         with pytest.raises(AnchorContradiction) as err:
-            decomposed(cycle(4), (0, 1))
-        assert err.value.reason == "level1-not-independent"
+            decomposed(g, (0, 1))
+        assert err.value.reason == R_WHITE_WHITE
 
     def test_level2_path_malformed(self):
         g = Graph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6), (4, 5), (5, 6)])
@@ -192,17 +206,26 @@ def after_one_round(g, anchor):
 
 class TestDecomposeDifferential:
     def test_matches_reference_on_every_anchor_to_n6(self):
-        """The one-pass decompose leaves the same level state and raises the
-        same reason as the reference, on every anchor of every connected
-        graph with n <= 6: fresh, and after one forcing round."""
-        rounds = shrunk = raised = 0
+        """On every anchor of every connected graph with n <= 6, the level-1
+        test fails exactly when the reference raises its level-1 reason on
+        a fresh solver.  On the anchors that pass it, the only ones the
+        solve path builds a solver for, the one-pass decompose leaves the
+        same level state and raises the same reason as the reference:
+        fresh, and after one forcing round."""
+        rounds = shrunk = raised = dependent = 0
         for n in range(2, 7):
             full = (1 << n) - 1
             for g in enumerate_all_graphs(n):
                 for anchor in anchor_edges(g):
-                    live, ref = AnchorSolver(g, anchor), AnchorSolver(g, anchor)
+                    expected = level_snapshot(AnchorSolver(g, anchor), reference_decompose)
+                    passes = _level1_independent(g.bits, anchor)
+                    assert passes == (expected[0] != "level1-not-independent"), (g.edges, anchor)
+                    if not passes:
+                        dependent += 1
+                        continue
+                    live = AnchorSolver(g, anchor)
                     got = level_snapshot(live, AnchorSolver.decompose)
-                    assert got == level_snapshot(ref, reference_decompose), (g.edges, anchor)
+                    assert got == expected, (g.edges, anchor)
                     if got[0] is not None:
                         # The forcing round's own decompose would raise the same.
                         raised += 1
@@ -216,8 +239,9 @@ class TestDecomposeDifferential:
                     rounds += 1
                     shrunk += live.alive != full
                     raised += got[0] is not None
-        # Shrunk and full alive masks, and contradictions, each occur often.
-        assert shrunk > 1000 and rounds - shrunk > 1000 and raised > 1000
+        # Shrunk and full alive masks, dependent level-1 sets and, past the
+        # level-1 test, contradictions each occur often.
+        assert shrunk > 1000 and rounds - shrunk > 1000 and dependent > 1000 and raised > 400
 
 
 def with_anchor(g: Graph) -> AnchorSolver:
@@ -790,6 +814,27 @@ class TestAnchorLog:
         assert out.found
         assert log, "anchor attempts should be recorded"
         assert all(len(entry) == 4 for entry in log)
+
+
+class TestLevel1SetUp:
+    def test_dependent_level1_builds_no_solver(self, monkeypatch):
+        """Strict min-weight solves of every connected K4-free graph with
+        n <= 6 build an anchor solver only for the anchors whose level 1 is
+        independent, fewer than half of the anchor-log entries."""
+        built = 0
+        real_init = AnchorSolver.__init__
+
+        def init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnchorSolver, "__init__", init)
+        log: list = []
+        for n in range(2, 7):
+            for g in enumerate_all_graphs(n, predicate=lambda g: find_k4(g) is None):
+                solve(g, minimize=True, strict=True, anchor_log=log)
+        assert (built, len(log)) == (26_700, 55_152)
 
 
 class TestNoWholeGraphCopies:
