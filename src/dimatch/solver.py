@@ -176,7 +176,7 @@ class AnchorSolver:
     unset).  Level 1 of the anchor in the base graph is independent
     (:func:`_level1_independent`, which :func:`_solve_residual` tests before
     it builds a solver).  ``alive`` only shrinks, so every later level 1 is
-    a subset of the first, and independence is hereditary, so
+    a subset of the first; independence is hereditary, so
     :meth:`decompose` need not test it.  A solver built directly with a
     dependent level 1 fails instead at the white–white check
     (``white-adjacent-white``), because :meth:`decompose` whitens all of

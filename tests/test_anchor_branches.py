@@ -2,12 +2,12 @@
 
 `TestReachability` pins one small graph per reason the anchor solver, or
 the level-1 test before it, reports, found through ``solve``'s anchor log
-and checked against the oracle, and scans ``solver.py`` so that a reason without a row fails: a
-branch no ``solve`` input reaches is deleted, not exempted.  The checks that
-were deleted as unreachable rest on invariants of a run (see the
-`AnchorSolver` docstring); `TestInvariantGuard` asserts them at each stage
-over a fixed corpus, in the tests only, so that the solve path pays
-nothing for them.
+and checked against the oracle, and scans ``solver.py`` so that a reason
+without a row fails: a branch no ``solve`` input reaches is deleted, not
+exempted.  The checks that were deleted as unreachable rest on invariants
+of a run (see the `AnchorSolver` docstring); `TestInvariantGuard` asserts
+them at each stage over a fixed corpus, in the tests only, so that the
+solve path pays nothing for them.
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ class TestReachability:
         assert out.found == ref.feasible
         if out.found and minimize:
             assert out.weight == ref.best[1]
-
 
     @pytest.mark.parametrize("minimize", [False, True])
     def test_solve_reaches_four_free_components(self, monkeypatch, minimize):

@@ -39,9 +39,9 @@ from dimatch.solver import (
     SolveOutcome,
     SolverConfig,
     StructuralCheckError,
+    _level1_independent,
     _solve_exact,
     anchor_edges,
-    _level1_independent,
     solve,
 )
 from dimatch.subsolver import SearchBudgetExceeded, solve_precolored
