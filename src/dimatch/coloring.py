@@ -17,12 +17,13 @@ subgraph an alive bitmask induces, read from ``Graph.bits``.
 whitens the pair's alive neighbors, which rules out every edge at distance 1
 from the pair, since a white vertex never changes color.  The anchor solver
 and `forced_edge_closure` both commit through it, and each keeps a bitmask
-of the vertices its commits whitened.
+of the vertices its commits whitened.  Nothing here builds a graph: the
+closure answers with an alive bitmask and a state list over its input.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import Edge, Graph, edge, iter_bits
 
@@ -56,22 +57,20 @@ class Coloring:
 
 
 class ReductionOutcome(NamedTuple):
-    """Result of the forced-edge closure: a smaller graph and its colors, or a contradiction.
+    """Result of the forced-edge closure: the residual's mask and colors, or a contradiction.
 
-    An immutable named tuple, read by field.
-
-    ``state`` holds the residual's vertex colors, whose whites are the
-    vertices the commits whitened.  ``committed`` lists the committed pairs
-    in the input graph's vertex ids, in commit order; ``provenance`` maps
-    the new graph's vertex ids back to the input graph's.  On contradiction
-    only ``reason`` is populated.
+    An immutable named tuple, read by field, in the input graph's ids.
+    ``alive`` masks the uncommitted vertices, which induce the residual.
+    ``state`` colors every input vertex: committed endpoints are black, and
+    the whites are the vertices the commits whitened.  ``committed`` lists
+    the committed pairs in commit order.  On contradiction only ``reason``
+    is populated.
     """
 
     ok: bool
     reason: str | None = None
-    graph: Graph | None = None
     state: list[int] | None = None
-    provenance: tuple[int, ...] | None = None
+    alive: int | None = None
     committed: list[Edge] | None = None
 
     @classmethod
@@ -163,22 +162,6 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int], alive: int) -> s
     return None
 
 
-def restrict(
-    g: Graph, vertices: Collection[int], state: Sequence[int]
-) -> tuple[Graph, list[int], tuple[int, ...]]:
-    """The piece of a colored graph induced by a vertex set, relabeled densely.
-
-    Returns the piece, its state list and the new->old vertex map.  The
-    state list holds the colors of the kept vertices, in the piece's ids.
-    ``vertices`` must hold distinct vertices of ``g``; when it holds all of
-    them, ``g`` itself is returned with a copy of ``state``.
-    """
-    if len(vertices) == g.n:
-        return g, list(state), tuple(range(g.n))
-    sub, old_of_new = g.induced_subgraph(vertices)
-    return sub, [state[v] for v in old_of_new], old_of_new
-
-
 def commit_pair(g: Graph, alive: int, state: list[int], mask: int, vw: Edge) -> str | None:
     """Commit the canonical edge ``vw`` as a matched pair; return a reason on contradiction.
 
@@ -215,8 +198,9 @@ def forced_edge_closure(g: Graph, seeds: Iterable[Edge]) -> ReductionOutcome:
     order (callers wanting determinism pass a sorted sequence) through
     :func:`commit_pair`, skipping repeats, and fails when a newly white
     vertex has an alive white neighbor.  The residual is the subgraph
-    induced by the vertices left uncommitted; its white vertices are
-    exactly those the commits whitened.
+    induced by the vertices left uncommitted, answered as the ``alive``
+    mask over ``g`` with the ``state`` list of ``g``: no graph is built.
+    Its white vertices are exactly those the commits whitened.
 
     The residual is diamond- and butterfly-free when the seeds hold every
     forced edge of ``g`` (every diamond mid edge and butterfly wing edge,
@@ -245,5 +229,4 @@ def forced_edge_closure(g: Graph, seeds: Iterable[Edge]) -> ReductionOutcome:
             if bits[z] & mask & alive:
                 return ReductionOutcome.contradiction(R_WHITE_WHITE)
         committed.append(vw)
-    residual, residual_state, old_of_new = restrict(g, list(iter_bits(alive)), state)
-    return ReductionOutcome(True, None, residual, residual_state, old_of_new, committed)
+    return ReductionOutcome(True, None, state, alive, committed)

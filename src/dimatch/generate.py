@@ -23,6 +23,7 @@ from . import patterns
 from .graph import Edge, Graph
 
 _MASK64 = (1 << 64) - 1
+_WEIGHT_LO, _WEIGHT_HI = 1, 10
 
 
 class GenerationError(ValueError):
@@ -255,8 +256,8 @@ def generate(spec: GenSpec) -> tuple[Graph, frozenset[Edge] | None]:
     raise GenerationError(f"unknown mode {spec.mode!r}")
 
 
-def with_random_weights(g: Graph, seed: int, lo: int = 1, hi: int = 10) -> Graph:
-    """Copy of the graph with integer edge weights drawn uniformly from [lo, hi]."""
+def with_random_weights(g: Graph, seed: int) -> Graph:
+    """Copy of the graph with integer edge weights drawn uniformly from [1, 10]."""
     rng = SplitMix64(seed)
-    weights = {e: float(rng.randint(lo, hi)) for e in g.edges}
+    weights = {e: float(rng.randint(_WEIGHT_LO, _WEIGHT_HI)) for e in g.edges}
     return Graph(g.n, g.edges, weights, g.names)

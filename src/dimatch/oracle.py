@@ -41,6 +41,8 @@ class OracleResult(NamedTuple):
 
 
 _MODES = ("exists", "min_weight", "enumerate")
+# The subset scan visits 2**m edge sets, so it refuses graphs with more edges.
+_SUBSET_MAX_EDGES = 20
 
 # The memberships a vertex may take, in the order they are tried: OUT of B, then IN.
 _FREE = (False, True)
@@ -215,13 +217,12 @@ def oracle_solve_subsets(
     g: Graph,
     precoloring: Coloring | None = None,
     mode: str = "exists",
-    max_edges: int = 20,
 ) -> OracleResult:
     """Brute subset scan over all edge sets; independent cross-check for tiny graphs."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    if g.m > max_edges:
-        raise ValueError(f"subset scan limited to {max_edges} edges, graph has {g.m}")
+    if g.m > _SUBSET_MAX_EDGES:
+        raise ValueError(f"subset scan limited to {_SUBSET_MAX_EDGES} edges, graph has {g.m}")
     state = precoloring.state if precoloring is not None else [0] * g.n
     m = len(g.edges)
     incident_mask = [0] * g.n

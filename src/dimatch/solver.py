@@ -40,7 +40,6 @@ from .coloring import (
     commit_pair,
     forced_edge_closure,
     propagate,
-    restrict,
 )
 from .graph import Edge, Graph, GraphError, _bfs_layers, edge, iter_bits
 from .subsolver import SearchBudgetExceeded, solve_precolored
@@ -671,7 +670,7 @@ class AnchorSolver:
         stray_mask = self.alive & ~sum(self.level_masks)
         if not stray_mask:
             return frozenset(), 0.0
-        sub, state, old_of_new = restrict(self.g, list(iter_bits(stray_mask)), self.state)
+        sub, state, old_of_new = restrict(self.g, stray_mask, self.state)
         res = self.cfg.sub_solver(sub, Coloring(state), minimize=self.cfg.minimize)
         if res is None:
             return None
@@ -689,7 +688,7 @@ class AnchorSolver:
         deep_matching: frozenset[Edge] = frozenset()
         deep_weight = 0.0
         if deep_alive:
-            sub, sub_state, old_of_new = restrict(self.g, list(iter_bits(deep_alive)), state)
+            sub, sub_state, old_of_new = restrict(self.g, deep_alive, state)
             if self.cfg.strict:
                 self._strict_deep_checks(sub)
             start = time.perf_counter()
@@ -929,9 +928,9 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
     if not closure.ok:
         return SolveOutcome(NO_DIM, reason=closure.reason, trace=tuple(trace))
     return _solve_pieces(
-        closure.graph,
+        g,
         closure.state,
-        closure.provenance,
+        closure.alive,
         lambda sub, sub_state: _solve_residual(sub, sub_state, cfg),
         set(closure.committed),
         g.matching_weight(closure.committed),
@@ -939,36 +938,52 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
     )
 
 
+def restrict(g: Graph, mask: int, state: Sequence[int]) -> tuple[Graph, list[int], tuple[int, ...]]:
+    """The piece of a colored graph induced by a vertex bitmask, relabeled densely.
+
+    Returns the piece, its state list (the kept vertices' colors, in the
+    piece's ids) and the new->old vertex map.  A mask holding every vertex
+    returns ``g`` itself with a copy of ``state``.
+    """
+    if mask.bit_count() == g.n:
+        return g, list(state), tuple(range(g.n))
+    sub, old_of_new = g.induced_subgraph(iter_bits(mask))
+    return sub, [state[v] for v in old_of_new], old_of_new
+
+
 def _solve_pieces(
     g: Graph,
     state: list[int],
-    ids: Sequence[int],
+    alive: int,
     solve_piece: Callable[[Graph, list[int]], SolveOutcome],
     matching: set[Edge],
     weight: float,
     trace: list[str],
 ) -> SolveOutcome:
-    """Solve each connected piece of a colored graph and merge the answers.
+    """Solve each connected piece of the subgraph ``alive`` induces and merge the answers.
 
-    ``state`` holds the vertex colors of ``g``; each piece is handed its own
+    ``alive`` is a bitmask over ``g``, whose vertex colors ``state`` holds.
+    Each piece is laid out by :func:`graph._bfs_layers` from its least
+    vertex, cut from ``g`` once by :func:`restrict` and handed its own
     state list, in the piece's ids.  Pieces go in order of their least
-    vertex; a one-vertex piece has nothing to match and is skipped.  ``ids``
-    maps the vertices of ``g`` to the caller's, in which the answer is
-    given: the pieces' matchings join ``matching``, their weights are added
-    to ``weight`` in piece order and their traces extend ``trace``.  The
-    first piece without a matching ends the merge; its verdict and reason
-    come back with the trace so far and its witness in the caller's ids.
+    vertex; a one-vertex piece has nothing to match and is skipped.  The
+    answer is in the ids of ``g``: the pieces' matchings join ``matching``,
+    their weights are added to ``weight`` in piece order and their traces
+    extend ``trace``.  The first piece without a matching ends the merge;
+    its verdict, reason and witness come back with the trace so far.
     """
-    for comp in g.connected_components():
-        if len(comp) == 1:
+    while alive:
+        piece = sum(_bfs_layers(g.bits, alive & -alive, alive))
+        alive &= ~piece
+        if not piece & (piece - 1):
             continue
-        sub, sub_state, sub_ids = restrict(g, comp, state)
+        sub, sub_state, old_of_new = restrict(g, piece, state)
         out = solve_piece(sub, sub_state)
         if not out.found:
             witness = out.witness
             if witness is not None:
                 witness = patterns.PatternWitness(
-                    witness.pattern, tuple(ids[sub_ids[v]] for v in witness.vertices)
+                    witness.pattern, tuple(old_of_new[v] for v in witness.vertices)
                 )
             return SolveOutcome(
                 out.verdict,
@@ -976,7 +991,7 @@ def _solve_pieces(
                 witness=witness,
                 trace=tuple(trace) + out.trace,
             )
-        matching.update(edge(ids[sub_ids[a]], ids[sub_ids[b]]) for a, b in out.matching)
+        matching.update(g.relabel_edges(out.matching, old_of_new))
         weight += out.weight
         trace.extend(out.trace)
     return SolveOutcome(FOUND, matching=frozenset(matching), weight=weight, trace=tuple(trace))
@@ -1007,8 +1022,8 @@ def solve(
       exactly the structural route's;
     * the structural route first answers ``no_dim`` with the reason
       ``clique4`` and the trace ``("clique4-reject",)`` when the whole input
-      holds a 4-clique, whichever component it lies in; otherwise it
-      handles components independently with the anchor pipeline.
+      holds a 4-clique, whichever component it lies in; otherwise
+      :func:`_solve_pieces` hands each connected piece to the anchor pipeline.
       ``structural`` selects it outright, and so do ``strict``, which turns
       on the structural runtime assertions used by the test harness, and
       ``verify_class``.
@@ -1043,7 +1058,7 @@ def solve(
         out = _solve_pieces(
             g,
             [UNSET] * g.n,
-            range(g.n),
+            (1 << g.n) - 1,
             lambda sub, _: _solve_connected(sub, cfg),
             set(),
             0.0,

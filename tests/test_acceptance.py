@@ -168,7 +168,7 @@ class TestCriterion4MinimumWeight:
                 )
             except RetryBudgetExceeded:
                 continue
-            g = with_random_weights(g, seed=seed, lo=1, hi=10)
+            g = with_random_weights(g, seed=seed)
             out = solve(g, minimize=True, strict=True)
             ref = oracle_solve(g, mode="min_weight")
             if out.found != ref.feasible:

@@ -20,7 +20,7 @@ from dimatch.coloring import (
     propagate,
 )
 from dimatch.generate import SplitMix64
-from dimatch.graph import Graph
+from dimatch.graph import Graph, iter_bits
 from dimatch.solver import AnchorContradiction, AnchorSolver
 from dimatch.subsolver import solve_precolored
 
@@ -30,6 +30,16 @@ from conftest import cycle, path, small_graphs
 def everyone(g: Graph) -> int:
     """The alive mask holding every vertex of ``g``."""
     return (1 << g.n) - 1
+
+
+def residual(g: Graph, out) -> tuple[Graph, list[int], tuple[int, ...]]:
+    """The closure's residual graph, its state list and its new->old map.
+
+    The closure answers with an alive mask over ``g`` and a state list for
+    every vertex of ``g``; the test builds the residual from those.
+    """
+    sub, old = g.induced_subgraph(iter_bits(out.alive))
+    return sub, [out.state[v] for v in old], old
 
 
 class TestFeasibility:
@@ -62,12 +72,12 @@ class TestReductionStep:
         g = path(5)
         out = forced_edge_closure(g, [(1, 2)])
         assert out.ok
-        assert out.graph.n == 3 and out.graph.m == 1
+        sub, state, old = residual(g, out)
+        assert sub.n == 3 and sub.m == 1
         assert out.committed == [(1, 2)]
         # surviving edge between old 3 and 4 is at distance 1: old 3 is white
-        old = out.provenance
         assert old == (0, 3, 4)
-        assert out.state == [WHITE, WHITE, UNSET]
+        assert state == [WHITE, WHITE, UNSET]
 
     def test_shared_vertex_contradiction(self):
         g = path(3)
@@ -114,16 +124,18 @@ class TestEdgeCReduction:
         g = path(4)
         out = forced_edge_closure(g, [(1, 2)])
         assert out.ok
-        assert out.graph.n == 2 and out.graph.m == 0
-        assert out.state == [WHITE, WHITE]
+        sub, state, _ = residual(g, out)
+        assert sub.n == 2 and sub.m == 0
+        assert state == [WHITE, WHITE]
         assert out.committed == [(1, 2)]
 
     def test_diamond_mid_edge(self):
         g = gadget("diamond")
         out = forced_edge_closure(g, [(1, 3)])
         assert out.ok
-        assert out.state == [WHITE, WHITE]
-        assert out.graph.m == 0  # outer pair 0, 2 is non-adjacent
+        sub, state, _ = residual(g, out)
+        assert state == [WHITE, WHITE]
+        assert sub.m == 0  # outer pair 0, 2 is non-adjacent
 
     def test_triangle_third_black(self):
         g = cycle(3)
@@ -169,19 +181,21 @@ class TestClosure:
         out = forced_edge_closure(g, [(1, 3)])
         assert out.ok
         assert out.committed == [(1, 3)]
-        assert out.graph.n == 2 and out.graph.m == 0
+        sub, _, _ = residual(g, out)
+        assert sub.n == 2 and sub.m == 0
 
     def test_butterfly(self):
         g = gadget("butterfly")
         out = forced_edge_closure(g, [(0, 1), (2, 3)])
         assert out.ok
         assert sorted(out.committed) == [(0, 1), (2, 3)]
-        assert out.graph.n == 1 and out.graph.m == 0
+        sub, _, _ = residual(g, out)
+        assert sub.n == 1 and sub.m == 0
 
     def test_2p2_both(self):
         g = Graph(4, [(0, 1), (2, 3)])
         out = forced_edge_closure(g, [(0, 1), (2, 3)])
-        assert out.ok and out.graph.n == 0
+        assert out.ok and residual(g, out)[0].n == 0
 
     def test_rescan_finds_nested_forcings(self):
         # gem: both diamonds share the apex, their mid edges collide
@@ -218,8 +232,9 @@ class TestClosure:
         seeds = forced_edges_initial(g)
         out = forced_edge_closure(g, sorted(seeds))
         if out.ok:
-            assert find_all_diamonds(out.graph) == []
-            assert find_all_butterflies(out.graph) == []
+            sub, _, _ = residual(g, out)
+            assert find_all_diamonds(sub) == []
+            assert find_all_butterflies(sub) == []
 
     def test_residual_is_diamond_butterfly_free_exhaustive(self):
         """Committing every forced edge of g once leaves no forced edge behind,
@@ -232,8 +247,9 @@ class TestClosure:
             for g in enumerate_all_graphs(n, connected=False):
                 out = forced_edge_closure(g, sorted(forced_edges_initial(g)))
                 if out.ok:
-                    assert find_all_diamonds(out.graph) == []
-                    assert find_all_butterflies(out.graph) == []
+                    sub, _, _ = residual(g, out)
+                    assert find_all_diamonds(sub) == []
+                    assert find_all_butterflies(sub) == []
                 checked += 1
         assert checked == 33866
 
@@ -256,17 +272,18 @@ class TestReductionSoundness:
         if not out.ok:
             assert not with_e
             return
-        residual = oracle_solve(out.graph, Coloring(out.state), mode="enumerate")
-        count = len(residual.all_dims) if residual.feasible else 0
+        sub, state, _ = residual(g, out)
+        rest = oracle_solve(sub, Coloring(state), mode="enumerate")
+        count = len(rest.all_dims) if rest.feasible else 0
         assert len(with_e) == count
 
     def test_feasibility_holds_after_ok(self):
         g = cycle(6)
         out = forced_edge_closure(g, [(0, 1)])
         assert out.ok
-        state = list(out.state)
-        assert propagate(out.graph, state, range(out.graph.n), everyone(out.graph)) is None
-        assert oracle_solve(out.graph, Coloring(out.state)).feasible
+        sub, state, _ = residual(g, out)
+        assert propagate(sub, list(state), range(sub.n), everyone(sub)) is None
+        assert oracle_solve(sub, Coloring(state)).feasible
 
 
 class TestPropagate:

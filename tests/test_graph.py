@@ -398,8 +398,7 @@ class TestComponents:
                 comp.update(frontier)
             seen |= comp
             ref.append(frozenset(comp))
-        # Tuple equality also pins the order, by least vertex, which
-        # solver._solve_pieces takes as given.
+        # Tuple equality also pins the order, by least vertex.
         assert g.connected_components() == tuple(ref)
 
 
@@ -426,9 +425,14 @@ class TestInducedSubgraph:
         sub, old = g.induced_subgraph([1, 2])
         assert sub.weight((0, 1)) == 5
 
-    @given(small_graphs(min_n=3, max_n=8), st.data())
+    @given(small_graphs(min_n=3, max_n=8), st.data(), st.booleans())
     @settings(max_examples=60)
-    def test_nested_subgraphs_compose(self, g: Graph, data):
+    def test_nested_subgraphs_compose(self, g: Graph, data, named):
+        # solver._solve_pieces cuts each residual piece straight from the
+        # closure's input, so that piece must equal the piece of the residual.
+        weights = {e: data.draw(st.integers(0, 9)) for e in g.edges}
+        names = tuple(f"x{data.draw(st.integers(0, 99))}" for _ in range(g.n)) if named else None
+        g = Graph(g.n, g.edges, weights, names)
         outer = sorted(
             data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
         )
@@ -439,6 +443,9 @@ class TestInducedSubgraph:
         sub2, old2 = sub1.induced_subgraph(inner_local)
         direct, old_direct = g.induced_subgraph([old1[v] for v in inner_local])
         assert sub2.edges == direct.edges
+        assert sub2.weights == direct.weights
+        assert sub2.names == direct.names
+        assert tuple(old1[v] for v in old2) == old_direct
 
     def test_names_track_back_to_original(self):
         g = path(4)

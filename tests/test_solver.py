@@ -19,12 +19,19 @@ from dimatch.coloring import (
     WHITE,
     Coloring,
     ReductionOutcome,
+    forced_edge_closure,
 )
 from dimatch.fileio import parse_edge_list, write_edge_list
 from dimatch.generate import GenSpec, SplitMix64, generate_planted, with_random_weights
 from dimatch.graph import Graph, edge, iter_bits
 from dimatch.oracle import OracleResult, enumerate_all_graphs
-from dimatch.patterns import PatternWitness, find_induced_sijk, find_k4, verify_witness
+from dimatch.patterns import (
+    PatternWitness,
+    find_induced_sijk,
+    find_k4,
+    forced_edges_initial,
+    verify_witness,
+)
 from dimatch.solver import (
     CLASS_VIOLATION,
     EXACT_NODES_PER_VERTEX,
@@ -41,6 +48,7 @@ from dimatch.solver import (
     StructuralCheckError,
     _level1_independent,
     _solve_exact,
+    _solve_pieces,
     anchor_edges,
     solve,
 )
@@ -837,6 +845,103 @@ class TestLevel1SetUp:
         assert (built, len(log)) == (26_700, 55_152)
 
 
+class TestResidualPieces:
+    def test_closure_builds_no_graph(self, monkeypatch):
+        graphs = [
+            g
+            for n in range(2, 7)
+            for g in enumerate_all_graphs(n, predicate=lambda g: find_k4(g) is None)
+        ]
+        built = 0
+        real_init = Graph.__init__
+
+        def init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", init)
+        residues = 0
+        for g in graphs:
+            seeds = forced_edges_initial(g)
+            if seeds:
+                out = forced_edge_closure(g, sorted(seeds))
+                residues += bool(out.ok and out.alive)
+        assert built == 0 and residues > 1000
+        Graph(2, [(0, 1)])  # the spy is live
+        assert built == 1
+
+    def test_each_piece_is_cut_once(self, monkeypatch):
+        """Strict min-weight solves of every connected K4-free graph with
+        n <= 6 cut each residual piece straight from the closure's input:
+        6,090 subgraphs, where cutting the residual first took 9,390."""
+        cut = 0
+        real = Graph.induced_subgraph
+
+        def spy(self, vertices):
+            nonlocal cut
+            cut += 1
+            return real(self, vertices)
+
+        monkeypatch.setattr(Graph, "induced_subgraph", spy)
+        for n in range(2, 7):
+            for g in enumerate_all_graphs(n, predicate=lambda g: find_k4(g) is None):
+                solve(g, minimize=True, strict=True)
+        assert cut == 6_090
+
+    # Vertex 0 is alone once 1 is dropped; dropping 4 splits the rest into
+    # pieces {2, 5, 7} and {3, 6, 8}, whose vertices interleave.
+    PIECES = Graph(
+        9,
+        [(0, 1), (2, 4), (3, 4), (2, 5), (5, 7), (3, 6), (6, 8)],
+        weights={(2, 5): 2, (3, 6): 3},
+    )
+    ALIVE = 0b111101101
+
+    def test_pieces_come_back_in_the_callers_ids(self):
+        g = self.PIECES
+        state = [UNSET, UNSET, UNSET, WHITE, UNSET, UNSET, UNSET, UNSET, WHITE]
+        seen = []
+
+        def piece(sub, sub_state):
+            seen.append((sub.names, sub.edges, sub_state))
+            matching = frozenset([(0, 1)])
+            return SolveOutcome(FOUND, matching, sub.weight((0, 1)), trace=(sub.names[0],))
+
+        out = _solve_pieces(g, state, self.ALIVE, piece, {(0, 1)}, 1.0, ["pre"])
+        assert seen == [
+            (("3", "6", "8"), ((0, 1), (1, 2)), [UNSET, UNSET, UNSET]),
+            (("4", "7", "9"), ((0, 1), (1, 2)), [WHITE, UNSET, WHITE]),
+        ]
+        assert out == SolveOutcome(
+            FOUND,
+            matching=frozenset([(0, 1), (2, 5), (3, 6)]),
+            weight=6.0,
+            trace=("pre", "3", "4"),
+        )
+
+    def test_witness_comes_back_in_the_callers_ids(self):
+        g = self.PIECES
+        calls = []
+
+        def piece(sub, sub_state):
+            calls.append(sub.n)
+            if len(calls) == 1:
+                return SolveOutcome(FOUND, matching=frozenset([(0, 1)]), weight=2.0, trace=("a",))
+            return SolveOutcome(
+                CLASS_VIOLATION, reason="r", witness=PatternWitness("c4", (2, 1, 0)), trace=("b",)
+            )
+
+        out = _solve_pieces(g, [UNSET] * g.n, self.ALIVE, piece, set(), 0.0, [])
+        assert calls == [3, 3]
+        assert out == SolveOutcome(
+            CLASS_VIOLATION,
+            reason="r",
+            witness=PatternWitness("c4", (8, 6, 3)),
+            trace=("a", "b"),
+        )
+
+
 class TestNoWholeGraphCopies:
     def test_solve_never_copies_a_whole_graph(self, monkeypatch):
         real = Graph.induced_subgraph
@@ -985,8 +1090,9 @@ class TestExactRoute:
         assert held_before_read(g, "bits")
 
     def test_default_route_never_builds_components(self, monkeypatch):
-        # The exact search labels the pieces with union-find roots; the
-        # component frozensets are built only on the structural route.
+        # The exact search labels the pieces with union-find roots, and the
+        # structural route splits alive masks breadth-first: neither builds
+        # the component frozensets.
         text = write_edge_list(generate_planted(GenSpec(n=1000, seed=5))[0])
         split = Graph.connected_components
         calls: list[int] = []
@@ -1000,7 +1106,10 @@ class TestExactRoute:
         assert out.found and out.trace == (TRACE_EXACT,)
         assert calls == []
         assert solve(parse_edge_list(text), structural=True).found
-        assert calls
+        assert calls == []
+        # The spy is live: is_connected reads the components through it.
+        assert not parse_edge_list(text).is_connected()
+        assert calls == [1000]
 
     def test_no_route_builds_adj(self, monkeypatch):
         # Every solve path reads ``bits``; ``adj`` is built only on request.
