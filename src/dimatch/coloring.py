@@ -16,9 +16,9 @@ subgraph an alive bitmask induces, read from ``Graph.bits``.
 `commit_pair` is the one implementation of committing a matched pair: it
 whitens the pair's alive neighbors, which rules out every edge at distance 1
 from the pair, since a white vertex never changes color.  The anchor solver
-and `forced_edge_closure` both commit through it, and each keeps a bitmask
-of the vertices its commits whitened.  Nothing here builds a graph: the
-closure answers with an alive bitmask and a state list over its input.
+and `forced_edge_closure` both commit through it, and the state list is
+their one record of which vertices are white.  Nothing here builds a graph:
+the closure answers with an alive bitmask and a state list over its input.
 """
 
 from __future__ import annotations
@@ -162,24 +162,21 @@ def propagate(g: Graph, state: list[int], queue: Iterable[int], alive: int) -> s
     return None
 
 
-def commit_pair(g: Graph, alive: int, state: list[int], mask: int, vw: Edge) -> str | None:
+def commit_pair(g: Graph, alive: int, state: list[int], vw: Edge) -> str | None:
     """Commit the canonical edge ``vw`` as a matched pair; return a reason on contradiction.
 
-    ``alive`` is a bitmask of the vertices still in the working graph, and
-    ``mask`` one of the vertices earlier commits whitened.  The alive
-    neighbors of the pair turn white, then both endpoints turn black; every
-    alive edge at distance 1 from the pair now has a white endpoint, so it
-    can never be matched.  An endpoint in ``mask`` means ``vw`` lies at
-    distance 1 from an earlier commit (``distance-1``).  Every white
-    endpoint must lie in ``mask``: the closure's whites all do, and
-    ``AnchorSolver._commit`` says why the anchor solver's do.  The caller
-    removes the endpoints from ``alive`` and adds their alive neighbors to
-    ``mask``.  Mutates ``state`` in place, also when it fails partway.
+    ``alive`` is a bitmask of the vertices still in the working graph.  The
+    alive neighbors of the pair turn white, then both endpoints turn black;
+    every alive edge at distance 1 from the pair now has a white endpoint,
+    so it can never be matched.  A white endpoint can never be matched
+    either, so it fails as ``distance-1``, with ``state`` unchanged.  The
+    caller removes the endpoints from ``alive``.  Mutates ``state`` in
+    place, also when it fails partway.
     """
     v, w = vw
     if not (alive >> v & 1 and alive >> w & 1):
         return R_SHARED_VERTEX
-    if (mask >> v | mask >> w) & 1:
+    if WHITE in (state[v], state[w]):
         return R_DISTANCE_ONE
     bits = g.bits
     for z in iter_bits((bits[v] | bits[w]) & alive & ~(1 << v) & ~(1 << w)):
@@ -218,7 +215,7 @@ def forced_edge_closure(g: Graph, seeds: Iterable[Edge]) -> ReductionOutcome:
         # Only shared-vertex and distance-1 can come back here: the only
         # black vertices are committed endpoints, no longer alive, so no
         # black-two-black-neighbors.
-        reason = commit_pair(g, alive, state, mask, vw)
+        reason = commit_pair(g, alive, state, vw)
         if reason:
             return ReductionOutcome.contradiction(reason)
         v, w = vw

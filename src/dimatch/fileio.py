@@ -216,7 +216,7 @@ def parse_matching(text: str, g: Graph) -> frozenset[Edge]:
         if not (1 <= u <= g.n and 1 <= v <= g.n):
             raise ParseError(f"line {lineno}: vertex out of range 1..{g.n}")
         e = (min(u, v) - 1, max(u, v) - 1)
-        if not g.has_edge_canon(e):
+        if e not in g.weights:
             raise ParseError(f"line {lineno}: edge {u}-{v} absent from graph")
         out.add(e)
     return frozenset(out)

@@ -180,9 +180,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.weights
 
-    def has_edge_canon(self, e: Edge) -> bool:
-        return e in self.weights
-
     def weight(self, e: Edge) -> float:
         return self.weights[edge(*e)]
 

@@ -151,11 +151,10 @@ class AnchorSolver:
 
     Holds the base graph's bitmasks ``bits`` and the shrinking working
     state: an alive-vertex mask over the fixed base graph, per-vertex
-    colors, the committed pairs (whose endpoints have left the alive set)
-    and ``whitened``, the mask of the vertices commits turned white.  It
-    starts as the incoming white vertices, which the forced-edge closure
-    whitened through commits; a white vertex never changes color, so no
-    edge at one of them can ever be matched.
+    colors and the committed pairs (whose endpoints have left the alive
+    set).  The colors are the one record of the white vertices, the
+    incoming ones the forced-edge closure whitened included; a white vertex
+    never changes color, so no edge at one of them can ever be matched.
 
     The level state of the last :meth:`decompose` lives here too, and only
     here, in one form: the bitmasks ``level_masks``, ``n3_mask`` and
@@ -211,11 +210,6 @@ class AnchorSolver:
         if BLACK in self.state or WHITE in (self.state[x], self.state[y]):
             raise GraphError("anchor state holds a black vertex or a white anchor endpoint")
         self.state[x] = self.state[y] = BLACK
-        self.whitened = (
-            sum(1 << v for v, c in enumerate(self.state) if c == WHITE)
-            if WHITE in self.state
-            else 0
-        )
         self.committed: list[Edge] = []
         self.alive = (1 << g.n) - 1
         self.trace: list[str] = []
@@ -239,20 +233,12 @@ class AnchorSolver:
 
     def _commit(self, vw: Edge, tag: str) -> None:
         """Commit a matched pair through :func:`commit_pair` and delete its
-        endpoints.
-
-        No stage commits a white endpoint that ``whitened`` lacks: a level-2
-        pair endpoint is never white (``decompose`` fails first), pool and
-        lone-candidate endpoints are unset when collected, a contact
-        commit's white pool endpoint fails the sweep first, and a white
-        deep-triangle endpoint was whitened by a commit, or as an isolated
-        deep vertex whose partner a commit whitened."""
+        endpoints."""
         v, w = vw = edge(*vw)
-        reason = commit_pair(self.g, self.alive, self.state, self.whitened, vw)
+        reason = commit_pair(self.g, self.alive, self.state, vw)
         if reason:
             raise AnchorContradiction(reason)
         self.alive &= ~(1 << v) & ~(1 << w)
-        self.whitened |= (self.bits[v] | self.bits[w]) & self.alive
         self.committed.append(vw)
         self._tag(tag)
 
@@ -841,8 +827,9 @@ class AnchorSolver:
                 self._check_failed("matched pair between level 3 and deeper")
 
     def _found(self, matching: frozenset[Edge], weight: float) -> SolveOutcome:
-        if any((self.whitened >> u | self.whitened >> v) & 1 for u, v in matching):
-            raise StructuralCheckError("matching uses an edge at a whitened vertex")
+        state = self.state
+        if any(WHITE in (state[u], state[v]) for u, v in matching):
+            raise StructuralCheckError("matching uses an edge at a white vertex")
         return SolveOutcome(
             FOUND,
             matching=matching,

@@ -140,7 +140,7 @@ class TestEdgeCReduction:
     def test_triangle_third_black(self):
         g = cycle(3)
         state = [BLACK, BLACK, BLACK]
-        assert commit_pair(g, 0b111, state, 0, (0, 1)) == "black-two-black-neighbors"
+        assert commit_pair(g, 0b111, state, (0, 1)) == "black-two-black-neighbors"
 
     def test_adjacent_whites_detected(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
@@ -153,18 +153,26 @@ class TestCommitPair:
         g = path(5)
         state = [UNSET] * 5
         alive = 0b11110  # vertex 0 already deleted
-        assert commit_pair(g, alive, state, 0, (2, 3)) is None
+        assert commit_pair(g, alive, state, (2, 3)) is None
         assert state == [UNSET, WHITE, BLACK, BLACK, WHITE]
 
     def test_endpoint_not_alive(self):
         g = path(3)
-        assert commit_pair(g, 0b011, [UNSET] * 3, 0, (1, 2)) == "shared-vertex"
+        assert commit_pair(g, 0b011, [UNSET] * 3, (1, 2)) == "shared-vertex"
 
-    def test_mask_decides_the_reason_for_a_white_endpoint(self):
+    def test_white_endpoint_color_decides_the_reason(self):
         g = path(4)
         state = [UNSET, WHITE, UNSET, UNSET]
         # the white endpoint 1, whitened by an earlier commit
-        assert commit_pair(g, 0b1111, state, 0b0010, (1, 2)) == "distance-1"
+        assert commit_pair(g, 0b1111, state, (1, 2)) == "distance-1"
+
+    def test_white_endpoint_not_whitened_by_a_commit_is_refused(self):
+        # Vertex 1 is white, but no commit whitened it (as when level 1 is
+        # whitened): the commit still fails, and leaves the colors alone.
+        g = path(4)
+        state = [UNSET, WHITE, UNSET, UNSET]
+        assert commit_pair(g, 0b1111, state, (1, 2)) == "distance-1"
+        assert state == [UNSET, WHITE, UNSET, UNSET]
 
     def test_anchor_solver_tells_the_two_whites_apart(self):
         # path 0-1-2-3-4 with anchor (1, 2): level 1 is {0, 3}.

@@ -229,7 +229,7 @@ def committed_exclusions(g: Graph, e) -> set:
     """Edges that committing ``e`` on a fresh coloring of g rules out: the
     edges left alive at the vertices the commit whitens."""
     state = [UNSET] * g.n
-    assert commit_pair(g, (1 << g.n) - 1, state, 0, e) is None
+    assert commit_pair(g, (1 << g.n) - 1, state, e) is None
     rest = set(range(g.n)) - set(e)
     return {(a, b) for a, b in g.edges if {a, b} <= rest and WHITE in (state[a], state[b])}
 
