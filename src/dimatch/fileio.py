@@ -44,13 +44,16 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
     A string in the plain form that :func:`write_edge_list` gives an
     unweighted graph is parsed in bulk, to the same graph.
     """
-    plain = _parse_plain(source) if isinstance(source, str) else None
-    if plain is None:
-        lines = source.splitlines() if isinstance(source, str) else source
-        n, edges, weights = _parse_lines(lines)
-    else:
-        n, edges = plain
-        weights = {}
+    lines = source
+    if isinstance(source, str):
+        plain = _parse_plain(source)
+        if plain is not None:
+            try:
+                return Graph(*plain)
+            except GraphError:
+                pass  # the line loop gives the message
+        lines = source.splitlines()
+    n, edges, weights = _parse_lines(lines)
     try:
         return Graph(n, edges, weights)
     except GraphError as exc:
@@ -66,12 +69,15 @@ def _parse_plain(text: str) -> tuple[int, list[Edge]] | None:
     """The vertex count and edges of a plain text, or None for any other text.
 
     Plain means a first line ``p edge <n> <m>``, then exactly ``m`` lines
-    ``e <u> <v>`` with ``1 <= u, v <= n``, each starting with its ``e`` and
-    ending in a newline, in ASCII digits, spaces and tabs.  The body is
-    split into tokens once.  Anything else, errors included, is left to
-    :func:`_parse_lines`, the one source of error messages.  The character
-    check also keeps out every line break but ``\\n`` (``\\r``, ``\\v``,
-    ``\\x85``, ...), at which ``str.splitlines`` would break a line.
+    ``e <u> <v>``, each starting with its ``e`` and ending in a newline, in
+    ASCII digits, spaces and tabs.  The body is split into tokens once.
+    Anything else is left to :func:`_parse_lines`, the one source of error
+    messages.  The edges come back 0-based and in the text's order: the
+    range check and the pair order belong to :class:`Graph`, and
+    :func:`parse_edge_list` hands any :class:`GraphError` it raises to
+    :func:`_parse_lines` too.  The character check also keeps out every
+    line break but ``\\n`` (``\\r``, ``\\v``, ``\\x85``, ...), at which
+    ``str.splitlines`` would break a line.
     """
     header, newline, body = text.partition("\n")
     head = header.split()
@@ -108,13 +114,10 @@ def _parse_plain(text: str) -> tuple[int, list[Edge]] | None:
     if len(tokens) != 3 * m or tokens[0::3].count("e") != m:
         return None
     try:
-        us = list(map(int, tokens[1::3]))
-        vs = list(map(int, tokens[2::3]))
+        pairs = zip(map(int, tokens[1::3]), map(int, tokens[2::3]))
+        return n, [(u - 1, v - 1) for u, v in pairs]
     except ValueError:  # an "e" off its place, or more digits than int() converts
         return None
-    if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n:
-        return None
-    return n, [(u - 1, v - 1) if u < v else (v - 1, u - 1) for u, v in zip(us, vs)]
 
 
 def _parse_lines(lines: Iterable[str]) -> tuple[int, list[Edge], dict[Edge, float]]:

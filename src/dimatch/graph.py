@@ -103,12 +103,18 @@ class Graph:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         w: dict[Edge, float] = {}
+        # Each pair is ordered first, so two comparisons range-check it.
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
+            if u < v:
+                if u < 0 or v >= n:
+                    raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+                e = (u, v)
+            else:
+                if v < 0 or u >= n:
+                    raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise GraphError(f"self-loop at vertex {u}")
+                e = (v, u)
             if e in w:
                 raise GraphError(f"duplicate edge {e}")
             w[e] = 1

@@ -9,11 +9,14 @@ cut off from the anchor's levels) without one.
 
 It treats a dominating induced matching as an exact cover of the edges by
 closed edge neighbourhoods (Efficient Domination on the line graph) and
-searches each connected component in turn on integer bitmasks.  The set-up
-builds no component sets (union-find roots label the pieces) and no kill
-mask of a row the search never tries.  A precoloring, vertex colors only,
-narrows that instance: a white endpoint removes the edge's row, and a black
-vertex adds a column that only the rows at it cover.
+searches each connected component in turn on integer bitmasks.  It builds
+no component sets (union-find roots label the pieces) and no kill mask or
+child state of a row the search never tries: a branch keeps its untried
+rows as one mask, and a piece's vertex count, which only the node budget
+reads, is counted only once the piece's search is past the budget's slack.
+A precoloring, vertex colors only, narrows that instance: a white endpoint
+removes the edge's row, and a black vertex adds a column that only the rows
+at it cover.
 
 A sub-solver is any callable ``(graph, coloring, minimize) ->
 (matching, weight) | None``, the coloring a :class:`Coloring` of the
@@ -23,7 +26,8 @@ may be disconnected: either hand-off can pass several pieces.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import math
+from collections import defaultdict
 from typing import Optional
 
 from .coloring import BLACK, WHITE, Coloring
@@ -55,13 +59,17 @@ def solve_precolored(
     order of least vertex.  The coloring removes the rows of edges with a
     white endpoint and adds one column per black vertex, covered by the
     rows at that vertex; a component with a black vertex and no edge has no
-    completion, which is answered at its turn in that order.  The search (Knuth's Algorithm X) keeps the uncovered
-    columns and the live rows, those whose columns are all still uncovered,
-    as bitmasks.  At each node it takes the uncovered column with the fewest
-    live rows, the first such (edges in (u, v) order, then black vertices in
-    order), and tries those rows in edge order; choosing row r covers its
-    columns and kills every row whose N_L meets N_L[r], which includes every
-    row at r's endpoints.  That kill mask is built only when r is tried.
+    completion, which is answered at its turn in that order.  The search
+    (Knuth's Algorithm X) keeps the uncovered columns and the live rows,
+    those whose columns are all still uncovered, as bitmasks.  At each node
+    it takes the uncovered column with the fewest live rows, the first such
+    (edges in (u, v) order, then black vertices in order), and tries those
+    rows in edge order; choosing row r covers its columns and kills every
+    row whose N_L meets N_L[r], which includes every row at r's endpoints.
+    A branching node pushes one stack entry, its state and the mask of its
+    untried rows; a pop takes the lowest of them, pushes the rest back, and
+    applies that row to the state in place.  So r's kill mask and child
+    state are built only when r is tried.
 
     With ``minimize`` the first cheapest matching in that search order is
     returned, and a branch is cut once its weight reaches the best found;
@@ -70,7 +78,9 @@ def solve_precolored(
     place, without a stack entry, and it still counts as one node.  With
     ``nodes_per_vertex`` set, a component of k vertices may use at most
     ``nodes_per_vertex * k + BUDGET_SLACK`` nodes; one that needs more
-    raises :class:`SearchBudgetExceeded`.  None leaves the search unbounded.
+    raises :class:`SearchBudgetExceeded`.  k is counted only when the search
+    of that component passes ``BUDGET_SLACK`` nodes.  None leaves the search
+    unbounded.
     The search runs on an explicit stack, so the interpreter's recursion
     limit does not bound the input.
     """
@@ -102,7 +112,6 @@ def solve_precolored(
     stop = g.n
     if precolored:
         stop = next((v for v, color in enumerate(state) if color == BLACK and not inc[v]), stop)
-    size = Counter(root) if nodes_per_vertex is not None else None
     # Exists mode reads no weight: shared zeros keep one search loop for both modes.
     zeros = b"" if minimize else bytes(g.m)
     matching: list[Edge] = []
@@ -126,21 +135,28 @@ def solve_precolored(
                 for r in iter_bits(inc[v]):
                     cover[r] |= bit
         weight_of = [g.weights[e] for e in edges] if minimize else zeros
-        limit = None if size is None else nodes_per_vertex * size[least] + BUDGET_SLACK
+        # The piece's vertex count is read only once the slack is spent.
+        limit = BUDGET_SLACK if nodes_per_vertex is not None else math.inf
+        size = 0
         best: int | None = None
         best_weight = 0.0
         nodes = -1  # the root tries no row
-        stack = [(uncovered, live, 0, 0)]
+        chosen = weight = 0
+        # A branch's entry holds its state and its untried rows.
+        stack: list[tuple[int, int, int, float, int]] = []
         push = stack.append
-        while stack:
-            uncovered, live, chosen, weight = stack.pop()
+        while True:
             # Each pass is one node; a forced row is taken here, in place.
             while best is None or weight < best_weight:
                 nodes += 1
-                if limit is not None and nodes > limit:
-                    raise SearchBudgetExceeded(
-                        f"a component of {size[least]} vertices needs more than {limit} search nodes"
-                    )
+                if nodes > limit:
+                    if not size:
+                        size = root.count(least)
+                        limit += nodes_per_vertex * size
+                    if nodes > limit:
+                        raise SearchBudgetExceeded(
+                            f"a component of {size} vertices needs more than {limit} search nodes"
+                        )
                 if not uncovered:
                     best, best_weight = chosen, weight
                     if not minimize:
@@ -159,14 +175,8 @@ def solve_precolored(
                             break
                     rest ^= low
                 if fewest != 1:
-                    # Highest row first, so the lowest is tried first.
-                    while rows:
-                        r = rows.bit_length() - 1
-                        low = 1 << r
-                        u, v = edges[r]
-                        kill = near[u] | near[v]
-                        push((uncovered & ~cover[r], live & ~kill, chosen | low, weight + weight_of[r]))
-                        rows ^= low
+                    if rows:
+                        push((uncovered, live, chosen, weight, rows))
                     break
                 r = rows.bit_length() - 1
                 u, v = edges[r]
@@ -174,6 +184,19 @@ def solve_precolored(
                 live &= ~(near[u] | near[v])
                 chosen |= rows
                 weight += weight_of[r]
+            if not stack:
+                break
+            # The lowest untried row is tried next; the rest wait on the stack.
+            uncovered, live, chosen, weight, rows = stack.pop()
+            low = rows & -rows
+            if rows != low:
+                push((uncovered, live, chosen, weight, rows ^ low))
+            r = low.bit_length() - 1
+            u, v = edges[r]
+            uncovered &= ~cover[r]
+            live &= ~(near[u] | near[v])
+            chosen |= low
+            weight += weight_of[r]
         if best is None:
             return None
         while best:

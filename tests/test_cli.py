@@ -182,6 +182,12 @@ class TestBulkParse:
     @example("p edge 4 2\n \ne 1 2 e 3 4\n")
     @example("p edge 4 2\ne 1 2\ne 3\n4")
     @example("p edge 3 1\ne 1 " + "9" * 5000 + "\n")
+    # Faults the bulk path leaves to Graph: the line parser gives the message.
+    @example("p edge 3 1\ne 0 2\n")
+    @example("p edge 3 1\ne 1 4\n")
+    @example("p edge 3 1\ne 2 2\n")
+    @example("p edge 3 2\ne 1 2\ne 2 1\n")
+    @example("p edge 3 3\ne 1 2\ne 2 1\ne 1 4\n")
     def test_string_and_lines_agree(self, text):
         assert parse_outcome(text) == parse_outcome(text.splitlines())
 

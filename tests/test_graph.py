@@ -38,6 +38,24 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(2, [(0, 2)])
 
+    # The first bad edge in input order decides the message; within one
+    # edge the range check comes before the self-loop check.
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, [(0, 5), (1, 1)], "edge (0,5) out of range for n=3"),
+            (3, [(1, 1), (0, 5)], "self-loop at vertex 1"),
+            (2, [(2, 2)], "edge (2,2) out of range for n=2"),
+            (3, [(0, 1), (1, 0), (0, 5)], "duplicate edge (0, 1)"),
+            (3, [(-1, 0)], "edge (-1,0) out of range for n=3"),
+        ],
+        ids=["range-first", "loop-first", "loop-out-of-range", "duplicate-first", "negative"],
+    )
+    def test_first_bad_edge_decides_the_message(self, n, edges, message):
+        with pytest.raises(GraphError) as info:
+            Graph(n, edges)
+        assert str(info.value) == message
+
     def test_rejects_negative_weight(self):
         with pytest.raises(GraphError):
             Graph(2, [(0, 1)], weights={(0, 1): -1})

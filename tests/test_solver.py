@@ -1190,6 +1190,18 @@ class TestCoverSearch:
         assert tuple(tripped) == self.BLOCK_TRIPS[minimize]
         assert weights == {100}
 
+    @pytest.mark.parametrize("before", [0, 2], ids=["alone", "after-two-edges"])
+    def test_budget_message_names_the_piece_size(self, before):
+        # After two single-edge pieces the tripping piece's least vertex is 4.
+        edges = [(2 * i, 2 * i + 1) for i in range(before)]
+        edges += [(u + 2 * before, v + 2 * before) for u, v in TRIP30.edges]
+        g = Graph(TRIP30.n + 2 * before, edges)
+        with pytest.raises(
+            SearchBudgetExceeded,
+            match=r"^a component of 30 vertices needs more than 184 search nodes$",
+        ):
+            solve_precolored(g, Coloring.fresh(g.n), nodes_per_vertex=EXACT_NODES_PER_VERTEX)
+
     # The oracle searches the vertex formulation, which the cover engine
     # does not share.
     def test_min_weight_matches_precolored_search_on_blocks(self):
