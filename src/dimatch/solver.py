@@ -186,6 +186,42 @@ class AnchorSolver:
     level-4+ vertices and commit endpoints, which leave at once); and every
     stage that changes ``alive`` reports a change, so it is fixed after the
     last :meth:`decompose` of :meth:`run_forcing`.
+
+    Strict mode checks only what an input can break: the deep residue's
+    S(1,2,2) search, which off-class input fails, and two claims of the
+    paper, the claw search under S(1,1,4)-freeness and the deg³ limit on
+    core colorings.  The checks it once made of the pools, of descending
+    5-paths and of found matchings restate invariants that hold on every
+    :func:`solve` input, and were deleted:
+
+    * A pool holds at most one edge.  Every pool vertex sees its owner u,
+      so two edges inside pool(u) induce with u a diamond (the edges share
+      a vertex), a K4 (three pool vertices form a triangle) or a butterfly
+      (disjoint edges with no cross edge; a cross edge gives the shared
+      vertex case).  :func:`solve` rejects a 4-clique anywhere in its
+      input, and the solver's graph is a seedless component or a residual
+      piece of :func:`forced_edge_closure`, both diamond- and
+      butterfly-free; so is every induced subgraph of them.
+    * Every vertex v at level 3 or deeper starts a chordless 5-path whose
+      other vertices lie at lower levels, in any graph.  At level k ≥ 4 a
+      shortest path from v to the anchor is induced and its first five
+      vertices descend.  At level 3 take a shortest path v, w2, w1, x; if
+      w1 does not see y, append y.  If it does, the anchor lies on a
+      3-vertex path, so some a sees exactly one endpoint, say x (swap x
+      and y otherwise); a is at level 1, which is never deleted and is
+      independent, so a misses w1.  The path is v, w2, w1, x, a when a
+      misses w2, and v, w2, a, x, y when it sees it.
+    * No found matching pairs a level-3 vertex with a deeper one:
+      committed endpoints are not alive, core pairs lie in levels 0–3,
+      deep pairs in the deep mask and stray pairs outside every level.
+    * No found matching pairs two level-3 vertices; by the above only a
+      core pair of two black ones could.  At the fixpoint every alive
+      level-3 vertex is a pool vertex whose owner is a black single.
+      A level-3 vertex turns black only in the coloring phase, inside a
+      :func:`propagate` call that pushes it with its colored neighbours;
+      so the second of two adjacent level-3 vertices to turn black is
+      examined with two black neighbours, and the coloring fails
+      ``black-two-black-neighbors``.
     """
 
     def __init__(
@@ -506,8 +542,6 @@ class AnchorSolver:
                 or self.force_isolated_deep()
             ):
                 continue
-            if self.cfg.strict:
-                self._strict_decomposition_checks()
             return
 
     # -- component coloring -------------------------------------------------
@@ -719,41 +753,6 @@ class AnchorSolver:
             raise ClassViolationError(witness)
         raise StructuralCheckError(message)
 
-    def _strict_decomposition_checks(self) -> None:
-        for u in self.singles:
-            pool = self.pools[u]
-            # Each edge inside the pool is counted from both ends.
-            if sum((self.bits[a] & pool).bit_count() for a in iter_bits(pool)) > 2:
-                self._check_failed(f"pool of {u} holds more than one edge")
-        if self.g.n <= 64:
-            self._strict_path_endpoints()
-
-    def _strict_path_endpoints(self) -> None:
-        """Every vertex at level 3 or deeper starts a chordless 5-path descending
-        into the lower levels."""
-        for v in iter_bits(self.n3_mask | self.deep_mask):
-            lower = 0
-            for mask in self.level_masks:
-                if mask >> v & 1:
-                    break
-                lower |= mask
-            if not self._descends([v], lower):
-                self._check_failed(f"vertex {v} lacks a descending 5-path")
-
-    def _descends(self, path: list[int], lower: int) -> bool:
-        """Whether ``path`` extends through ``lower`` to a chordless 5-path.
-
-        A neighbour of a path vertex before the tail would close a chord;
-        that rules out the path's own vertices too, save its start, which
-        ``lower`` lacks."""
-        if len(path) == 5:
-            return True
-        chords = 0
-        for p in path[:-1]:
-            chords |= self.bits[p]
-        nxt = self._adj(path[-1]) & lower & ~chords
-        return any(self._descends(path + [u], lower) for u in iter_bits(nxt))
-
     def _strict_deep_checks(self, deep_sub: Graph) -> None:
         if patterns.find_induced_sijk(deep_sub, 1, 2, 2) is not None:
             self._check_failed("deep residue contains a (1,2,2)-spider")
@@ -780,11 +779,9 @@ class AnchorSolver:
                 self._solve_free_component(task)
             colorings = self._iter_core_colorings(coupled)
             if self.cfg.strict and coupled:
-                bound = max(
-                    (self.bits[u].bit_count() for t in coupled for u in t.singles),
-                    default=1,
-                )
-                limit = max(bound, 1) ** 3
+                # Every single has degree 2 or more: a level-1 neighbour and
+                # a pool that prune_pools found non-empty.
+                limit = max(self.bits[u].bit_count() for t in coupled for u in t.singles) ** 3
             best: tuple[float, frozenset[Edge]] | None = None
             count = 0
             for state in colorings:
@@ -796,8 +793,6 @@ class AnchorSolver:
                     continue
                 matching = finished[0] | stray_matching
                 weight = finished[1] + stray_weight
-                if self.cfg.strict:
-                    self._strict_matching_checks(matching)
                 if not self.cfg.minimize:
                     return self._found(matching, weight)
                 if best is None or weight < best[0]:
@@ -817,14 +812,6 @@ class AnchorSolver:
                 trace=tuple(self.trace),
                 witness=violation.witness,
             )
-
-    def _strict_matching_checks(self, matching: frozenset[Edge]) -> None:
-        n3, deep = self.n3_mask, self.deep_mask
-        for u, v in matching:
-            if n3 >> u & n3 >> v & 1:
-                self._check_failed("matched pair inside level 3")
-            if (n3 >> u | n3 >> v) & (deep >> u | deep >> v) & 1:
-                self._check_failed("matched pair between level 3 and deeper")
 
     def _found(self, matching: frozenset[Edge], weight: float) -> SolveOutcome:
         state = self.state
@@ -1011,9 +998,12 @@ def solve(
       ``clique4`` and the trace ``("clique4-reject",)`` when the whole input
       holds a 4-clique, whichever component it lies in; otherwise
       :func:`_solve_pieces` hands each connected piece to the anchor pipeline.
-      ``structural`` selects it outright, and so do ``strict``, which turns
-      on the structural runtime assertions used by the test harness, and
-      ``verify_class``.
+      ``structural`` selects it outright, and so do ``verify_class`` and
+      ``strict``.  ``strict`` turns on three runtime assertions for the
+      test harness: no deep residue holds an induced S(1,2,2), none holds a
+      claw when its piece is S(1,1,4)-free (tested on pieces of at most 32
+      vertices), and an anchor's coupled components have at most deg³ core
+      colorings.
 
     ``verify_class`` first checks the whole input for the out-of-class
     spider S(1,2,4) and, when it holds one, returns ``class_violation``

@@ -107,6 +107,14 @@ def degree2_block(rng: SplitMix64, pairs: int, whites: int) -> Graph:
     return Graph(n, edges)
 
 
+def budget_trip_block() -> Graph:
+    """A degree-2 block with one planted pair edge removed (n = 450): the
+    exact route's cover search needs more than its budget in both modes,
+    and the structural route finds more than three coupled components."""
+    block = degree2_block(SplitMix64(8), 150, 150)
+    return Graph(block.n, [e for e in block.edges if e != (0, 1)])
+
+
 def graph_from_mask(n: int, mask: int) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])

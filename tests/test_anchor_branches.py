@@ -4,10 +4,12 @@
 the level-1 test before it, reports, found through ``solve``'s anchor log
 and checked against the oracle, and scans ``solver.py`` so that a reason
 without a row fails: a branch no ``solve`` input reaches is deleted, not
-exempted.  The checks that were deleted as unreachable rest on invariants
-of a run (see the `AnchorSolver` docstring); `TestInvariantGuard` asserts
-them at each stage over a fixed corpus, in the tests only, so that the
-solve path pays nothing for them.
+exempted.  `TestStructuralChecks` does the same for the messages of the
+structural checks, save the two that test a claim of the paper and are
+listed with a reason.  The branches and checks that were deleted as
+unreachable rest on invariants of a run (see the `AnchorSolver`
+docstring); `TestInvariantGuard` asserts them at each stage over a fixed
+corpus, in the tests only, so that the solve path pays nothing for them.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ import inspect
 
 import pytest
 
-from dimatch import coloring, solver
+from dimatch import coloring, patterns, solver
 from dimatch.coloring import BLACK, UNSET, WHITE
-from dimatch.generate import GenSpec, generate_planted
+from dimatch.generate import GenSpec, SplitMix64, generate_planted
 from dimatch.graph import Graph, GraphError, iter_bits
 from dimatch.oracle import enumerate_all_graphs, oracle_solve
-from dimatch.solver import AnchorSolver, solve
+from dimatch.patterns import verify_witness
+from dimatch.solver import CLASS_VIOLATION, AnchorSolver, solve
 
-from conftest import FREE4, cycle, path
+from conftest import FREE4, budget_trip_block, cycle, degree2_block, path
 
 # (reason, graph, solve kwargs): the anchor log of the solve shows the reason.
 ROWS = [
@@ -143,19 +146,111 @@ class TestReachability:
         """FREE4 is in class, and one anchor of its residual reaches
         ``classify_components`` with four free components and no coupled
         one, in strict mode; the weight agrees with the oracle."""
-        split: list = []
-        real = AnchorSolver.classify_components
-
-        def classify(self):
-            free, coupled = real(self)
-            split.append((len(free), len(coupled)))
-            return free, coupled
-
-        monkeypatch.setattr(AnchorSolver, "classify_components", classify)
+        split = spy_split(monkeypatch)
         out = solve(FREE4, minimize=minimize, strict=True)
         assert (4, 0) in split
         assert out.found and out.weight == 6.0
         assert oracle_solve(FREE4, mode="min_weight").best[1] == 6.0
+
+    def test_solve_reaches_two_coupled_components(self, monkeypatch):
+        """An off-class degree-2 block (n = 28) takes the structural route
+        to an anchor with two coupled components, whose seeds
+        ``_iter_core_colorings`` enumerates as a product; the minimum
+        weight agrees with the oracle.  No in-class corpus reaches more
+        than one coupled component."""
+        g = degree2_block(SplitMix64(1), 10, 8)
+        split = spy_split(monkeypatch)
+        out = solve(g, minimize=True, structural=True)
+        assert any(coupled == 2 for _, coupled in split)
+        assert out.found and out.weight == 10.0
+        assert oracle_solve(g, mode="min_weight").best[1] == 10.0
+
+
+def spy_split(monkeypatch) -> list[tuple[int, int]]:
+    """Record the free and coupled component counts of every
+    ``classify_components`` call."""
+    split: list[tuple[int, int]] = []
+    real = AnchorSolver.classify_components
+
+    def classify(self):
+        free, coupled = real(self)
+        split.append((len(free), len(coupled)))
+        return free, coupled
+
+    monkeypatch.setattr(AnchorSolver, "classify_components", classify)
+    return split
+
+
+# (message, graph, solve kwargs): the solve fails the structural check with
+# this message and answers with the spider it finds.
+CHECK_ROWS = [
+    ("more than three coupled components", budget_trip_block(), {"structural": True}),
+    ("deep residue contains a (1,2,2)-spider",
+     degree2_block(SplitMix64(1), 6, 6), {"minimize": True, "strict": True}),
+]
+
+# The strict checks of a claim of the paper, which no input fails.
+PAPER_CLAIMS = {
+    "deep residue contains a claw":
+        "an S(1,1,4)-free input leaves a claw-free deep residue",
+    "more core colorings than the degree bound allows":
+        "an anchor's coupled components have at most deg³ core colorings",
+}
+
+
+def structural_checks() -> set[str]:
+    """Every message ``solver.py`` hands to ``_check_failed``, read from its source."""
+    messages = set()
+    for call in ast.walk(ast.parse(inspect.getsource(solver))):
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "_check_failed":
+            arg = call.args[0]
+            if not isinstance(arg, ast.Constant):
+                raise AssertionError(f"unresolved message {ast.unparse(arg)}")
+            messages.add(arg.value)
+    return messages
+
+
+class TestStructuralChecks:
+    def test_every_check_has_a_row_or_a_reason(self):
+        rows = {message for message, _, _ in CHECK_ROWS}
+        assert len(rows) == len(CHECK_ROWS) and not rows & PAPER_CLAIMS.keys()
+        assert structural_checks() == rows | PAPER_CLAIMS.keys()
+
+    @pytest.mark.parametrize(
+        "message, g, kwargs", CHECK_ROWS, ids=["coupled-components", "deep-spider"]
+    )
+    def test_solve_fails_the_check(self, monkeypatch, message, g, kwargs):
+        failed: list[str] = []
+        real = AnchorSolver._check_failed
+
+        def check_failed(self, msg):
+            failed.append(msg)
+            return real(self, msg)
+
+        monkeypatch.setattr(AnchorSolver, "_check_failed", check_failed)
+        out = solve(g, **kwargs)
+        assert failed == [message]
+        assert out.verdict == CLASS_VIOLATION
+        assert verify_witness(g, out.witness, (1, 2, 4))
+
+    def test_strict_runs_the_claw_search(self, monkeypatch):
+        """A tree, so K4-free, and S(1,1,4)-free: the strict solve searches
+        a deep residue for a claw; the minimum weight agrees with the
+        oracle."""
+        g = Graph(10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 8), (1, 6), (4, 5), (5, 9), (6, 7)])
+        real = patterns.find_induced_sijk
+        assert real(g, 1, 1, 4) is None
+        legs: list[tuple[int, int, int]] = []
+
+        def find(h, i, j, k):
+            legs.append((i, j, k))
+            return real(h, i, j, k)
+
+        monkeypatch.setattr(patterns, "find_induced_sijk", find)
+        out = solve(g, minimize=True, strict=True)
+        assert (1, 1, 1) in legs
+        assert out.found and out.weight == 3.0
+        assert oracle_solve(g, mode="min_weight").best[1] == 3.0
 
 
 class TestPrecondition:
@@ -176,7 +271,7 @@ class TestPrecondition:
 def guard_stages(monkeypatch) -> dict[str, int]:
     """Wrap the anchor solver's stages with the invariants the deleted
     checks rest on; returns the counts of guarded calls."""
-    seen = {"decompose": 0, "pools": 0, "seeds": 0, "commits": 0}
+    seen = {"decompose": 0, "pools": 0, "seeds": 0, "commits": 0, "found": 0}
     real_decompose = AnchorSolver.decompose
 
     def decompose(self):
@@ -200,6 +295,12 @@ def guard_stages(monkeypatch) -> dict[str, int]:
                 for t in iter_bits(self.pools[u])
             )
             assert all(not self.pools[u] & ~self.alive for u in self.singles)
+            # A pool holds at most one edge, each counted from both ends:
+            # two would make a diamond, K4 or butterfly with the owner.
+            assert all(
+                sum((self.bits[t] & pool).bit_count() for t in iter_bits(pool)) <= 2
+                for pool in map(self.pools.get, self.singles)
+            )
             seen["pools"] += 1
             return real(self, *args)
         return wrapped
@@ -211,6 +312,14 @@ def guard_stages(monkeypatch) -> dict[str, int]:
         assert all(self.state[t] == UNSET for t in seeds)
         seen["seeds"] += 1
         return real_seeded(self, seeds, tasks)
+
+    real_found = AnchorSolver._found
+
+    def found(self, matching, weight):
+        # propagate never blackens both ends of an edge inside level 3.
+        assert not any(self.n3_mask >> u & self.n3_mask >> v & 1 for u, v in matching)
+        seen["found"] += 1
+        return real_found(self, matching, weight)
 
     real_commit_pair = solver.commit_pair
 
@@ -224,6 +333,7 @@ def guard_stages(monkeypatch) -> dict[str, int]:
     ):
         monkeypatch.setattr(AnchorSolver, stage, pools_alive(getattr(AnchorSolver, stage)))
     monkeypatch.setattr(AnchorSolver, "_seeded", seeded)
+    monkeypatch.setattr(AnchorSolver, "_found", found)
     monkeypatch.setattr(solver, "commit_pair", commit_pair)
     return seen
 
@@ -235,7 +345,24 @@ class TestInvariantGuard:
             for g in enumerate_all_graphs(n):
                 for minimize in (False, True):
                     solve(g, minimize=minimize, strict=True)
-        assert seen["decompose"] > 10000 and seen["pools"] > 1000
+        assert seen["decompose"] > 10000 and seen["pools"] > 1000 and seen["found"] > 1000
+
+    def test_random_k4_free_structural(self, monkeypatch):
+        """A pool with two edges needs seven vertices: the anchor, a level-1
+        vertex, the single and three pool vertices.  These K4-free graphs
+        of 7 to 11 vertices reach such pools when the forced-edge closure
+        is left out, so the pool-edge guard can fail here."""
+        seen = guard_stages(monkeypatch)
+        rng = SplitMix64(7)
+        solved = 0
+        while solved < 1000:
+            n = rng.randint(7, 11)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = Graph(n, [e for e in pairs if rng.random() < 0.35])
+            if patterns.find_k4(g) is None:
+                solve(g, minimize=True, structural=True)
+                solved += 1
+        assert seen["pools"] > 1000 and seen["found"] > 100
 
     def test_planted_structural(self, monkeypatch):
         seen = guard_stages(monkeypatch)
@@ -243,3 +370,4 @@ class TestInvariantGuard:
         for minimize in (False, True):
             assert solve(g, minimize=minimize, structural=True).found
         assert seen["decompose"] > 100 and seen["seeds"] > 10 and seen["commits"] > 10
+        assert seen["found"] > 10

@@ -57,6 +57,7 @@ from dimatch.subsolver import SearchBudgetExceeded, solve_precolored
 from conftest import (
     ROUTES,
     TRIP30,
+    budget_trip_block,
     cycle,
     degree2_block,
     disjoint_union,
@@ -277,24 +278,6 @@ class TestBipartite:
         assert odd > 1000
         for k in range(3, 10):
             assert with_anchor(cycle(k))._bipartite((1 << k) - 1) == (k % 2 == 0)
-
-
-class TestStrictMatchingChecks:
-    @pytest.mark.parametrize(
-        "g, message",
-        [
-            (path(8), "matched pair between level 3 and deeper"),
-            (
-                Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]),
-                "matched pair inside level 3",
-            ),
-        ],
-        ids=["p8", "level3-edge"],
-    )
-    def test_pair_at_level3_fails(self, g, message):
-        solver = decomposed(g, (0, 1))
-        with pytest.raises(StructuralCheckError, match=message):
-            solver._strict_matching_checks(frozenset({(4, 5)}))
 
 
 class TestForcingStages:
@@ -588,7 +571,6 @@ class TestClassViolation:
     def test_unverified_witness_is_a_check_error(self, monkeypatch, witness):
         from dimatch import patterns
         from dimatch.patterns import PatternWitness
-        from dimatch.solver import StructuralCheckError
 
         g = self.four_branch_hub()
         found = None if witness is None else PatternWitness("spider", witness)
@@ -1037,10 +1019,7 @@ class TestExactRoute:
 
     @pytest.mark.parametrize("minimize", [False, True])
     def test_budget_trip_returns_the_structural_answer(self, minimize):
-        # A degree-2 block with one planted pair edge removed: the cover
-        # search needs more than its budget in both modes.
-        block = degree2_block(SplitMix64(8), 150, 150)
-        g = Graph(block.n, [e for e in block.edges if e != (0, 1)])
+        g = budget_trip_block()
         with pytest.raises(SearchBudgetExceeded):
             solve_precolored(
                 g, Coloring.fresh(g.n), minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX
