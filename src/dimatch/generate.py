@@ -24,6 +24,7 @@ from .graph import Edge, Graph
 
 _MASK64 = (1 << 64) - 1
 _WEIGHT_LO, _WEIGHT_HI = 1, 10
+_RETRY_BUDGET = 400
 
 
 class GenerationError(ValueError):
@@ -78,7 +79,6 @@ class GenSpec:
     density: float | None = None
     gadget_name: str | None = None
     connected: bool = False
-    retry_budget: int = 400
 
 
 # -- named gadgets -----------------------------------------------------------
@@ -230,7 +230,7 @@ def generate_rejection(spec: GenSpec) -> Graph:
     density = spec.density if spec.density is not None else 0.3
     rng = SplitMix64(spec.seed)
     pairs = [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)]
-    for _ in range(spec.retry_budget):
+    for _ in range(_RETRY_BUDGET):
         edges = [e for e in pairs if rng.random() < density]
         g = Graph(spec.n, edges)
         if spec.connected and not g.is_connected():
@@ -239,7 +239,7 @@ def generate_rejection(spec: GenSpec) -> Graph:
         if patterns.find_k4(g) is None and patterns.find_induced_sijk(g, 1, 2, 4) is None:
             return g
     raise RetryBudgetExceeded(
-        f"no conforming graph within {spec.retry_budget} draws (n={spec.n}, density={density})"
+        f"no conforming graph within {_RETRY_BUDGET} draws (n={spec.n}, density={density})"
     )
 
 
@@ -260,4 +260,4 @@ def with_random_weights(g: Graph, seed: int) -> Graph:
     """Copy of the graph with integer edge weights drawn uniformly from [1, 10]."""
     rng = SplitMix64(seed)
     weights = {e: float(rng.randint(_WEIGHT_LO, _WEIGHT_HI)) for e in g.edges}
-    return Graph(g.n, g.edges, weights, g.names)
+    return Graph(g.n, g.edges, weights)

@@ -1,6 +1,7 @@
 """Immutable simple undirected graphs and the handful of queries everything else needs.
 
-Vertices are dense integers ``0..n-1``.  An edge is always the sorted pair
+Vertices are dense integers ``0..n-1``; reports label vertex ``v`` as
+``v + 1`` (:meth:`Graph.vertex_name`).  An edge is always the sorted pair
 ``(u, v)`` with ``u < v``; use :func:`edge` to normalise.  A graph is stored
 as its sorted edge tuple and its weight map.  Both adjacency forms, integer
 bitmasks (``bits``, fast set algebra for the solve paths, the oracle and the
@@ -84,12 +85,10 @@ class Graph:
     (bitmasks, which the solve and oracle paths read) and ``adj``
     (frozensets) are each built on first read, from ``edges``, and the
     same tuple is returned on every later read.
-    An optional ``names`` tuple preserves external vertex labels for
-    reporting.
     """
 
     # ``adj`` and ``bits`` stay unset until read; __getattr__ fills them.
-    __slots__ = ("n", "edges", "weights", "names", "adj", "bits")
+    __slots__ = ("n", "edges", "weights", "adj", "bits")
     adj: tuple[frozenset[int], ...]
     bits: tuple[int, ...]
 
@@ -98,7 +97,6 @@ class Graph:
         n: int,
         edges: Iterable[Edge],
         weights: Mapping[Edge, float] | None = None,
-        names: tuple[str, ...] | None = None,
     ) -> None:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
@@ -136,12 +134,9 @@ class Graph:
                 math.fsum(w.values())
             except OverflowError as exc:
                 raise GraphError("total edge weight exceeds the float range") from exc
-        if names is not None and len(names) != n:
-            raise GraphError("names tuple must have one entry per vertex")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(w)))
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "names", names)
 
     def __getattr__(self, name: str):
         # Called only when normal lookup fails, so for ``adj`` and ``bits``
@@ -171,7 +166,7 @@ class Graph:
     def __reduce__(self):
         # pickle and copy rebuild the graph through __init__: restoring the
         # slots one by one would run into the guard above.
-        return type(self), (self.n, self.edges, self.weights, self.names)
+        return type(self), (self.n, self.edges, self.weights)
 
     # -- basic queries ---------------------------------------------------
 
@@ -193,8 +188,6 @@ class Graph:
         return sum(self.weights[edge(*e)] for e in matching)
 
     def vertex_name(self, v: int) -> str:
-        if self.names is not None:
-            return self.names[v]
         return str(v + 1)
 
     # -- components --------------------------------------------------------
@@ -284,12 +277,7 @@ class Graph:
                 e = (iv, index[u])
                 sub_edges.append(e)
                 sub_weights[e] = self.weights[(v, u)]
-        names = tuple(self.vertex_name(v) for v in old)
-        return Graph(len(old), sub_edges, sub_weights, names), tuple(old)
-
-    def relabel_edges(self, edges_new: Iterable[Edge], old_of_new: tuple[int, ...]) -> frozenset[Edge]:
-        """Map edges of an induced subgraph back into this graph's vertex ids."""
-        return frozenset(edge(old_of_new[u], old_of_new[v]) for u, v in edges_new)
+        return Graph(len(old), sub_edges, sub_weights), tuple(old)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"

@@ -217,7 +217,9 @@ def find_induced_sijk(g: Graph, i: int, j: int, k: int) -> PatternWitness | None
     Backtracking over (center, leg prefixes): a vertex may extend a leg only
     if its sole neighbor among the chosen vertices is the current leg tip.
     Legs of equal length are forced into ascending first-vertex order to
-    skip symmetric duplicates.
+    skip symmetric duplicates.  The legs grow one vertex per step on an
+    explicit stack of neighbour iterators, so the interpreter's recursion
+    limit does not bound a leg's length.
     """
     if min(i, j, k) < 0:
         raise ValueError("leg lengths must be non-negative")
@@ -227,54 +229,55 @@ def find_induced_sijk(g: Graph, i: int, j: int, k: int) -> PatternWitness | None
     if lengths[0] == 0:
         return PatternWitness("spider", (0,)) if g.n else None
     bits = g.bits
-
-    def grow(center: int, chosen_mask: int, legs: list[list[int]], leg_idx: int) -> list[list[int]] | None:
-        if leg_idx == len(lengths) or lengths[leg_idx] == 0:
-            return legs
-        want = lengths[leg_idx]
-        floor = -1
-        if leg_idx > 0 and lengths[leg_idx - 1] == want:
-            floor = legs[leg_idx - 1][0]
-
-        def extend(tip: int, path: list[int], mask: int) -> list[list[int]] | None:
-            if len(path) == want:
-                result = grow(center, mask, legs + [path], leg_idx + 1)
-                return result
-            for w in iter_bits(bits[tip]):
-                if mask >> w & 1:
-                    continue
-                if bits[w] & mask != 1 << tip:
-                    continue
-                result = extend(w, path + [w], mask | 1 << w)
-                if result is not None:
-                    return result
-            return None
-
-        for first in iter_bits(bits[center]):
-            if first <= floor or chosen_mask >> first & 1:
-                continue
-            if bits[first] & chosen_mask != 1 << center:
-                continue
-            result = extend(first, [first], chosen_mask | 1 << first)
-            if result is not None:
-                return result
-        return None
+    # The chosen vertices form one path, the legs in turn.  floors maps the
+    # step that starts each leg to the path index of the vertex its first
+    # vertex must exceed: the previous leg's first one when the two legs
+    # have equal length, none (-1) otherwise.
+    floors: dict[int, int] = {}
+    total = 0
+    for idx, length in enumerate(lengths):
+        if length:
+            same = idx and lengths[idx - 1] == length
+            floors[total] = total - length if same else -1
+            total += length
 
     min_degree = sum(1 for t in lengths if t > 0)
     for center in range(g.n):
         if bits[center].bit_count() < min_degree:
             continue
-        legs = grow(center, 1 << center, [], 0)
-        if legs is not None:
-            while len(legs) < 3:
-                legs.append([])
-            by_role: list[list[int]] = [[], [], []]
-            for pos, role in enumerate(order):
-                by_role[role] = legs[pos]
-            flat = [center]
-            for leg in by_role:
-                flat.extend(leg)
-            return PatternWitness("spider", tuple(flat))
+        path: list[int] = []
+        mask = 1 << center
+        # One frame per step in progress: its untried candidates, the tip
+        # they must extend and the floor they must exceed.
+        frames = [(iter(iter_bits(bits[center])), center, -1)]
+        while frames:
+            cands, tip, floor = frames[-1]
+            for w in cands:
+                if w > floor and not mask >> w & 1 and bits[w] & mask == 1 << tip:
+                    break
+            else:
+                frames.pop()
+                if path:
+                    mask ^= 1 << path.pop()
+                continue
+            path.append(w)
+            mask |= 1 << w
+            step = len(path)
+            if step == total:
+                break
+            if step in floors:
+                at = floors[step]
+                frames.append((iter(iter_bits(bits[center])), center, path[at] if at >= 0 else -1))
+            else:
+                frames.append((iter(iter_bits(bits[w])), w, -1))
+        else:
+            continue
+        legs: list[list[int]] = [[], [], []]
+        pos = 0
+        for role, length in zip(order, lengths):
+            legs[role] = path[pos:pos + length]
+            pos += length
+        return PatternWitness("spider", (center, *legs[0], *legs[1], *legs[2]))
     return None
 
 

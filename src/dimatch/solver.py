@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import patterns
 from .coloring import (
@@ -257,7 +257,6 @@ class AnchorSolver:
         self.singles: tuple[int, ...] = ()
         self.pools: dict[int, int] = {}
         self.shared_mask = 0
-        self._s114_free: bool | None = None
 
     # -- small helpers -----------------------------------------------------
 
@@ -695,7 +694,7 @@ class AnchorSolver:
         if res is None:
             return None
         self._tag("stray-handoff")
-        return sub.relabel_edges(res[0], old_of_new), res[1]
+        return relabel_edges(res[0], old_of_new), res[1]
 
     def finish_deep(self, state: list[int]) -> tuple[frozenset[Edge], float] | None:
         """Complete one feasible core coloring (a state list) across the deep part.
@@ -716,7 +715,7 @@ class AnchorSolver:
             self.cfg.tick("deep_solve", start)
             if res is None:
                 return None
-            deep_matching = sub.relabel_edges(res[0], old_of_new)
+            deep_matching = relabel_edges(res[0], old_of_new)
             deep_weight = res[1]
             self._tag("deep-handoff")
         # Pairs strictly inside levels 0..3: deeper pairs come back from the
@@ -756,10 +755,9 @@ class AnchorSolver:
     def _strict_deep_checks(self, deep_sub: Graph) -> None:
         if patterns.find_induced_sijk(deep_sub, 1, 2, 2) is not None:
             self._check_failed("deep residue contains a (1,2,2)-spider")
-        if self._s114_free is None and self.g.n <= 32:
-            self._s114_free = patterns.find_induced_sijk(self.g, 1, 1, 4) is None
-        if self._s114_free:
-            if patterns.find_induced_sijk(deep_sub, 1, 1, 1) is not None:
+        # The costlier whole-piece S(1,1,4) search runs only once a claw shows.
+        if self.g.n <= 32 and patterns.find_induced_sijk(deep_sub, 1, 1, 1) is not None:
+            if patterns.find_induced_sijk(self.g, 1, 1, 4) is None:
                 self._check_failed("deep residue contains a claw")
 
     # -- driver ---------------------------------------------------------------
@@ -830,7 +828,8 @@ def _solve_residual(g: Graph, state: list[int], cfg: SolverConfig) -> SolveOutco
 
     ``state`` holds the piece's vertex colors.  The piece has at least one
     edge: :func:`_solve_connected` hands over its connected input, or each
-    connected piece of its residual that has two or more vertices.
+    connected piece of its residual that has two or more vertices.  The
+    anchor log gets each anchor tried in the piece's ids.
     """
     bits = g.bits
     m = g.m
@@ -857,9 +856,7 @@ def _solve_residual(g: Graph, state: list[int], cfg: SolverConfig) -> SolveOutco
         else:
             out = _LEVEL1_DEPENDENT
         if cfg.anchor_log is not None:
-            cfg.anchor_log.append(
-                (g.vertex_name(anchor[0]), g.vertex_name(anchor[1]), out.verdict, out.reason)
-            )
+            cfg.anchor_log.append((*anchor, out.verdict, out.reason))
         if out.verdict == CLASS_VIOLATION:
             return out
         if out.found:
@@ -909,6 +906,7 @@ def _solve_connected(g: Graph, cfg: SolverConfig) -> SolveOutcome:
         set(closure.committed),
         g.matching_weight(closure.committed),
         trace,
+        cfg.anchor_log,
     )
 
 
@@ -925,6 +923,11 @@ def restrict(g: Graph, mask: int, state: Sequence[int]) -> tuple[Graph, list[int
     return sub, [state[v] for v in old_of_new], old_of_new
 
 
+def relabel_edges(edges: Iterable[Edge], old_of_new: tuple[int, ...]) -> frozenset[Edge]:
+    """Map edges of a piece cut by :func:`restrict` back into its graph's vertex ids."""
+    return frozenset(edge(old_of_new[u], old_of_new[v]) for u, v in edges)
+
+
 def _solve_pieces(
     g: Graph,
     state: list[int],
@@ -933,6 +936,7 @@ def _solve_pieces(
     matching: set[Edge],
     weight: float,
     trace: list[str],
+    log: list | None,
 ) -> SolveOutcome:
     """Solve each connected piece of the subgraph ``alive`` induces and merge the answers.
 
@@ -943,8 +947,10 @@ def _solve_pieces(
     vertex; a one-vertex piece has nothing to match and is skipped.  The
     answer is in the ids of ``g``: the pieces' matchings join ``matching``,
     their weights are added to ``weight`` in piece order and their traces
-    extend ``trace``.  The first piece without a matching ends the merge;
-    its verdict, reason and witness come back with the trace so far.
+    extend ``trace``, and the anchor-log entries a piece appends to ``log``
+    (None when no log is kept) are mapped back to ``g``'s ids.  The first
+    piece without a matching ends the merge; its verdict, reason and
+    witness come back with the trace so far.
     """
     while alive:
         piece = sum(_bfs_layers(g.bits, alive & -alive, alive))
@@ -952,7 +958,10 @@ def _solve_pieces(
         if not piece & (piece - 1):
             continue
         sub, sub_state, old_of_new = restrict(g, piece, state)
+        first = len(log or ())
         out = solve_piece(sub, sub_state)
+        if log:
+            log[first:] = [(old_of_new[u], old_of_new[v], *rest) for u, v, *rest in log[first:]]
         if not out.found:
             witness = out.witness
             if witness is not None:
@@ -965,7 +974,7 @@ def _solve_pieces(
                 witness=witness,
                 trace=tuple(trace) + out.trace,
             )
-        matching.update(g.relabel_edges(out.matching, old_of_new))
+        matching.update(relabel_edges(out.matching, old_of_new))
         weight += out.weight
         trace.extend(out.trace)
     return SolveOutcome(FOUND, matching=frozenset(matching), weight=weight, trace=tuple(trace))
@@ -1013,7 +1022,10 @@ def solve(
 
     ``sub_solver`` and ``anchor_log`` serve and observe the structural
     route, and ``timings`` collects per-layer times of either; none of them
-    chooses the route.  A found matching is re-verified on both routes.
+    chooses the route.  The structural route logs ``(x, y, verdict,
+    reason)`` per anchor tried, in vertex ids that become labels once it
+    answers; after a :class:`StructuralCheckError` the log's content is
+    unspecified.  A found matching is re-verified on both routes.
     """
     if verify_class:
         witness = patterns.find_induced_sijk(g, 1, 2, 4)
@@ -1032,6 +1044,7 @@ def solve(
     if out is None:
         if patterns.find_k4(g) is not None:
             return SolveOutcome(NO_DIM, reason="clique4", trace=("clique4-reject",))
+        first = len(anchor_log or ())
         out = _solve_pieces(
             g,
             [UNSET] * g.n,
@@ -1040,7 +1053,11 @@ def solve(
             set(),
             0.0,
             [],
+            anchor_log,
         )
+        if anchor_log:
+            name = g.vertex_name
+            anchor_log[first:] = [(name(u), name(v), *r) for u, v, *r in anchor_log[first:]]
     if out.found:
         start = time.perf_counter()
         if not g.is_dim(out.matching):

@@ -58,8 +58,8 @@ def solve_precolored(
     are its edges, row r covering N_L[r].  The components are searched in
     order of least vertex.  The coloring removes the rows of edges with a
     white endpoint and adds one column per black vertex, covered by the
-    rows at that vertex; a component with a black vertex and no edge has no
-    completion, which is answered at its turn in that order.  The search
+    rows at that vertex.  A black vertex with no edge can never be matched,
+    so such a coloring is answered None before any search.  The search
     (Knuth's Algorithm X) keeps the uncovered columns and the live rows,
     those whose columns are all still uncovered, as bitmasks.  At each node
     it takes the uncovered column with the fewest live rows, the first such
@@ -101,23 +101,18 @@ def solve_precolored(
         edges.append(e)
         inc[u] |= bit
         inc[v] |= bit
+    if precolored and any(color == BLACK and not inc[v] for v, color in enumerate(state)):
+        return None
     # near[v]: the edges at some neighbour of v.  Rows meeting N_L[(u, v)]
     # are exactly the edges at a vertex of N(u) | N(v).
     near = [0] * g.n
     for u, v in g.edges:
         near[u] |= inc[v]
         near[v] |= inc[u]
-    # An edgeless piece is one vertex.  A black one has no completion, which
-    # is answered at its turn: ``stop`` is the least such vertex.
-    stop = g.n
-    if precolored:
-        stop = next((v for v, color in enumerate(state) if color == BLACK and not inc[v]), stop)
     # Exists mode reads no weight: shared zeros keep one search loop for both modes.
     zeros = b"" if minimize else bytes(g.m)
     matching: list[Edge] = []
     for least, edges in edges_of.items():
-        if least > stop:
-            break
         cover = [inc[u] | inc[v] for u, v in edges]
         uncovered = live = (1 << len(edges)) - 1
         # rows_of[c]: the rows covering column c.  An edge column's rows
@@ -203,7 +198,5 @@ def solve_precolored(
             low = best & -best
             matching.append(edges[low.bit_length() - 1])
             best ^= low
-    if stop < g.n:
-        return None
     found = frozenset(matching)
     return found, sum(map(g.weights.__getitem__, found))

@@ -235,8 +235,8 @@ class TestStructuralChecks:
 
     def test_strict_runs_the_claw_search(self, monkeypatch):
         """A tree, so K4-free, and S(1,1,4)-free: the strict solve searches
-        a deep residue for a claw; the minimum weight agrees with the
-        oracle."""
+        a deep residue for a claw, and finds none, so it never searches the
+        piece for S(1,1,4); the minimum weight agrees with the oracle."""
         g = Graph(10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 8), (1, 6), (4, 5), (5, 9), (6, 7)])
         real = patterns.find_induced_sijk
         assert real(g, 1, 1, 4) is None
@@ -248,7 +248,7 @@ class TestStructuralChecks:
 
         monkeypatch.setattr(patterns, "find_induced_sijk", find)
         out = solve(g, minimize=True, strict=True)
-        assert (1, 1, 1) in legs
+        assert (1, 1, 1) in legs and (1, 1, 4) not in legs
         assert out.found and out.weight == 3.0
         assert oracle_solve(g, mode="min_weight").best[1] == 3.0
 

@@ -20,6 +20,7 @@ from dimatch.fileio import (
 )
 from dimatch.generate import gadget
 from dimatch.graph import Graph
+from dimatch.patterns import PatternWitness, verify_witness
 from dimatch.solver import CLASS_VIOLATION, SolveOutcome
 
 from conftest import disjoint_union, small_graphs
@@ -363,6 +364,15 @@ class TestDetectCommand:
     def test_unknown_pattern(self, tmp_path):
         path = write_gadget(tmp_path, "p3")
         assert main(["detect", path, "pentagon"]) == EXIT_USAGE
+
+    def test_leg_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        g = Graph(3000, [(v, v + 1) for v in range(2999)])
+        gpath = tmp_path / "p3000.col"
+        gpath.write_text(write_edge_list(g))
+        assert main(["detect", str(gpath), "s", "0", "1", "2000"]) == EXIT_FOUND
+        (entry,) = json.loads(capsys.readouterr().out)["witnesses"]
+        w = PatternWitness(entry["pattern"], tuple(int(v) - 1 for v in entry["vertices"]))
+        assert verify_witness(g, w, (0, 1, 2000))
 
 
 class TestOracleCommand:

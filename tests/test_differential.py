@@ -63,10 +63,7 @@ class TestMidSizeWeighted:
             n = 10 + seed % 4
             try:
                 g = generate_rejection(
-                    GenSpec(
-                        n=n, seed=seed, mode="rejection", density=0.3,
-                        connected=True, retry_budget=40,
-                    )
+                    GenSpec(n=n, seed=seed, mode="rejection", density=0.3, connected=True)
                 )
             except RetryBudgetExceeded:
                 continue

@@ -149,8 +149,8 @@ class TestRejection:
 
     def test_budget_exhausts(self):
         # dense graphs this size always contain a 4-clique
-        spec = GenSpec(n=12, seed=0, mode="rejection", density=1.0, retry_budget=5)
-        with pytest.raises(RetryBudgetExceeded):
+        spec = GenSpec(n=12, seed=0, mode="rejection", density=1.0)
+        with pytest.raises(RetryBudgetExceeded, match="within 400 draws"):
             generate_rejection(spec)
 
     def test_batch_yield(self):

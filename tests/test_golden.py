@@ -6,6 +6,8 @@ hashes live in ``golden_solve.json``.  A family case pins a whole graph
 family with one hash over the records of its graphs, in enumeration order.
 Refactors of the solve path must keep every hash.  To re-record after a deliberate behaviour change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in the changelog.
+Before it rewrites the file, the script prints every case it adds, drops or
+changes, with the old and new hash, and their count.
 """
 
 from __future__ import annotations
@@ -145,5 +147,12 @@ def test_solve_outputs_match_golden():
 if __name__ == "__main__":
     table = {case: digest(record(g, kwargs)) for case, g, kwargs in corpus()}
     table.update((case, family_digest(graphs, kwargs)) for case, graphs, kwargs in families())
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    moved = [case for case in sorted(old.keys() | table.keys()) if old.get(case) != table.get(case)]
+    for case in moved:
+        before, after = old.get(case), table.get(case)
+        kind = "added" if before is None else "dropped" if after is None else "changed"
+        print(f"{kind} {case}: {before} -> {after}")
+    print(f"{len(moved)} cases added, dropped or changed")
     GOLDEN.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
     print(f"recorded {len(table)} cases in {GOLDEN}")

@@ -103,13 +103,13 @@ class TestConstruction:
         ids=["pickle", "copy", "deepcopy"],
     )
     def test_round_trip(self, clone):
-        g = Graph(3, [(0, 1), (1, 2)], {(1, 2): 2.5}, ("a", "b", "c"))
+        g = Graph(3, [(0, 1), (1, 2)], {(1, 2): 2.5})
         g.bits, g.adj  # a built form is rebuilt on first read, not carried over
         h = clone(g)
         assert h is not g and type(h) is Graph
         assert not held_before_read(h, "bits") and not held_before_read(h, "adj")
-        assert (h.n, h.edges, h.weights, h.names, h.adj, h.bits) == (
-            g.n, g.edges, g.weights, g.names, g.adj, g.bits
+        assert (h.n, h.edges, h.weights, h.adj, h.bits) == (
+            g.n, g.edges, g.weights, g.adj, g.bits
         )
         with pytest.raises(AttributeError):
             h.n = 5
@@ -443,14 +443,13 @@ class TestInducedSubgraph:
         sub, old = g.induced_subgraph([1, 2])
         assert sub.weight((0, 1)) == 5
 
-    @given(small_graphs(min_n=3, max_n=8), st.data(), st.booleans())
+    @given(small_graphs(min_n=3, max_n=8), st.data())
     @settings(max_examples=60)
-    def test_nested_subgraphs_compose(self, g: Graph, data, named):
+    def test_nested_subgraphs_compose(self, g: Graph, data):
         # solver._solve_pieces cuts each residual piece straight from the
         # closure's input, so that piece must equal the piece of the residual.
         weights = {e: data.draw(st.integers(0, 9)) for e in g.edges}
-        names = tuple(f"x{data.draw(st.integers(0, 99))}" for _ in range(g.n)) if named else None
-        g = Graph(g.n, g.edges, weights, names)
+        g = Graph(g.n, g.edges, weights)
         outer = sorted(
             data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
         )
@@ -462,10 +461,4 @@ class TestInducedSubgraph:
         direct, old_direct = g.induced_subgraph([old1[v] for v in inner_local])
         assert sub2.edges == direct.edges
         assert sub2.weights == direct.weights
-        assert sub2.names == direct.names
         assert tuple(old1[v] for v in old2) == old_direct
-
-    def test_names_track_back_to_original(self):
-        g = path(4)
-        sub, _ = g.induced_subgraph([1, 3])
-        assert sub.names == ("2", "4")

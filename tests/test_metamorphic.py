@@ -6,16 +6,18 @@ once K4-free they are in class and every verdict is ``found`` or ``no_dim``.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimatch.coloring import BLACK, UNSET, WHITE, Coloring
+from dimatch.generate import GenSpec, generate_planted
 from dimatch.graph import Graph
 from dimatch.patterns import find_k4
 from dimatch.solver import FOUND, NO_DIM, solve
 from dimatch.subsolver import solve_precolored
 
-from conftest import ROUTES, disjoint_union, small_graphs
+from conftest import ROUTES, disjoint_union, path, small_graphs
 
 
 @st.composite
@@ -46,6 +48,20 @@ class TestRelabelling:
 
 
 class TestDisjointUnion:
+    @pytest.mark.parametrize("minimize, entries", [(False, 16), (True, 102)])
+    def test_anchor_log_labels_shift_with_a_leading_path(self, minimize, entries):
+        # A 3-vertex path in front adds no anchor (one edge dominates it)
+        # and moves every vertex of the planted graph up by 3.
+        g, _ = generate_planted(GenSpec(n=120, seed=1))
+        log: list = []
+        shifted_log: list = []
+        solve(g, minimize=minimize, structural=True, anchor_log=log)
+        solve(disjoint_union(path(3), g), minimize=minimize, structural=True, anchor_log=shifted_log)
+        assert len(log) == entries
+        assert shifted_log == [
+            (str(int(u) + 3), str(int(v) + 3), verdict, reason) for u, v, verdict, reason in log
+        ]
+
     @given(weighted_k4_free(), weighted_k4_free())
     @settings(max_examples=60, deadline=None)
     def test_solve_verdicts_and_weights_combine(self, a: Graph, b: Graph):

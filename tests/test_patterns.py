@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimatch import gadget, oracle_solve
-from dimatch.graph import Graph
+from dimatch.graph import Graph, iter_bits
 from dimatch.patterns import (
     SHAPES,
     PatternWitness,
@@ -84,7 +86,65 @@ class TestGem:
         assert find_gem(gadget("diamond")) is None
 
 
+def recursive_sijk(g: Graph, i: int, j: int, k: int) -> PatternWitness | None:
+    """Reference spider search: the same backtracking as
+    ``find_induced_sijk``, recursing once per leg vertex."""
+    order = sorted(range(3), key=lambda t: -(i, j, k)[t])
+    lengths = [(i, j, k)[t] for t in order]
+    if lengths[0] == 0:
+        return PatternWitness("spider", (0,)) if g.n else None
+    bits = g.bits
+
+    def grow(center: int, chosen: int, legs: list[list[int]], leg_idx: int):
+        if leg_idx == 3 or lengths[leg_idx] == 0:
+            return legs
+        want = lengths[leg_idx]
+        floor = legs[-1][0] if leg_idx and lengths[leg_idx - 1] == want else -1
+
+        def extend(tip: int, leg: list[int], mask: int):
+            if len(leg) == want:
+                return grow(center, mask, legs + [leg], leg_idx + 1)
+            for w in iter_bits(bits[tip]):
+                if not mask >> w & 1 and bits[w] & mask == 1 << tip:
+                    found = extend(w, leg + [w], mask | 1 << w)
+                    if found is not None:
+                        return found
+            return None
+
+        for first in iter_bits(bits[center]):
+            if first > floor and not chosen >> first & 1 and bits[first] & chosen == 1 << center:
+                found = extend(first, [first], chosen | 1 << first)
+                if found is not None:
+                    return found
+        return None
+
+    for center in range(g.n):
+        legs = grow(center, 1 << center, [], 0)
+        if legs is not None:
+            legs += [[]] * (3 - len(legs))
+            by_role: list[list[int]] = [[], [], []]
+            for pos, role in enumerate(order):
+                by_role[role] = legs[pos]
+            return PatternWitness("spider", (center, *by_role[0], *by_role[1], *by_role[2]))
+    return None
+
+
 class TestSpider:
+    def test_matches_the_recursive_reference(self):
+        rng = random.Random(7)
+        found = 0
+        for _ in range(2000):
+            n = rng.randint(1, 14)
+            density = rng.random()
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+            legs = tuple(rng.randint(0, 4) for _ in range(3))
+            w = find_induced_sijk(g, *legs)
+            assert w == recursive_sijk(g, *legs), (g.edges, legs)
+            if w is not None:
+                found += 1
+                assert verify_witness(g, w, legs)
+        assert found > 200
+
     def test_spider_124_detects_itself(self):
         g = gadget("s_1_2_4")
         w = find_induced_sijk(g, 1, 2, 4)

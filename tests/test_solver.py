@@ -886,21 +886,45 @@ class TestResidualPieces:
         seen = []
 
         def piece(sub, sub_state):
-            seen.append((sub.names, sub.edges, sub_state))
+            seen.append((sub.edges, sub.weights, sub_state))
             matching = frozenset([(0, 1)])
-            return SolveOutcome(FOUND, matching, sub.weight((0, 1)), trace=(sub.names[0],))
+            return SolveOutcome(FOUND, matching, sub.weight((0, 1)), trace=(f"p{len(seen)}",))
 
-        out = _solve_pieces(g, state, self.ALIVE, piece, {(0, 1)}, 1.0, ["pre"])
+        out = _solve_pieces(g, state, self.ALIVE, piece, {(0, 1)}, 1.0, ["pre"], None)
         assert seen == [
-            (("3", "6", "8"), ((0, 1), (1, 2)), [UNSET, UNSET, UNSET]),
-            (("4", "7", "9"), ((0, 1), (1, 2)), [WHITE, UNSET, WHITE]),
+            (((0, 1), (1, 2)), {(0, 1): 2, (1, 2): 1}, [UNSET, UNSET, UNSET]),
+            (((0, 1), (1, 2)), {(0, 1): 3, (1, 2): 1}, [WHITE, UNSET, WHITE]),
         ]
         assert out == SolveOutcome(
             FOUND,
             matching=frozenset([(0, 1), (2, 5), (3, 6)]),
             weight=6.0,
-            trace=("pre", "3", "4"),
+            trace=("pre", "p1", "p2"),
         )
+
+    @pytest.mark.parametrize("second", [
+        SolveOutcome(FOUND, matching=frozenset([(1, 2)]), weight=1.0),
+        SolveOutcome(CLASS_VIOLATION, witness=PatternWitness("c4", (2, 1, 0))),
+    ], ids=["found", "fails"])
+    def test_anchor_log_comes_back_in_the_callers_ids(self, second):
+        # Each stub piece logs two anchors in its own ids; entries already
+        # in the log stay as they are.
+        g = self.PIECES
+        log = [("x", "y", "kept", None)]
+        first = SolveOutcome(FOUND, matching=frozenset([(0, 1)]), weight=2.0)
+
+        def piece(sub, sub_state):
+            log.extend([(0, 1, NO_DIM_WITH_ANCHOR, "r"), (1, 2, FOUND, None)])
+            return second if len(log) > 3 else first
+
+        _solve_pieces(g, [UNSET] * g.n, self.ALIVE, piece, set(), 0.0, [], log)
+        assert log == [
+            ("x", "y", "kept", None),
+            (2, 5, NO_DIM_WITH_ANCHOR, "r"),
+            (5, 7, FOUND, None),
+            (3, 6, NO_DIM_WITH_ANCHOR, "r"),
+            (6, 8, FOUND, None),
+        ]
 
     def test_witness_comes_back_in_the_callers_ids(self):
         g = self.PIECES
@@ -914,7 +938,7 @@ class TestResidualPieces:
                 CLASS_VIOLATION, reason="r", witness=PatternWitness("c4", (2, 1, 0)), trace=("b",)
             )
 
-        out = _solve_pieces(g, [UNSET] * g.n, self.ALIVE, piece, set(), 0.0, [])
+        out = _solve_pieces(g, [UNSET] * g.n, self.ALIVE, piece, set(), 0.0, [], None)
         assert calls == [3, 3]
         assert out == SolveOutcome(
             CLASS_VIOLATION,
@@ -996,6 +1020,14 @@ class TestPrecoloredPieces:
         assert res[1] == 16
         matched = {v for e in res[0] for v in e}
         assert all(v in matched for v in range(g.n) if col.state[v] == BLACK)
+
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_isolated_black_vertex_answers_before_any_search(self, minimize):
+        # TRIP30 alone exceeds this budget; the black vertex 30 has no edge,
+        # so no completion exists and no piece is searched.
+        g = Graph(31, TRIP30.edges)
+        col = Coloring([UNSET] * 30 + [BLACK])
+        assert solve_precolored(g, col, minimize, nodes_per_vertex=EXACT_NODES_PER_VERTEX) is None
 
 
 class TestExactRoute:
