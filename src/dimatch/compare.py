@@ -176,17 +176,17 @@ def _merge(into: CompareReport, part: CompareReport) -> None:
     into.times.extend(part.times)
 
 
-def _fan_out(worker, tasks: list, workers: int, options: dict) -> CompareReport:
-    """Run ``worker`` on every task, serially or over a process pool of at
-    most one process per task, and fold the parts into one report with its
-    disagreements sorted and the run's ``options``."""
+def _fan_out(tasks: list, workers: int, options: dict) -> CompareReport:
+    """Run :func:`_check_batch` on every task, serially or over a process
+    pool of at most one process per task, and fold the parts into one report
+    with its disagreements sorted and the run's ``options``."""
     started = time.perf_counter()
     workers = min(workers, len(tasks))
     if workers <= 1:
-        parts = [worker(t) for t in tasks]
+        parts = [_check_batch(t) for t in tasks]
     else:
         with Pool(workers) as pool:
-            parts = pool.map(worker, tasks, chunksize=1)
+            parts = pool.map(_check_batch, tasks, chunksize=1)
     report = CompareReport(options=options)
     for part in parts:
         _merge(report, part)
@@ -257,7 +257,7 @@ def run_exhaustive(
         for lo in range(0, top, step):
             tasks.append((_mask_graphs, (n, lo, min(top, lo + step)), options))
     run = dict(n_max=n_max, minimize=minimize, strict=strict)
-    return _fan_out(_check_batch, tasks, workers or worker_count(), run)
+    return _fan_out(tasks, workers or worker_count(), run)
 
 
 def run_samples(
@@ -276,7 +276,7 @@ def run_samples(
         for seeds in _seed_chunks(seed, count, workers * 8)
     ]
     run = dict(n=n, count=count, seed=seed, density=density, minimize=minimize, strict=strict)
-    return _fan_out(_check_batch, tasks, workers, run)
+    return _fan_out(tasks, workers, run)
 
 
 def run_planted(
@@ -304,7 +304,7 @@ def run_planted(
     ]
     run = dict(n=n, count=count, seed=seed, minimize=minimize, strict=strict)
     run.update(structural=structural, use_oracle=use_oracle)
-    return _fan_out(_check_batch, tasks, workers, run)
+    return _fan_out(tasks, workers, run)
 
 
 def run_directory(path: str, minimize: bool = False, strict: bool = False) -> CompareReport:
@@ -312,7 +312,7 @@ def run_directory(path: str, minimize: bool = False, strict: bool = False) -> Co
     name order and in this process.  A file that cannot be read or parsed
     raises with its path in the message."""
     run = dict(path=path, minimize=minimize, strict=strict)
-    return _fan_out(_check_batch, [(_directory_graphs, (path,), (minimize, strict))], 1, run)
+    return _fan_out([(_directory_graphs, (path,), (minimize, strict))], 1, run)
 
 
 def dump_reproducer(report: CompareReport, directory: str) -> list[str]:

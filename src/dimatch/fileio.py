@@ -4,12 +4,15 @@ Graphs: a `p edge <n> <m>` header, then one `e <u> <v> [w]` line per edge
 with 1-indexed vertices and an optional weight token.  Lines starting with
 `c` are comments.  Matchings travel in sidecar files of `m <u> <v>` lines.
 A header may declare at most `MAX_VERTICES` vertices, and no more edge
-lines may follow than it declares.
+lines may follow than it declares.  Lines break where `str.splitlines`
+breaks them, so a file parses exactly as its text does.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from contextlib import contextmanager
+from itertools import chain, islice
+from typing import Iterable, Iterator, TextIO
 
 from .graph import Edge, Graph, GraphError
 
@@ -37,14 +40,15 @@ def _parse_weight(token: str) -> float:
 def parse_edge_list(source: str | Iterable[str]) -> Graph:
     """Parse an edge list given as one string or as an iterable of lines.
 
-    An open text file is read line by line, so an input that declares too
-    few edges fails at the first edge line beyond the header's count,
-    without the rest being read.  Each line is split into tokens once; a
-    line with no tokens, or whose first token starts with ``c``, is skipped.
-    A string in the plain form that :func:`write_edge_list` gives an
-    unweighted graph is parsed in bulk, to the same graph.
+    An iterable's items are split again as ``str.splitlines`` splits text
+    (an empty item is one empty line), so a file's lines parse as its text
+    does, and are read one at a time: an input that declares too few edges
+    fails at the first edge line beyond the header's count, without the
+    rest being read.  Each line is split into tokens once; a line with no
+    tokens, or whose first token starts with ``c``, is skipped.  A string
+    in the plain form that :func:`write_edge_list` gives an unweighted
+    graph is parsed in bulk, to the same graph.
     """
-    lines = source
     if isinstance(source, str):
         plain = _parse_plain(source)
         if plain is not None:
@@ -53,6 +57,8 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
             except GraphError:
                 pass  # the line loop gives the message
         lines = source.splitlines()
+    else:
+        lines = chain.from_iterable(raw.splitlines() or [""] for raw in source)
     n, edges, weights = _parse_lines(lines)
     try:
         return Graph(n, edges, weights)
@@ -80,24 +86,15 @@ def _parse_plain(text: str) -> tuple[int, list[Edge]] | None:
     ``str.splitlines`` would break a line.
     """
     header, newline, body = text.partition("\n")
-    head = header.split()
-    if not newline or len(head) != 4 or head[0] != "p" or head[1] != "edge":
+    counts = _plain_header(header) if newline else None
+    if counts is None:
         return None
     try:
-        if header.encode("ascii").translate(None, _HEADER_DROP):
-            return None
         if body.encode("ascii").translate(None, _BODY_DROP):
             return None
     except UnicodeEncodeError:
         return None
-    if not (head[2].isdigit() and head[3].isdigit()):
-        return None
-    try:
-        n, m = int(head[2]), int(head[3])
-    except ValueError:  # more digits than int() converts
-        return None
-    if n > MAX_VERTICES:
-        return None
+    n, m = counts
     if m == 0:
         return (n, []) if not body else None
     # m lines, each starting with an "e".  The tokens are m triples whose
@@ -118,6 +115,28 @@ def _parse_plain(text: str) -> tuple[int, list[Edge]] | None:
         return n, [(u - 1, v - 1) for u, v in pairs]
     except ValueError:  # an "e" off its place, or more digits than int() converts
         return None
+
+
+def _plain_header(header: str) -> tuple[int, int] | None:
+    """The counts ``(n, m)`` of a plain header line, given without its
+    newline, or None for any other line.  A plain header declares no more
+    than ``MAX_VERTICES`` vertices, nor more edges than a simple graph on
+    them has."""
+    head = header.split()
+    if len(head) != 4 or head[0] != "p" or head[1] != "edge":
+        return None
+    try:
+        if header.encode("ascii").translate(None, _HEADER_DROP):
+            return None
+    except UnicodeEncodeError:
+        return None
+    if not (head[2].isdigit() and head[3].isdigit()):
+        return None
+    try:
+        n, m = int(head[2]), int(head[3])
+    except ValueError:  # more digits than int() converts
+        return None
+    return (n, m) if n <= MAX_VERTICES and m <= n * (n - 1) // 2 else None
 
 
 def _parse_lines(lines: Iterable[str]) -> tuple[int, list[Edge], dict[Edge, float]]:
@@ -174,17 +193,36 @@ def _parse_lines(lines: Iterable[str]) -> tuple[int, list[Edge], dict[Edge, floa
     return n, edges, weights
 
 
-def read_edge_list(path: str) -> Graph:
-    """Parse the edge-list file at ``path``, read as UTF-8.
-
-    A decode or parse error is raised as :class:`ParseError` with the path
-    in front of its message.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
+@contextmanager
+def _open(path: str) -> Iterator[TextIO]:
+    """The file at ``path``, open as UTF-8 text with its line breaks as
+    written; a decode or parse error raised while it is open, also one
+    mid-read, comes back as :class:`ParseError` with the path in front."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
-            return parse_edge_list(fh)
+            yield fh
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc
+
+
+def read_edge_list(path: str) -> Graph:
+    """Parse the edge-list file at ``path``, read as UTF-8, exactly as
+    :func:`parse_edge_list` parses its text.
+
+    After a plain header ``p edge <n> <m>`` at most m + 1 more lines are
+    read, and a file that ends within them is parsed as one string, in bulk
+    if it is plain.  Any other file takes the line loop, so an edge line
+    beyond the header's count fails before the rest is read.  A decode or
+    parse error is raised as :class:`ParseError` with the path in front.
+    """
+    with _open(path) as fh:
+        head = [next(fh, "")]
+        counts = _plain_header(head[0][:-1]) if head[0].endswith("\n") else None
+        if counts is not None:
+            head += islice(fh, counts[1] + 1)
+            if len(head) <= counts[1] + 1:
+                return parse_edge_list("".join(head))
+        return parse_edge_list(chain(head, fh))
 
 
 def write_edge_list(g: Graph, comment: str | None = None) -> str:
@@ -231,11 +269,8 @@ def read_matching(path: str, g: Graph) -> frozenset[Edge]:
     A decode or parse error is raised as :class:`ParseError` with the path
     in front of its message, as in :func:`read_edge_list`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_matching(fh.read(), g)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    with _open(path) as fh:
+        return parse_matching(fh.read(), g)
 
 
 def write_matching(matching, comment: str | None = None) -> str:

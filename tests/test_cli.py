@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,8 @@ from dimatch.fileio import (
     ParseError,
     parse_edge_list,
     parse_matching,
+    read_edge_list,
+    read_matching,
     write_edge_list,
     write_matching,
 )
@@ -139,9 +143,10 @@ class TestFileFormat:
             parse_matching("m 3 4\n", g)
 
 
-# Pieces of edge-list text, with the characters str.splitlines breaks at
-# besides "\n" ("\r", "\v", "\x85").
-TEXT_PIECES = ["p", "edge", "e", "c", " ", "\t", "\n", "\r", "\v", "\x85", *"0123456789"]
+# Pieces of edge-list text, with every character str.splitlines breaks at
+# besides "\n".
+LINE_BREAKS = ["\r", "\v", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+TEXT_PIECES = ["p", "edge", "e", "c", " ", "\t", "\n", *LINE_BREAKS, *"0123456789"]
 
 
 @st.composite
@@ -199,6 +204,102 @@ class TestBulkParse:
         assert fileio._parse_plain(text) is not None
         back = parse_edge_list(text)
         assert (back.n, back.edges, back.weights) == (g.n, g.edges, g.weights)
+
+
+def read_outcome(text: str):
+    """:func:`parse_outcome` of ``text`` written raw to a file and read back
+    with ``read_edge_list``, the message without the path in front."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.col")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            g = read_edge_list(path)
+        except ParseError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}: ")
+            return message[len(path) + 2:]
+    return g.n, g.edges, g.weights
+
+
+class LineCountingFile:
+    """An open file that counts the lines read from it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.lines = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self.fh)
+        self.lines += 1
+        return line
+
+
+class TestReadPath:
+    """A file parses exactly as its text does."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(edge_list_texts())
+    @example("p edge 3\v1\ne 1 2\n")
+    @example("p edge 3 1\ne 1\x85 2\n")
+    @example("p edge 3 1\ne 1\u20282\n")
+    @example("p edge 3 1\r\ne 1 2\r\n")
+    @example("p edge 3 1\re 1 2\r")
+    @example("p edge 3 1\ne 1 2 5\n")
+    @example("p edge 3 1\ne 1 2\ne 2 3\ne 1 3\n")
+    @example("c lead\np edge 3 1\ne 1 2\ne 2 3\n")
+    @example("p edge 3 1\ne 1 2\n\n")
+    @example("p edge 3 1\ne 1 2")
+    @example("p edge 3 0\n")
+    @example("p edge 3 99999999999999999999\ne 1 2\n")
+    @example("")
+    def test_file_and_text_agree(self, text):
+        assert read_outcome(text) == parse_outcome(text)
+
+    @pytest.mark.parametrize(
+        "lead, m, lineno",
+        [("", 1, 3), ("", 5, 7), ("c one comment\n", 1, 4)],
+        ids=["plain", "plain-m5", "comment-led"],
+    )
+    def test_surplus_edge_fails_before_the_rest_is_read(
+        self, tmp_path, monkeypatch, lead, m, lineno
+    ):
+        p = tmp_path / "long.col"
+        p.write_text(lead + f"p edge 10 {m}\n" + "e 1 2\n" * 100_000)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(LineCountingFile(open(*args, **kwargs)))
+            return opened[-1]
+
+        monkeypatch.setattr(fileio, "open", counting_open, raising=False)
+        with pytest.raises(ParseError, match=f"line {lineno}: edge line beyond the {m} edges"):
+            read_edge_list(str(p))
+        assert len(opened) == 1 and opened[0].lines <= lineno
+
+    def test_decode_error_mid_read_names_the_path(self, tmp_path):
+        g = Graph(3, [(0, 1)])
+        p = tmp_path / "bad.col"
+        body = b"c " + b"x" * 100 + b"\n"
+        for data in (
+            b"p edge 3 1\n" + body * 1000 + b"e 1 2\n\xff\n",
+            b"p edge 1000 100000\n" + b"e 1 2\n" * 10_000 + b"\xff\n",
+        ):
+            p.write_bytes(data)
+            with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: 'utf-8' codec"):
+                read_edge_list(str(p))
+        p.write_bytes(body * 1000 + b"\xff\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: 'utf-8' codec"):
+            read_matching(str(p), g)
 
 
 class TestSolveCommand:
