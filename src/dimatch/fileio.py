@@ -50,20 +50,20 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
     graph is parsed in bulk, to the same graph.
     """
     if isinstance(source, str):
-        plain = _parse_plain(source)
-        if plain is not None:
-            try:
-                return Graph(*plain)
-            except GraphError:
-                pass  # the line loop gives the message
-        lines = source.splitlines()
-    else:
-        lines = chain.from_iterable(raw.splitlines() or [""] for raw in source)
-    n, edges, weights = _parse_lines(lines)
-    try:
-        return Graph(n, edges, weights)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from exc
+        g = _parse_bulk(source)
+        return g if g is not None else _parse_lines(source.splitlines())
+    return _parse_lines(chain.from_iterable(raw.splitlines() or [""] for raw in source))
+
+
+def _parse_bulk(text: str) -> Graph | None:
+    """The graph of a plain text, or None when the line loop must parse it."""
+    plain = _parse_plain(text)
+    if plain is not None:
+        try:
+            return Graph(*plain)
+        except GraphError:
+            pass  # the line loop gives the message
+    return None
 
 
 # The characters of a plain header line and of a plain body.
@@ -80,7 +80,7 @@ def _parse_plain(text: str) -> tuple[int, list[Edge]] | None:
     Anything else is left to :func:`_parse_lines`, the one source of error
     messages.  The edges come back 0-based and in the text's order: the
     range check and the pair order belong to :class:`Graph`, and
-    :func:`parse_edge_list` hands any :class:`GraphError` it raises to
+    :func:`_parse_bulk` hands any :class:`GraphError` it raises to
     :func:`_parse_lines` too.  The character check also keeps out every
     line break but ``\\n`` (``\\r``, ``\\v``, ``\\x85``, ...), at which
     ``str.splitlines`` would break a line.
@@ -139,8 +139,8 @@ def _plain_header(header: str) -> tuple[int, int] | None:
     return (n, m) if n <= MAX_VERTICES and m <= n * (n - 1) // 2 else None
 
 
-def _parse_lines(lines: Iterable[str]) -> tuple[int, list[Edge], dict[Edge, float]]:
-    """The vertex count, edges and given weights of an edge list, line by line."""
+def _parse_lines(lines: Iterable[str]) -> Graph:
+    """The graph of an edge list, parsed line by line."""
     n = -1
     declared_m = -1
     edges: list[Edge] = []
@@ -190,7 +190,10 @@ def _parse_lines(lines: Iterable[str]) -> tuple[int, list[Edge], dict[Edge, floa
         raise ParseError("missing 'p edge' problem line")
     if declared_m != len(edges):
         raise ParseError(f"header declares {declared_m} edges, found {len(edges)}")
-    return n, edges, weights
+    try:
+        return Graph(n, edges, weights)
+    except GraphError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 @contextmanager
@@ -209,20 +212,49 @@ def read_edge_list(path: str) -> Graph:
     """Parse the edge-list file at ``path``, read as UTF-8, exactly as
     :func:`parse_edge_list` parses its text.
 
-    After a plain header ``p edge <n> <m>`` at most m + 1 more lines are
-    read, and a file that ends within them is parsed as one string, in bulk
-    if it is plain.  Any other file takes the line loop, so an edge line
-    beyond the header's count fails before the rest is read.  A decode or
-    parse error is raised as :class:`ParseError` with the path in front.
+    Leading blank and comment lines are read up to the first other line.
+    When that is a plain header ``p edge <n> <m>``, at most m + 1 more lines
+    are read, and a file that ends within them is parsed in bulk from the
+    header on if it is plain.  Any other file takes the line loop, so an
+    edge line beyond the header's count fails before the rest is read.  A
+    decode or parse error is raised as :class:`ParseError` with the path in
+    front.
     """
     with _open(path) as fh:
-        head = [next(fh, "")]
-        counts = _plain_header(head[0][:-1]) if head[0].endswith("\n") else None
+        lines = []
+        for raw in fh:
+            lines.append(raw)
+            if not all(map(_skipped, raw.splitlines())):
+                break
+        header = lines[-1] if lines else ""
+        counts = _plain_header(header.rstrip("\r\n"))
         if counts is not None:
-            head += islice(fh, counts[1] + 1)
-            if len(head) <= counts[1] + 1:
-                return parse_edge_list("".join(head))
-        return parse_edge_list(chain(head, fh))
+            body = list(islice(fh, counts[1] + 1))
+            lines += body
+            if len(body) <= counts[1]:  # the file has ended
+                # A weighted edge line has four tokens, so its file is never plain.
+                if not body or len(body[0].split()) == 3:
+                    g = _parse_bulk(header + "".join(body))
+                    if g is not None:
+                        return g
+                text = "".join(lines)
+                if text.isascii() and not any(map(text.__contains__, _ASCII_BREAKS)):
+                    return _parse_lines(lines)  # the text's lines already
+                return _parse_lines(text.splitlines())
+        # A line read from a file is never empty.
+        return _parse_lines(chain.from_iterable(map(str.splitlines, chain(lines, fh))))
+
+
+# The ASCII characters besides "\r" and "\n" at which str.splitlines breaks
+# a line; a file iterated with newline="" breaks only at those two.
+_ASCII_BREAKS = "\v\f\x1c\x1d\x1e"
+
+
+def _skipped(line: str) -> bool:
+    """Whether the line loop skips ``line``: it has no tokens, or its first
+    token starts with ``c``."""
+    parts = line.split()
+    return not parts or parts[0][0] == "c"
 
 
 def write_edge_list(g: Graph, comment: str | None = None) -> str:

@@ -151,11 +151,14 @@ TEXT_PIECES = ["p", "edge", "e", "c", " ", "\t", "\n", *LINE_BREAKS, *"012345678
 
 @st.composite
 def edge_list_texts(draw) -> str:
-    """Edge-list text: pieces at random, or write_edge_list output, mutated."""
+    """Edge-list text: pieces at random, or write_edge_list output, with
+    or without weights and leading comment lines, mutated."""
     if draw(st.booleans()):
         return "".join(draw(st.lists(st.sampled_from(TEXT_PIECES), max_size=40)))
     g = draw(small_graphs(min_n=2, max_n=7))
-    text = write_edge_list(g)
+    if draw(st.booleans()):
+        g = Graph(g.n, g.edges, {e: draw(st.integers(1, 3)) for e in g.edges})
+    text = write_edge_list(g, comment=draw(st.sampled_from([None, "lead", "two\n lines"])))
     # Each mutation replaces up to two characters with a piece, or with
     # nothing; whitespace pieces move tokens across lines.
     for _ in range(draw(st.integers(0, 3))):
@@ -252,11 +255,19 @@ class TestReadPath:
     @example("p edge 3\v1\ne 1 2\n")
     @example("p edge 3 1\ne 1\x85 2\n")
     @example("p edge 3 1\ne 1\u20282\n")
+    @example("p edge 3 1\ne 1\x0c2\n")
+    @example("p edge 3 1\ne 1 2 5\x1d3\n")
     @example("p edge 3 1\r\ne 1 2\r\n")
     @example("p edge 3 1\re 1 2\r")
     @example("p edge 3 1\ne 1 2 5\n")
     @example("p edge 3 1\ne 1 2\ne 2 3\ne 1 3\n")
     @example("c lead\np edge 3 1\ne 1 2\ne 2 3\n")
+    @example("c lead\n\n  c more\np edge 3 1\ne 1 2\n")
+    @example("c lead\x85e 1 2\np edge 3 1\ne 1 2\n")
+    @example("c lead\np edge 3 1\ne 2 2\n")
+    @example("c lead\np edge 3 1\ne 1 4\n")
+    @example("c lead\np edge 3 1\ne 1 2 5\n")
+    @example("c lead\n")
     @example("p edge 3 1\ne 1 2\n\n")
     @example("p edge 3 1\ne 1 2")
     @example("p edge 3 0\n")
@@ -264,6 +275,29 @@ class TestReadPath:
     @example("")
     def test_file_and_text_agree(self, text):
         assert read_outcome(text) == parse_outcome(text)
+
+    @pytest.mark.parametrize("comment", [None, "planted\nn = 6"], ids=["plain", "comment-led"])
+    def test_written_files_take_the_bulk_path(self, tmp_path, monkeypatch, comment):
+        def no_line_loop(lines):
+            raise AssertionError("took the line loop")
+
+        g = Graph(6, [(0, 1), (1, 2), (3, 5)])
+        p = tmp_path / "g.col"
+        p.write_text(write_edge_list(g, comment=comment))
+        monkeypatch.setattr(fileio, "_parse_lines", no_line_loop)
+        back = read_edge_list(str(p))
+        assert (back.n, back.edges, back.weights) == (g.n, g.edges, g.weights)
+
+    def test_weighted_files_skip_the_bulk_parse(self, tmp_path, monkeypatch):
+        def no_bulk_parse(text):
+            raise AssertionError("tried the bulk parse")
+
+        g = Graph(6, [(0, 1), (1, 2), (3, 5)], weights={(0, 1): 4})
+        p = tmp_path / "g.col"
+        p.write_text(write_edge_list(g))
+        monkeypatch.setattr(fileio, "_parse_plain", no_bulk_parse)
+        back = read_edge_list(str(p))
+        assert (back.n, back.edges, back.weights) == (g.n, g.edges, g.weights)
 
     @pytest.mark.parametrize(
         "lead, m, lineno",
