@@ -239,11 +239,8 @@ def cmd_compare(args) -> int:
             use_oracle=args.use_oracle,
             workers=workers,
         )
-    elif args.dir is not None:
-        report = run_directory(args.dir, minimize=args.min_weight, strict=args.strict)
     else:
-        print("error: pick one of --exhaustive/--samples/--planted/--dir", file=sys.stderr)
-        return EXIT_USAGE
+        report = run_directory(args.dir, minimize=args.min_weight, strict=args.strict)
     if report.total == 0:
         print("warning: corpus is empty; nothing compared", file=sys.stderr)
     payload = report.to_dict()
@@ -260,8 +257,7 @@ def cmd_compare(args) -> int:
             print(f"  timing {key}: {value}")
     if not report.agreement:
         if args.repro_dir:
-            written = dump_reproducer(report, args.repro_dir)
-            for fname in written:
+            for fname in dump_reproducer(report, args.repro_dir):
                 print(f"reproducer: {fname}", file=sys.stderr)
         return EXIT_NO_DIM
     return EXIT_FOUND
@@ -337,11 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("compare", help="differential-test solver vs oracle")
-    p.add_argument("--exhaustive", type=int, default=None, metavar="N_MAX")
-    p.add_argument("--samples", type=int, default=None)
+    corpus = p.add_mutually_exclusive_group(required=True)
+    corpus.add_argument("--exhaustive", type=int, metavar="N_MAX")
+    corpus.add_argument("--samples", type=int)
+    corpus.add_argument("--planted", type=_planted_arg, metavar="COUNTxSIZE")
+    corpus.add_argument("--dir")
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--planted", type=_planted_arg, default=None, metavar="COUNTxSIZE")
-    p.add_argument("--dir", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=None)
     p.add_argument("--min-weight", action="store_true")

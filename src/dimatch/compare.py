@@ -316,18 +316,31 @@ def run_directory(path: str, minimize: bool = False, strict: bool = False) -> Co
 
 
 def dump_reproducer(report: CompareReport, directory: str) -> list[str]:
-    """Write each disagreeing exhaustive instance to an edge-list file."""
-    os.makedirs(directory, exist_ok=True)
-    written = []
+    """The edge-list file of each disagreeing instance, in report order.
+
+    An exhaustive, sampled or planted instance is built again from its
+    label and ``report.options`` and written to ``directory``; a
+    ``run_directory`` instance is a file already, and its path is given.
+    """
+    paths = []
     for dis in report.disagreements:
         label = dis["instance"]
-        if "mask=" not in label:
+        if "path" in report.options:
+            paths.append(os.path.join(report.options["path"], label))
             continue
-        fields = dict(part.split("=") for part in label.split())
-        n, mask = int(fields["n"]), int(fields["mask"])
-        g = mask_to_graph(n, mask)
-        fname = os.path.join(directory, f"repro_n{n}_m{mask}.col")
+        fields = dict(part.split("=") for part in label.split() if "=" in part)
+        n = int(fields["n"])
+        if "mask" in fields:
+            mask = int(fields["mask"])
+            source = _mask_graphs(n, mask, mask + 1)
+        elif label.startswith("planted"):
+            source = _planted_graphs(n, [int(fields["seed"])])
+        else:
+            source = _sampled_graphs(n, [int(fields["seed"])], report.options["density"])
+        ((_, g),) = source
+        os.makedirs(directory, exist_ok=True)
+        fname = os.path.join(directory, f"repro_{label.replace('=', '').replace(' ', '_')}.col")
         with open(fname, "w", encoding="utf-8") as fh:
             fh.write(write_edge_list(g, comment=f"reproducer {label}"))
-        written.append(fname)
-    return written
+        paths.append(fname)
+    return paths

@@ -5,7 +5,10 @@ with 1-indexed vertices and an optional weight token.  Lines starting with
 `c` are comments.  Matchings travel in sidecar files of `m <u> <v>` lines.
 A header may declare at most `MAX_VERTICES` vertices, and no more edge
 lines may follow than it declares.  Lines break where `str.splitlines`
-breaks them, so a file parses exactly as its text does.
+breaks them.  Text is parsed whole, and a file that ends within its
+header's count is parsed as its text; a longer one streams line by line,
+to the same graph or message.  A comment is written as one `c` line per
+line of it.
 """
 
 from __future__ import annotations
@@ -37,33 +40,24 @@ def _parse_weight(token: str) -> float:
             raise ParseError(f"bad weight token {token!r}") from exc
 
 
-def parse_edge_list(source: str | Iterable[str]) -> Graph:
-    """Parse an edge list given as one string or as an iterable of lines.
+def parse_edge_list(source: str) -> Graph:
+    """Parse the edge-list text ``source``, given as one string.
 
-    An iterable's items are split again as ``str.splitlines`` splits text
-    (an empty item is one empty line), so a file's lines parse as its text
-    does, and are read one at a time: an input that declares too few edges
-    fails at the first edge line beyond the header's count, without the
-    rest being read.  Each line is split into tokens once; a line with no
-    tokens, or whose first token starts with ``c``, is skipped.  A string
-    in the plain form that :func:`write_edge_list` gives an unweighted
-    graph is parsed in bulk, to the same graph.
+    A text in the plain form that :func:`write_edge_list` gives an
+    unweighted graph, with or without leading comment lines, is parsed in
+    bulk.  Any other text goes through the line loop, which splits lines
+    where ``str.splitlines`` splits them and each line into tokens once; a
+    line with no tokens, or whose first token starts with ``c``, is
+    skipped.  Both give the same graph, and the line loop gives every
+    message.
     """
-    if isinstance(source, str):
-        g = _parse_bulk(source)
-        return g if g is not None else _parse_lines(source.splitlines())
-    return _parse_lines(chain.from_iterable(raw.splitlines() or [""] for raw in source))
-
-
-def _parse_bulk(text: str) -> Graph | None:
-    """The graph of a plain text, or None when the line loop must parse it."""
-    plain = _parse_plain(text)
+    plain = _parse_plain(source)
     if plain is not None:
         try:
             return Graph(*plain)
         except GraphError:
             pass  # the line loop gives the message
-    return None
+    return _parse_lines(source.splitlines())
 
 
 # The characters of a plain header line and of a plain body.
@@ -74,29 +68,41 @@ _BODY_DROP = b"e0123456789 \t\n"
 def _parse_plain(text: str) -> tuple[int, list[Edge]] | None:
     """The vertex count and edges of a plain text, or None for any other text.
 
-    Plain means a first line ``p edge <n> <m>``, then exactly ``m`` lines
-    ``e <u> <v>``, each starting with its ``e`` and ending in a newline, in
-    ASCII digits, spaces and tabs.  The body is split into tokens once.
-    Anything else is left to :func:`_parse_lines`, the one source of error
-    messages.  The edges come back 0-based and in the text's order: the
-    range check and the pair order belong to :class:`Graph`, and
-    :func:`_parse_bulk` hands any :class:`GraphError` it raises to
-    :func:`_parse_lines` too.  The character check also keeps out every
-    line break but ``\\n`` (``\\r``, ``\\v``, ``\\x85``, ...), at which
-    ``str.splitlines`` would break a line.
+    Plain means leading lines that :func:`_parse_lines` skips, then a line
+    ``p edge <n> <m>``, then exactly ``m`` lines ``e <u> <v>``, each
+    starting with its ``e`` and ending in a newline, in ASCII digits,
+    spaces and tabs.  A first edge line without exactly three tokens, as a
+    weighted one has, is answered at once; the rest of the body is split
+    into tokens once.  Anything else is left to :func:`_parse_lines`, the
+    one source of error messages.  The edges come back 0-based and in the
+    text's order: the range check and the pair order belong to
+    :class:`Graph`, and :func:`parse_edge_list` hands any
+    :class:`GraphError` it raises to :func:`_parse_lines` too.  The
+    character checks also keep out every line break but ``\\n`` (``\\r``,
+    ``\\v``, ``\\x85``, ...), at which ``str.splitlines`` would break a line.
     """
-    header, newline, body = text.partition("\n")
-    counts = _plain_header(header) if newline else None
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        header = text[start:end]
+        if not all(map(_skipped, header.splitlines())):
+            break
+        start = end + 1
+    else:
+        return None
+    counts = _plain_header(header)
     if counts is None:
+        return None
+    n, m = counts
+    body = text[end + 1:]
+    if m == 0:
+        return (n, []) if not body else None
+    if len(body[: body.find("\n")].split()) != 3:  # a plain body ends in a newline
         return None
     try:
         if body.encode("ascii").translate(None, _BODY_DROP):
             return None
     except UnicodeEncodeError:
         return None
-    n, m = counts
-    if m == 0:
-        return (n, []) if not body else None
     # m lines, each starting with an "e".  The tokens are m triples whose
     # first is "e" and whose other two are integers, so those m "e" tokens
     # start the lines, and each line is one triple.
@@ -214,11 +220,11 @@ def read_edge_list(path: str) -> Graph:
 
     Leading blank and comment lines are read up to the first other line.
     When that is a plain header ``p edge <n> <m>``, at most m + 1 more lines
-    are read, and a file that ends within them is parsed in bulk from the
-    header on if it is plain.  Any other file takes the line loop, so an
-    edge line beyond the header's count fails before the rest is read.  A
-    decode or parse error is raised as :class:`ParseError` with the path in
-    front.
+    are read, and a file that ends within them goes to
+    :func:`parse_edge_list` as text.  Any other file streams through the
+    line loop, so an edge line beyond the header's count fails before the
+    rest is read.  A decode or parse error is raised as :class:`ParseError`
+    with the path in front.
     """
     with _open(path) as fh:
         lines = []
@@ -226,28 +232,14 @@ def read_edge_list(path: str) -> Graph:
             lines.append(raw)
             if not all(map(_skipped, raw.splitlines())):
                 break
-        header = lines[-1] if lines else ""
-        counts = _plain_header(header.rstrip("\r\n"))
+        counts = _plain_header(lines[-1].rstrip("\r\n")) if lines else None
         if counts is not None:
             body = list(islice(fh, counts[1] + 1))
-            lines += body
             if len(body) <= counts[1]:  # the file has ended
-                # A weighted edge line has four tokens, so its file is never plain.
-                if not body or len(body[0].split()) == 3:
-                    g = _parse_bulk(header + "".join(body))
-                    if g is not None:
-                        return g
-                text = "".join(lines)
-                if text.isascii() and not any(map(text.__contains__, _ASCII_BREAKS)):
-                    return _parse_lines(lines)  # the text's lines already
-                return _parse_lines(text.splitlines())
+                return parse_edge_list("".join(lines + body))
+            lines += body
         # A line read from a file is never empty.
         return _parse_lines(chain.from_iterable(map(str.splitlines, chain(lines, fh))))
-
-
-# The ASCII characters besides "\r" and "\n" at which str.splitlines breaks
-# a line; a file iterated with newline="" breaks only at those two.
-_ASCII_BREAKS = "\v\f\x1c\x1d\x1e"
 
 
 def _skipped(line: str) -> bool:
@@ -257,11 +249,13 @@ def _skipped(line: str) -> bool:
     return not parts or parts[0][0] == "c"
 
 
+def _comment_lines(comment: str | None) -> list[str]:
+    """One comment line for each piece of ``comment`` under ``str.splitlines``."""
+    return [f"c {chunk}" for chunk in comment.splitlines()] if comment else []
+
+
 def write_edge_list(g: Graph, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for chunk in comment.splitlines():
-            lines.append(f"c {chunk}")
+    lines = _comment_lines(comment)
     lines.append(f"p edge {g.n} {g.m}")
     for u, v in g.edges:
         w = g.weights[(u, v)]
@@ -306,9 +300,7 @@ def read_matching(path: str, g: Graph) -> frozenset[Edge]:
 
 
 def write_matching(matching, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.append(f"c {comment}")
+    lines = _comment_lines(comment)
     for u, v in sorted(matching):
         lines.append(f"m {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"

@@ -22,8 +22,9 @@ from dimatch.fileio import (
     write_edge_list,
     write_matching,
 )
-from dimatch.generate import gadget
+from dimatch.generate import GenSpec, gadget, generate_planted, generate_rejection
 from dimatch.graph import Graph
+from dimatch.oracle import mask_to_graph
 from dimatch.patterns import PatternWitness, verify_witness
 from dimatch.solver import CLASS_VIOLATION, SolveOutcome
 
@@ -87,7 +88,7 @@ class TestFileFormat:
             yield "e 3 4\n"
 
         with pytest.raises(ParseError, match="line 3: edge line beyond the 1 edges"):
-            parse_edge_list(lines())
+            fileio._parse_lines(lines())
         with pytest.raises(ParseError, match="line 3: edge line beyond the 1 edges"):
             parse_edge_list("p edge 4 1\ne 1 2\ne 2 3\ne 3 4\n")
 
@@ -122,18 +123,16 @@ class TestFileFormat:
         assert g.n == 3 and g.edges == ((0, 1), (1, 2))
         assert g.weight((1, 2)) == (4 if "\t4" in text else 1)
 
-    def test_parses_an_open_file(self, tmp_path):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)], weights={(1, 2): 3})
-        p = tmp_path / "g.col"
-        p.write_text(write_edge_list(g, comment="file"))
-        with open(p, encoding="utf-8") as fh:
-            back = parse_edge_list(fh)
-        assert back.edges == g.edges and back.weights == g.weights
-
     def test_matching_round_trip(self):
         g = Graph(4, [(0, 1), (2, 3)])
         text = write_matching([(0, 1), (2, 3)])
         assert parse_matching(text, g) == {(0, 1), (2, 3)}
+
+    @pytest.mark.parametrize("comment", ["two\nlines", "a\r\nb\x85c"])
+    def test_matching_round_trip_with_a_multi_line_comment(self, comment):
+        g = Graph(4, [(0, 1), (2, 3)])
+        text = write_matching([(0, 1)], comment=comment)
+        assert parse_matching(text, g) == {(0, 1)}
 
     def test_matching_rejects_absent_edge(self):
         from dimatch.fileio import ParseError
@@ -169,17 +168,18 @@ def edge_list_texts(draw) -> str:
     return text
 
 
-def parse_outcome(source):
-    """The parsed graph's n, edges and weights, or the ParseError message."""
+def parse_outcome(source, parse=parse_edge_list):
+    """The graph's n, edges and weights that ``parse(source)`` gives, or
+    the ParseError message."""
     try:
-        g = parse_edge_list(source)
+        g = parse(source)
     except ParseError as exc:
         return str(exc)
     return g.n, g.edges, g.weights
 
 
 class TestBulkParse:
-    """A plain string is parsed in bulk; lines always go through the line loop."""
+    """A plain text is parsed in bulk, to what the line loop gives."""
 
     @settings(max_examples=1500, deadline=None)
     @given(edge_list_texts())
@@ -198,12 +198,15 @@ class TestBulkParse:
     @example("p edge 3 2\ne 1 2\ne 2 1\n")
     @example("p edge 3 3\ne 1 2\ne 2 1\ne 1 4\n")
     def test_string_and_lines_agree(self, text):
-        assert parse_outcome(text) == parse_outcome(text.splitlines())
+        assert parse_outcome(text) == parse_outcome(text.splitlines(), fileio._parse_lines)
 
     @settings(max_examples=200, deadline=None)
-    @given(small_graphs(min_n=1, max_n=12))
-    def test_written_unweighted_graphs_take_the_bulk_path(self, g):
-        text = write_edge_list(g)
+    @given(
+        small_graphs(min_n=1, max_n=12),
+        st.sampled_from([None, "lead", "two\n lines", "blank\n\n line"]),
+    )
+    def test_written_unweighted_graphs_take_the_bulk_path(self, g, comment):
+        text = write_edge_list(g, comment=comment)
         assert fileio._parse_plain(text) is not None
         back = parse_edge_list(text)
         assert (back.n, back.edges, back.weights) == (g.n, g.edges, g.weights)
@@ -288,16 +291,15 @@ class TestReadPath:
         back = read_edge_list(str(p))
         assert (back.n, back.edges, back.weights) == (g.n, g.edges, g.weights)
 
-    def test_weighted_files_skip_the_bulk_parse(self, tmp_path, monkeypatch):
-        def no_bulk_parse(text):
-            raise AssertionError("tried the bulk parse")
-
+    def test_weighted_files_skip_the_bulk_parse(self, tmp_path):
         g = Graph(6, [(0, 1), (1, 2), (3, 5)], weights={(0, 1): 4})
         p = tmp_path / "g.col"
-        p.write_text(write_edge_list(g))
-        monkeypatch.setattr(fileio, "_parse_plain", no_bulk_parse)
-        back = read_edge_list(str(p))
-        assert (back.n, back.edges, back.weights) == (g.n, g.edges, g.weights)
+        for comment in (None, "weighted"):
+            text = write_edge_list(g, comment=comment)
+            assert fileio._parse_plain(text) is None
+            p.write_text(text)
+            back = read_edge_list(str(p))
+            assert (back.n, back.edges, back.weights) == (g.n, g.edges, g.weights)
 
     @pytest.mark.parametrize(
         "lead, m, lineno",
@@ -619,7 +621,15 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--planted", "3"], ["--planted", "3xbig"], ["--exhaustive", "9"], ["--exhaustive", "x"]],
+        [
+            ["--planted", "3"],
+            ["--planted", "3xbig"],
+            ["--exhaustive", "9"],
+            ["--exhaustive", "x"],
+            # One corpus per run: a second corpus option is not ignored.
+            ["--exhaustive", "3", "--samples", "2"],
+            ["--planted", "2x30", "--dir", "."],
+        ],
     )
     def test_bad_corpus_argument_is_a_usage_error(self, argv, capsys):
         assert main(["compare", *argv, "--threads", "1"]) == EXIT_USAGE
@@ -790,3 +800,92 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bad) in err
         assert "vertex out of range 1..2" in err
+
+
+def no_dim(g, **kwargs):
+    """A solver that never finds a matching."""
+    return SolveOutcome("no_dim")
+
+
+class TestReproducer:
+    """``dump_reproducer`` gives a file for every disagreeing instance."""
+
+    @pytest.mark.parametrize(
+        "run, build",
+        [
+            (
+                lambda compare: compare.run_exhaustive(3, workers=1),
+                lambda label: mask_to_graph(*(int(f.split("=")[1]) for f in label.split())),
+            ),
+            (
+                lambda compare: compare.run_samples(8, 2, seed=5, density=0.3, workers=1),
+                lambda label: generate_rejection(
+                    GenSpec(
+                        n=8,
+                        seed=int(label.split("seed=")[1]),
+                        mode="rejection",
+                        density=0.3,
+                        connected=True,
+                    )
+                ),
+            ),
+            (
+                lambda compare: compare.run_planted(30, 2, workers=1),
+                lambda label: generate_planted(
+                    GenSpec(n=30, seed=int(label.split("seed=")[1]), mode="planted")
+                )[0],
+            ),
+        ],
+        ids=["exhaustive", "samples", "planted"],
+    )
+    def test_generated_instances_are_written(self, run, build, tmp_path, monkeypatch):
+        import dimatch.compare
+
+        monkeypatch.setattr(dimatch.compare, "solve", no_dim)
+        report = run(dimatch.compare)
+        assert report.disagreements
+        paths = dimatch.compare.dump_reproducer(report, str(tmp_path / "repro"))
+        assert len(paths) == len(report.disagreements)
+        assert len(set(paths)) == len(paths)
+        for dis, path in zip(report.disagreements, paths):
+            assert os.path.dirname(path) == str(tmp_path / "repro")
+            g, want = read_edge_list(path), build(dis["instance"])
+            assert (g.n, g.edges, g.weights) == (want.n, want.edges, want.weights)
+
+    def test_directory_instances_are_named(self, tmp_path, monkeypatch):
+        import dimatch.compare
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.col").write_text(write_edge_list(gadget("c6")))
+        (corpus / "b.col").write_text(write_edge_list(gadget("c4")))
+        monkeypatch.setattr(dimatch.compare, "solve", no_dim)
+        report = dimatch.compare.run_directory(str(corpus))
+        paths = dimatch.compare.dump_reproducer(report, str(tmp_path / "repro"))
+        assert paths == [str(corpus / "a.col")]
+        assert not (tmp_path / "repro").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--planted", "2x30"], ["--dir"]],
+        ids=["planted", "dir"],
+    )
+    def test_cli_names_every_reproducer(self, argv, tmp_path, monkeypatch, capsys):
+        import dimatch.compare
+
+        if argv == ["--dir"]:
+            (tmp_path / "a.col").write_text(write_edge_list(gadget("c6")))
+            argv = ["--dir", str(tmp_path)]
+        monkeypatch.setattr(dimatch.compare, "solve", no_dim)
+        repro = tmp_path / "repro"
+        code = main(["compare", *argv, "--threads", "1", "--json", "--repro-dir", str(repro)])
+        captured = capsys.readouterr()
+        disagreements = json.loads(captured.out)["disagreements"]
+        named = [
+            line.removeprefix("reproducer: ")
+            for line in captured.err.splitlines()
+            if line.startswith("reproducer: ")
+        ]
+        assert code == EXIT_NO_DIM and disagreements
+        assert len(named) == len(disagreements)
+        assert all(os.path.isfile(path) for path in named)
