@@ -189,14 +189,38 @@ def cmd_oracle(args) -> int:
     return EXIT_FOUND if res.feasible else EXIT_NO_DIM
 
 
+# The options each generate mode and each compare corpus reads, among those
+# that default to argparse.SUPPRESS: such an option is in ``args`` only when
+# given, and giving one that its mode or corpus does not read is a usage error.
+_GENERATE_READS = {
+    "planted": ("matching_out",),
+    "rejection": ("density", "connected"),
+    "gadget": ("gadget",),
+}
+_COMPARE_READS = {
+    "exhaustive": ("threads",),
+    "samples": ("n", "seed", "density", "threads"),
+    "planted": ("seed", "threads"),
+    "dir": (),
+}
+
+
+def _reject_unread(args, reads: dict, choice: str, where: str) -> None:
+    """Raise ValueError for the first given option that ``choice`` does not read."""
+    for option in sorted(set().union(*reads.values()) - set(reads[choice])):
+        if hasattr(args, option):
+            raise ValueError(f"--{option.replace('_', '-')} does not apply to {where}")
+
+
 def cmd_generate(args) -> int:
+    _reject_unread(args, _GENERATE_READS, args.mode, f"--mode {args.mode}")
     spec = GenSpec(
         n=args.n,
         seed=args.seed,
         mode=args.mode,
-        density=args.density,
-        gadget_name=args.gadget,
-        connected=args.connected,
+        density=getattr(args, "density", None),
+        gadget_name=getattr(args, "gadget", None),
+        connected=getattr(args, "connected", False),
     )
     g, matching = generate(spec)
     comment = f"generated mode={spec.mode} n={g.n} seed={spec.seed}"
@@ -206,24 +230,26 @@ def cmd_generate(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if matching is not None and args.matching_out:
+    if hasattr(args, "matching_out"):
         with open(args.matching_out, "w", encoding="utf-8") as fh:
             fh.write(write_matching(matching, comment="planted matching"))
     return EXIT_FOUND
 
 
 def cmd_compare(args) -> int:
-    workers = args.threads or worker_count()
+    corpus = next(name for name in _COMPARE_READS if getattr(args, name) is not None)
+    _reject_unread(args, _COMPARE_READS, corpus, f"--{corpus}")
+    workers = getattr(args, "threads", None) or worker_count()
     if args.exhaustive is not None:
         report = run_exhaustive(
             args.exhaustive, minimize=args.min_weight, strict=args.strict, workers=workers
         )
     elif args.samples is not None:
         report = run_samples(
-            args.n,
+            getattr(args, "n", 8),
             args.samples,
-            seed=args.seed,
-            density=args.density,
+            seed=getattr(args, "seed", 0),
+            density=getattr(args, "density", None),
             minimize=args.min_weight,
             strict=args.strict,
             workers=workers,
@@ -233,10 +259,9 @@ def cmd_compare(args) -> int:
         report = run_planted(
             size,
             count,
-            seed=args.seed,
+            seed=getattr(args, "seed", 0),
             minimize=args.min_weight,
             strict=args.strict,
-            use_oracle=args.use_oracle,
             workers=workers,
         )
     else:
@@ -325,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("planted", "rejection", "gadget"), default="planted")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=None)
-    p.add_argument("--gadget", default=None)
-    p.add_argument("--connected", action="store_true")
+    p.add_argument("--density", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--gadget", default=argparse.SUPPRESS)
+    p.add_argument("--connected", action="store_true", default=argparse.SUPPRESS)
     p.add_argument("--out", default=None)
-    p.add_argument("--matching-out", default=None)
+    p.add_argument("--matching-out", default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("compare", help="differential-test solver vs oracle")
@@ -338,13 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--samples", type=int)
     corpus.add_argument("--planted", type=_planted_arg, metavar="COUNTxSIZE")
     corpus.add_argument("--dir")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=None)
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS, help="vertices per sample (default 8)")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="first seed (default 0)")
+    p.add_argument("--density", type=float, default=argparse.SUPPRESS)
     p.add_argument("--min-weight", action="store_true")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--use-oracle", action="store_true")
-    p.add_argument("--threads", type=_positive_arg, default=None)
+    p.add_argument("--threads", type=_positive_arg, default=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
     p.add_argument("--repro-dir", default=None)
     p.set_defaults(func=cmd_compare)

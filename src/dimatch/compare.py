@@ -4,9 +4,10 @@ Supports four corpus sources: exhaustive labeled enumeration of small
 connected class members, rejection-sampled random members, planted
 instances, and a directory of edge-list files.  Each source is a generator
 of labelled graphs, and every instance goes through one check,
-:func:`_check_instance`.  Every ``run_*`` solves on ``solve``'s default
-route unless ``strict=True`` (off by default) asks for strict mode.  Work
-fans out over a process pool; per-instance results fold into one
+:func:`_check_instance`, which compares the answer with the oracle's, the
+weight included in min-weight mode.  Every ``run_*`` solves on ``solve``'s
+default route unless ``strict=True`` (off by default) asks for strict mode.
+Work fans out over a process pool; per-instance results fold into one
 deterministic report.
 """
 
@@ -110,30 +111,27 @@ def _check_instance(
     minimize: bool,
     strict: bool,
     structural: bool = False,
-    planted: bool = False,
 ) -> None:
-    """Solve one instance and file the outcome in ``report``.
+    """Solve one instance, check the answer against :func:`oracle_solve` and
+    file the outcome in ``report``.
 
-    The oracle is the reference, or with ``planted`` the planted matching,
-    which certifies that a matching exists; then the oracle is not called
-    and any other verdict, ``class_violation`` included, is a disagreement.
+    Every corpus holds class members, so a ``class_violation`` is an error.
+    Otherwise the oracle decides: a verdict it does not share is a
+    disagreement naming its verdict (``"found"`` or ``"no_dim"``), a found
+    matching must be a DIM, and in min-weight mode its weight must be the
+    oracle's.
     """
     t0 = time.perf_counter()
     out = solve(g, minimize=minimize, strict=strict, structural=structural)
     report.times.append(time.perf_counter() - t0)
     report.total += 1
-    ref = None
-    if planted:
-        feasible, reference = True, "found (planted)"
-    elif out.verdict == CLASS_VIOLATION:
+    if out.verdict == CLASS_VIOLATION:
         report.errors.append({"instance": label, "error": "class violation"})
         return
-    else:
-        ref = oracle_solve(g, mode="min_weight" if minimize else "exists")
-        feasible, reference = ref.feasible, "found" if ref.feasible else "no_dim"
-    if out.found != feasible:
+    ref = oracle_solve(g, mode="min_weight" if minimize else "exists")
+    if out.found != ref.feasible:
         report.disagreements.append(
-            {"instance": label, "solver": out.verdict, "oracle": reference}
+            {"instance": label, "solver": out.verdict, "oracle": "found" if ref.feasible else "no_dim"}
         )
         return
     if not out.found:
@@ -142,7 +140,7 @@ def _check_instance(
     report.found += 1
     if not g.is_dim(out.matching):
         report.errors.append({"instance": label, "error": "invalid matching"})
-    if minimize and ref is not None and abs(out.weight - ref.best[1]) > 1e-9:
+    if minimize and abs(out.weight - ref.best[1]) > 1e-9:
         report.weight_mismatches.append(
             {
                 "instance": label,
@@ -286,24 +284,20 @@ def run_planted(
     minimize: bool = False,
     strict: bool = False,
     structural: bool = False,
-    use_oracle: bool = False,
     workers: int | None = None,
 ) -> CompareReport:
-    """Planted instances; the planted matching certifies feasibility, so the
-    oracle is optional (and off by default at large sizes).  Without it a
-    weight is not checked.
+    """Planted instances, against the oracle like every other corpus.
 
     ``structural`` solves on the structural route without strict mode's
     assertions, as acceptance criterion 6a does at n = 1000.
     """
     workers = workers or worker_count()
-    options = (minimize, strict, structural, not use_oracle)
+    options = (minimize, strict, structural)
     tasks = [
         (_planted_graphs, (n, seeds), options)
         for seeds in _seed_chunks(seed, count, workers * 4)
     ]
-    run = dict(n=n, count=count, seed=seed, minimize=minimize, strict=strict)
-    run.update(structural=structural, use_oracle=use_oracle)
+    run = dict(n=n, count=count, seed=seed, minimize=minimize, strict=strict, structural=structural)
     return _fan_out(tasks, workers, run)
 
 
@@ -316,15 +310,16 @@ def run_directory(path: str, minimize: bool = False, strict: bool = False) -> Co
 
 
 def dump_reproducer(report: CompareReport, directory: str) -> list[str]:
-    """The edge-list file of each disagreeing instance, in report order.
+    """The edge-list file of each failing instance: every label among the
+    disagreements, weight mismatches and errors, once, in that order.
 
     An exhaustive, sampled or planted instance is built again from its
     label and ``report.options`` and written to ``directory``; a
     ``run_directory`` instance is a file already, and its path is given.
     """
+    failing = (*report.disagreements, *report.weight_mismatches, *report.errors)
     paths = []
-    for dis in report.disagreements:
-        label = dis["instance"]
+    for label in dict.fromkeys(entry["instance"] for entry in failing):
         if "path" in report.options:
             paths.append(os.path.join(report.options["path"], label))
             continue

@@ -107,6 +107,25 @@ def degree2_block(rng: SplitMix64, pairs: int, whites: int) -> Graph:
     return Graph(n, edges)
 
 
+def _numbering_pair() -> tuple[Graph, Graph]:
+    """The 20th block of ``degree2_block(SplitMix64(11), 50, 50)``, and the
+    same block with each vertex v renamed ``perm[v]``, where ``perm`` is
+    ``range(150)`` shuffled by ``SplitMix64(1004)``."""
+    rng = SplitMix64(11)
+    for _ in range(20):
+        block = degree2_block(rng, 50, 50)
+    perm = list(range(block.n))
+    SplitMix64(1004).shuffle(perm)
+    return block, Graph(block.n, [(perm[u], perm[v]) for u, v in block.edges])
+
+
+# An off-class input (n = 150, unit weights) whose min-weight verdict on the
+# default route depends on the vertex numbering: BLOCK19 answers found (50)
+# through the exact search, while BLOCK19_S4 trips the search's node budget
+# and the structural route answers class_violation with a spider witness.
+BLOCK19, BLOCK19_S4 = _numbering_pair()
+
+
 def budget_trip_block() -> Graph:
     """A degree-2 block with one planted pair edge removed (n = 450): the
     exact route's cover search needs more than its budget in both modes,

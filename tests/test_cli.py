@@ -26,7 +26,7 @@ from dimatch.generate import GenSpec, gadget, generate_planted, generate_rejecti
 from dimatch.graph import Graph
 from dimatch.oracle import mask_to_graph
 from dimatch.patterns import PatternWitness, verify_witness
-from dimatch.solver import CLASS_VIOLATION, SolveOutcome
+from dimatch.solver import CLASS_VIOLATION, SolveOutcome, solve
 
 from conftest import disjoint_union, small_graphs
 
@@ -140,6 +140,28 @@ class TestFileFormat:
         g = Graph(4, [(0, 1)])
         with pytest.raises(ParseError):
             parse_matching("m 3 4\n", g)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("m 1 x\n", "line 1: bad vertex token"),
+            ("c note\nm 0 1\n", "line 2: vertex out of range 1..4"),
+            ("m 1 5\n", "line 1: vertex out of range 1..4"),
+        ],
+        ids=["bad-token", "zero", "past-n"],
+    )
+    def test_matching_rejects_bad_vertices(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_matching(text, Graph(4, [(0, 1)]))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, line", [("p edge 2 0\np edge 2 0\n", 2), ("p edge 2 1\ne 1 2\np edge 2 1\n", 3)]
+    )
+    def test_rejects_a_second_problem_line(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == f"line {line}: duplicate problem line"
 
 
 # Pieces of edge-list text, with every character str.splitlines breaks at
@@ -411,6 +433,28 @@ class TestSolveCommand:
         assert payload["trace"] == ["exact-search"]
         assert payload["anchors"] == []
 
+    def test_failed_structural_check_reports_a_spider(self, tmp_path, monkeypatch, capsys):
+        import dimatch.cli
+        from dimatch.solver import StructuralCheckError
+
+        def fail(g, **kwargs):
+            raise StructuralCheckError("pool of u holds two edges")
+
+        monkeypatch.setattr(dimatch.cli, "solve", fail)
+        g = gadget("s_1_2_4")
+        assert main(["solve", write_gadget(tmp_path, "s_1_2_4"), "--json"]) == EXIT_CLASS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, second = captured.err.splitlines()
+        assert first.startswith("error: structural guarantees failed")
+        names = second.removeprefix("spider witness: ").split()
+        w = PatternWitness("spider", tuple(int(v) - 1 for v in names))
+        assert second.startswith("spider witness: ") and verify_witness(g, w, (1, 2, 4))
+
+    def test_text_output_of_a_matching(self, tmp_path, capsys):
+        assert main(["solve", write_gadget(tmp_path, "p5"), "--min-weight"]) == EXIT_FOUND
+        assert capsys.readouterr().out == "verdict: found\nweight: 2.0\nmatching: 1-2 4-5\n"
+
     def test_json_round_trips_through_check(self, tmp_path, capsys):
         path = write_gadget(tmp_path, "c6")
         assert main(["solve", path, "--json"]) == EXIT_FOUND
@@ -498,6 +542,44 @@ class TestDetectCommand:
         assert code == EXIT_FOUND
         assert payload["witnesses"] == [{"pattern": "gem", "vertices": ["10", "5", "9", "8", "2"]}]
 
+    @pytest.mark.parametrize(
+        "pattern, gadget_name, witnesses",
+        [
+            ("k4", "k4", [{"pattern": "k4", "vertices": ["1", "2", "3", "4"]}]),
+            (
+                "butterfly",
+                "butterfly",
+                [
+                    {
+                        "pattern": "butterfly",
+                        "peripheral_edges": [["1", "2"], ["3", "4"]],
+                        "vertices": ["1", "2", "3", "4", "5"],
+                    }
+                ],
+            ),
+            (
+                "c4",
+                "c4",
+                [
+                    {"pattern": "c4-edge", "edge": pair}
+                    for pair in (["1", "2"], ["1", "4"], ["2", "3"], ["3", "4"])
+                ],
+            ),
+            ("k4", "diamond", []),
+            ("butterfly", "k4", []),
+            ("c4", "diamond", []),
+        ],
+    )
+    def test_k4_butterfly_and_c4(self, pattern, gadget_name, witnesses, tmp_path, capsys):
+        code = main(["detect", write_gadget(tmp_path, gadget_name), pattern])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == (EXIT_FOUND if witnesses else EXIT_NO_DIM)
+        assert payload == {"schema": 1, "witnesses": witnesses}
+
+    def test_spider_spec_needs_three_legs(self, tmp_path, capsys):
+        assert main(["detect", write_gadget(tmp_path, "p3"), "s", "1", "2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: spider spec needs three leg lengths, e.g. 's 1 2 4'\n"
+
     def test_unknown_pattern(self, tmp_path):
         path = write_gadget(tmp_path, "p3")
         assert main(["detect", path, "pentagon"]) == EXIT_USAGE
@@ -544,6 +626,35 @@ class TestGenerateCommand:
     def test_bad_gadget(self, capsys):
         assert main(["generate", "--mode", "gadget", "--gadget", "blob"]) == EXIT_USAGE
 
+    def test_rejection_sample(self, capsys):
+        argv = ["generate", "--mode", "rejection", "--n", "9", "--seed", "4", "--density", "0.4"]
+        assert main([*argv, "--connected"]) == EXIT_FOUND
+        g = parse_edge_list(capsys.readouterr().out)
+        spec = GenSpec(n=9, seed=4, mode="rejection", density=0.4, connected=True)
+        assert g.edges == generate_rejection(spec).edges and g.is_connected()
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (
+                ["gadget", "--gadget", "c6", "--matching-out", "M", "--density", "0.9", "--connected"],
+                "--connected",
+            ),
+            (["gadget", "--gadget", "c6", "--matching-out", "M"], "--matching-out"),
+            (["rejection", "--n", "6", "--matching-out", "M"], "--matching-out"),
+            (["planted", "--density", "0.9"], "--density"),
+            (["planted", "--connected", "--matching-out", "M"], "--connected"),
+            (["planted", "--gadget", "c6"], "--gadget"),
+            (["rejection", "--gadget", "c6"], "--gadget"),
+        ],
+    )
+    def test_option_the_mode_does_not_read_is_a_usage_error(self, argv, option, tmp_path, capsys):
+        target = tmp_path / "m.txt"
+        argv = [str(target) if arg == "M" else arg for arg in argv]
+        assert main(["generate", "--mode", *argv]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {option} does not apply to --mode {argv[0]}\n")
+        assert not target.exists()
+
 
 class TestInputErrors:
     """Every subcommand reports an unreadable or unwritable file as
@@ -558,7 +669,7 @@ class TestInputErrors:
             pytest.param(lambda good, bad: ["oracle", bad], id="oracle"),
             pytest.param(lambda good, bad: ["detect", bad, "k4"], id="detect"),
             pytest.param(
-                lambda good, bad: ["compare", "--dir", os.path.dirname(bad), "--threads", "1"],
+                lambda good, bad: ["compare", "--dir", os.path.dirname(bad)],
                 id="compare-dir",
             ),
         ],
@@ -671,6 +782,46 @@ class TestCompareCommand:
         assert payload["disagreements"] == []
         assert payload["total"] > 0
 
+    def test_text_summary(self, capsys):
+        assert main(["compare", "--exhaustive", "3", "--threads", "1"]) == EXIT_FOUND
+        summary, *timing = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(
+            r"instances=5 found=5 no_dim=0 disagreements=0 weight_mismatches=0 errors=0 "
+            r"wall=\d+\.\d\ds",
+            summary,
+        )
+        assert [line.split(":")[0] for line in timing] == [
+            f"  timing {key}" for key in ("max", "p50", "p90", "p99", "samples")
+        ]
+        assert timing[-1] == "  timing samples: 5"
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--exhaustive", "3", "--density", "0.9", "--n", "50", "--threads", "1"], "--density"),
+            (["--exhaustive", "3", "--n", "50"], "--n"),
+            (["--exhaustive", "3", "--seed", "3"], "--seed"),
+            (["--planted", "2x30", "--n", "50"], "--n"),
+            (["--planted", "2x30", "--density", "0.9"], "--density"),
+            (["--dir", "D", "--threads", "4", "--seed", "3"], "--seed"),
+            (["--dir", "D", "--threads", "4"], "--threads"),
+            (["--dir", "D", "--n", "5"], "--n"),
+        ],
+    )
+    def test_option_the_corpus_does_not_read_is_a_usage_error(self, argv, option, tmp_path, capsys):
+        (tmp_path / "a.col").write_text(write_edge_list(gadget("c6")))
+        argv = [str(tmp_path) if arg == "D" else arg for arg in argv]
+        assert main(["compare", *argv]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {option} does not apply to {argv[0]}\n")
+
+    def test_samples_read_every_sampling_option(self, capsys):
+        argv = ["--samples", "2", "--n", "6", "--seed", "3", "--density", "0.5", "--threads", "1"]
+        assert main(["compare", *argv, "--json"]) == EXIT_FOUND
+        options = json.loads(capsys.readouterr().out)["options"]
+        assert options == {
+            "n": 6, "count": 2, "seed": 3, "density": 0.5, "minimize": False, "strict": False
+        }
+
     def test_report_records_its_options(self, capsys):
         payloads = []
         for extra in ([], ["--min-weight", "--strict"]):
@@ -712,32 +863,27 @@ class TestCompareCommand:
             return real(g, minimize=minimize, strict=strict, structural=structural)
 
         monkeypatch.setattr(dimatch.compare, "solve", spy)
-        for use_oracle in (False, True):
-            seen.clear()
-            rep = dimatch.compare.run_planted(
-                20, 2, structural=True, use_oracle=use_oracle, workers=1
-            )
-            assert rep.agreement and rep.found == 2
-            assert seen == [True, True]
+        rep = dimatch.compare.run_planted(20, 2, structural=True, workers=1)
+        assert rep.agreement and rep.found == 2
+        assert seen == [True, True]
 
-    @pytest.mark.parametrize("use_oracle", [False, True])
-    def test_planted_class_violation(self, use_oracle, monkeypatch):
+    def test_planted_class_violation(self, monkeypatch):
         import dimatch.compare
 
-        monkeypatch.setattr(
-            dimatch.compare, "solve", lambda g, **kwargs: SolveOutcome(CLASS_VIOLATION)
-        )
-        rep = dimatch.compare.run_planted(20, 2, use_oracle=use_oracle, workers=1)
+        monkeypatch.setattr(dimatch.compare, "solve", class_violation)
+        rep = dimatch.compare.run_planted(20, 2, workers=1)
         labels = ["planted n=20 seed=0", "planted n=20 seed=1"]
-        if use_oracle:
-            assert not rep.disagreements
-            assert rep.errors == [{"instance": x, "error": "class violation"} for x in labels]
-        else:
-            assert not rep.errors
-            assert rep.disagreements == [
-                {"instance": x, "solver": CLASS_VIOLATION, "oracle": "found (planted)"}
-                for x in labels
-            ]
+        assert not rep.disagreements
+        assert rep.errors == [{"instance": x, "error": "class violation"} for x in labels]
+
+    def test_planted_disagreement_names_the_oracle_verdict(self, monkeypatch):
+        import dimatch.compare
+
+        monkeypatch.setattr(dimatch.compare, "solve", no_dim)
+        rep = dimatch.compare.run_planted(20, 1, workers=1)
+        assert rep.disagreements == [
+            {"instance": "planted n=20 seed=0", "solver": "no_dim", "oracle": "found"}
+        ]
 
     def test_directory_mode(self, tmp_path, capsys):
         (tmp_path / "a.col").write_text(write_edge_list(gadget("c6")))
@@ -788,7 +934,7 @@ class TestCompareCommand:
 
     def test_missing_directory_is_a_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent"
-        assert main(["compare", "--dir", str(missing), "--threads", "1"]) == EXIT_USAGE
+        assert main(["compare", "--dir", str(missing)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(missing) in err
 
@@ -796,7 +942,7 @@ class TestCompareCommand:
         (tmp_path / "a.col").write_text(write_edge_list(gadget("c6")))
         bad = tmp_path / "b.col"
         bad.write_text("p edge 2 1\ne 1 5\n")
-        assert main(["compare", "--dir", str(tmp_path), "--threads", "1"]) == EXIT_USAGE
+        assert main(["compare", "--dir", str(tmp_path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bad) in err
         assert "vertex out of range 1..2" in err
@@ -807,37 +953,53 @@ def no_dim(g, **kwargs):
     return SolveOutcome("no_dim")
 
 
-class TestReproducer:
-    """``dump_reproducer`` gives a file for every disagreeing instance."""
+def class_violation(g, **kwargs):
+    """A solver that rejects every input as outside the class."""
+    return SolveOutcome(CLASS_VIOLATION)
 
-    @pytest.mark.parametrize(
-        "run, build",
-        [
-            (
-                lambda compare: compare.run_exhaustive(3, workers=1),
-                lambda label: mask_to_graph(*(int(f.split("=")[1]) for f in label.split())),
+
+def weight_off(g, **kwargs):
+    """``solve`` with every found weight one too high."""
+    out = solve(g, **kwargs)
+    return out._replace(weight=out.weight + 1) if out.found else out
+
+
+# Each generated corpus: a small run, and the graph its label names built
+# again from the generator.
+GENERATED = pytest.mark.parametrize(
+    "run, build",
+    [
+        (
+            lambda compare, **kw: compare.run_exhaustive(3, workers=1, **kw),
+            lambda label: mask_to_graph(*(int(f.split("=")[1]) for f in label.split())),
+        ),
+        (
+            lambda compare, **kw: compare.run_samples(8, 2, seed=5, density=0.3, workers=1, **kw),
+            lambda label: generate_rejection(
+                GenSpec(
+                    n=8,
+                    seed=int(label.split("seed=")[1]),
+                    mode="rejection",
+                    density=0.3,
+                    connected=True,
+                )
             ),
-            (
-                lambda compare: compare.run_samples(8, 2, seed=5, density=0.3, workers=1),
-                lambda label: generate_rejection(
-                    GenSpec(
-                        n=8,
-                        seed=int(label.split("seed=")[1]),
-                        mode="rejection",
-                        density=0.3,
-                        connected=True,
-                    )
-                ),
-            ),
-            (
-                lambda compare: compare.run_planted(30, 2, workers=1),
-                lambda label: generate_planted(
-                    GenSpec(n=30, seed=int(label.split("seed=")[1]), mode="planted")
-                )[0],
-            ),
-        ],
-        ids=["exhaustive", "samples", "planted"],
-    )
+        ),
+        (
+            lambda compare, **kw: compare.run_planted(30, 2, workers=1, **kw),
+            lambda label: generate_planted(
+                GenSpec(n=30, seed=int(label.split("seed=")[1]), mode="planted")
+            )[0],
+        ),
+    ],
+    ids=["exhaustive", "samples", "planted"],
+)
+
+
+class TestReproducer:
+    """``dump_reproducer`` gives a file for every failing instance."""
+
+    @GENERATED
     def test_generated_instances_are_written(self, run, build, tmp_path, monkeypatch):
         import dimatch.compare
 
@@ -850,6 +1012,22 @@ class TestReproducer:
         for dis, path in zip(report.disagreements, paths):
             assert os.path.dirname(path) == str(tmp_path / "repro")
             g, want = read_edge_list(path), build(dis["instance"])
+            assert (g.n, g.edges, g.weights) == (want.n, want.edges, want.weights)
+
+    @pytest.mark.parametrize("fault", [class_violation, weight_off], ids=["class", "weight"])
+    @GENERATED
+    def test_errors_and_weight_mismatches_are_written(self, fault, run, build, tmp_path, monkeypatch):
+        import dimatch.compare
+
+        monkeypatch.setattr(dimatch.compare, "solve", fault)
+        report = run(dimatch.compare, minimize=True)
+        failing = report.errors if fault is class_violation else report.weight_mismatches
+        labels = [entry["instance"] for entry in failing]
+        assert labels and len(set(labels)) == len(labels) and not report.disagreements
+        paths = dimatch.compare.dump_reproducer(report, str(tmp_path / "repro"))
+        assert len(paths) == len(labels) == len(set(paths))
+        for label, path in zip(labels, paths):
+            g, want = read_edge_list(path), build(label)
             assert (g.n, g.edges, g.weights) == (want.n, want.edges, want.weights)
 
     def test_directory_instances_are_named(self, tmp_path, monkeypatch):
@@ -867,7 +1045,7 @@ class TestReproducer:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--planted", "2x30"], ["--dir"]],
+        [["--planted", "2x30", "--threads", "1"], ["--dir"]],
         ids=["planted", "dir"],
     )
     def test_cli_names_every_reproducer(self, argv, tmp_path, monkeypatch, capsys):
@@ -878,7 +1056,7 @@ class TestReproducer:
             argv = ["--dir", str(tmp_path)]
         monkeypatch.setattr(dimatch.compare, "solve", no_dim)
         repro = tmp_path / "repro"
-        code = main(["compare", *argv, "--threads", "1", "--json", "--repro-dir", str(repro)])
+        code = main(["compare", *argv, "--json", "--repro-dir", str(repro)])
         captured = capsys.readouterr()
         disagreements = json.loads(captured.out)["disagreements"]
         named = [

@@ -81,12 +81,22 @@ class TestMidSizeWeighted:
 
 class TestPlantedBatches:
     def test_planted_n200_against_oracle(self):
-        rep = run_planted(200, 15, seed=100, use_oracle=True, strict=True, workers=1)
+        rep = run_planted(200, 15, seed=100, strict=True, workers=1)
         assert rep.agreement and rep.found == 15
 
     def test_planted_n50_against_oracle(self):
-        rep = run_planted(50, 25, seed=7, use_oracle=True, strict=True, workers=1)
+        rep = run_planted(50, 25, seed=7, strict=True, workers=1)
         assert rep.agreement and rep.found == 25
+
+    def test_oracle_against_the_planted_matching(self):
+        # The planted matching certifies the oracle, which checks every
+        # planted compare run: it must find a DIM no heavier than the plant.
+        for seed in range(20):
+            g, planted = generate_planted(GenSpec(n=1000, seed=seed))
+            assert g.is_dim(planted)
+            ref = oracle_solve(g, mode="min_weight")
+            assert ref.feasible and g.is_dim(ref.best[0])
+            assert ref.best[1] <= sum(g.weight(e) for e in planted) + 1e-9
 
 
 class TestExactRoute:

@@ -23,7 +23,7 @@ from dimatch.oracle import enumerate_all_graphs
 from dimatch.patterns import find_k4
 from dimatch.solver import solve
 
-from conftest import FREE4, TRIP30, degree2_block
+from conftest import BLOCK19, BLOCK19_S4, FREE4, TRIP30, degree2_block
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
 
@@ -86,6 +86,9 @@ def corpus():
         g = degree2_block(SplitMix64(seed), pairs, whites)
         for mode in ("exists", "min") + EXACT:
             yield f"block2/{seed}/{pairs}x{whites}/{mode}", g, MODES[mode]
+    # One block under two numberings that answer differently in min-weight mode.
+    for name, g in (("identity", BLOCK19), ("s4", BLOCK19_S4)):
+        yield f"numbering/block19/{name}/exact-min", g, MODES["exact-min"]
 
 
 def families():
